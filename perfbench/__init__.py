@@ -1,0 +1,5 @@
+"""The qndspin benchmark: CLI start-up, bulk Monte Carlo and scenario scans.
+
+Run ``python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1``
+from the repository root; see ``perfbench/README.md``.
+"""
