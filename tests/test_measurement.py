@@ -269,16 +269,14 @@ class TestSpinFlipCovariance:
 
 
 class TestRunTrials:
-    def test_bitwise_reproducibility_and_thread_invariance(self, couplings):
+    def test_bitwise_reproducibility(self, couplings):
         state = css_state()
         probe = probe_config(6e5, NoiseSwitches())
         args = ("squeeze-readout", 64, 123, state, probe, RATES, MU_PULSES, couplings)
-        a = run_trials(*args, threads=1)
-        b = run_trials(*args, threads=4)
-        c = run_trials(*args, threads=1)
-        assert np.array_equal(a.pulses, b.pulses)
+        a = run_trials(*args)
+        c = run_trials(*args)
         assert np.array_equal(a.pulses, c.pulses)
-        assert np.array_equal(a.true_szf, b.true_szf)
+        assert np.array_equal(a.true_szf, c.true_szf)
 
     def test_single_trial_rejected(self, couplings):
         with pytest.raises(ValueError):
@@ -313,27 +311,6 @@ class TestRunTrials:
         state = css_state(factor=1.3)
         std_sz = math.sqrt(state.var_z)
         assert 2 * std_sz * couplings.domega_dn <= 0.01
-
-    def test_records_roundtrip_csv(self, couplings, tmp_path):
-        ts = run_trials(
-            "squeeze-readout", 8, 3, css_state(),
-            probe_config(6e5, NoiseSwitches()), RATES, MU_PULSES, couplings,
-        )
-        path = tmp_path / "trials.csv"
-        ts.to_csv(path)
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        assert len(data) == 8
-        assert np.allclose(data["M1"], ts.m1)
-        assert np.allclose(
-            data["M1"], 0.5 * (data["M1p"] + data["M1m"]), atol=1e-12
-        )
-        jpath = tmp_path / "trials.json"
-        ts.to_json(jpath, version="0.1.0")
-        import json as _json
-
-        payload = _json.loads(jpath.read_text())
-        assert payload["manifest"]["seed"] == 3
-        assert payload["manifest"]["n_trials"] == 8
 
 
 class TestScenarios:
