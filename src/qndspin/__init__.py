@@ -54,7 +54,6 @@ from .measurement import (
     run_trials,
     SequencePlan,
     simulate_probe_pulse,
-    simulate_trial,
     spinflip_covariance_analytic,
     TrialSet,
 )

@@ -79,8 +79,12 @@ def variance_stats(trials: TrialSet) -> VarianceReport:
     m1 = trials.m1[keep]
     m2 = trials.m2[keep]
     n = len(m1)
-    if n < 2:
-        raise ValueError("need at least 2 unsaturated trials")
+    if n < 3:
+        # the adjacent-cycle variance needs at least two differences
+        raise ValueError(
+            f"variance estimates need at least 3 unsaturated trials; got {n} "
+            f"of {trials.n_trials} trials"
+        )
 
     var_m1 = float(np.var(m1, ddof=1))
     var_m2 = float(np.var(m2, ddof=1))

@@ -7,21 +7,30 @@ follow the convention that the "+" pulses are the inner pair (second of
 M_1, first of M_2: no microwaves between them) and the "-" pulses the
 outer pair (two composite pulses between them).
 
-The per-atom spin-flip processes (Raman scattering types dF, dmF,
-dF+dmF, and composite-pulse failures) are sampled as Poisson/binomial
-event counts with uniform event times inside pulses: each event
-perturbs the time-averaged signal of its own pulse partially and later
-pulses according to how many composite pulses it has stopped responding
-to.  Affected atoms are drawn without replacement against the running
-ensemble imbalance, which makes the sampling exact to first order in
-the per-pulse flip fractions eps = (p/2) P_x; residual bias is
-O(6 eps^2) of the projection-noise variance (< 1e-4 at the physical
-rates, bounded by the p * P_Ram < 0.1 validity guard).  Detector noise
-is applied at the photocount level on both the probe and compensation
-channels and propagated through the Lorentzian inversion.
+Trials are simulated in blocks of _BLOCK as a state evolution over
+arrays, in the measurement frame (where a composite pulse leaves the
+contribution of an atom that follows it unchanged).  Each trial holds
+its ensemble in two classes: the responders, which still follow the
+composite pulses (imbalance z_R), and the stopped atoms, which no
+longer do after a dmF or dF+dmF Raman event (imbalance z_S, count n_S).
+For each pulse and flip kind (dF, dmF, dF+dmF) a Poisson event count is
+split between the classes, and the signs of the affected atoms are
+drawn without replacement against each class's current imbalance
+(hypergeometric), so every flip acts on the spin the ensemble holds at
+that point, also after the M_1 -> M_2 manipulation.  A flip at uniform
+fraction u of its pulse enters that pulse's average with weight 1 - u.
+Each composite pulse makes Binomial(N0 - n_S, mu) responders fail and
+negates z_S.  Signs are drawn against the state at the start of each
+(pulse, kind) step, so the sampling is exact to first order in the
+per-pulse flip fractions eps = (p/2) P_x; the residual bias is of
+second order in the flip fractions, which the p * P_Ram <= 0.1 validity
+guard keeps small.  Detector noise is applied at the photocount level
+on both the probe and compensation channels and propagated through the
+Lorentzian inversion.
 
-Every trial owns an independent counter-based RNG stream keyed by
-(master_seed, trial_index), so results are bitwise reproducible.
+Block b draws from the counter-based stream Philox(key=[master_seed, b])
+(Salmon et al., SC'11), so results are bitwise reproducible and the
+trials of a block do not depend on how many trials follow it.
 """
 
 from __future__ import annotations
@@ -36,15 +45,12 @@ from .scattering import ScatteringRates
 from .spinstate import GaussianSpinState, PulseModel
 
 _PULSES = 4
-# number of composite-pi pulses between pulse k and pulse l (k < l);
-# pi~_1 sits between pulses 1-2, pi~_2 between pulses 3-4
-_N_PI_BETWEEN = {
-    (1, 2): 1, (1, 3): 1, (1, 4): 2,
-    (2, 3): 0, (2, 4): 1,
-    (3, 4): 1,
-}
+_BLOCK = 64
 # measurement-frame sign of each pulse: M_k = s_k * omega_k / (2 domega/dN)
-_PULSE_SIGNS = (-1.0, +1.0, +1.0, -1.0)
+_PULSE_SIGNS = np.array([-1.0, +1.0, +1.0, -1.0])
+# Raman flip kinds dF, dmF, dF+dmF (the flip_counts columns):
+# (flips the atom, stops it following the composite pulses)
+_KINDS = ((True, False), (False, True), (True, True))
 
 SCENARIOS = ("squeeze-readout", "double-prep", "rotate-alpha", "ramsey-clock")
 
@@ -127,27 +133,6 @@ class SequencePlan:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    m1_plus: float
-    m1_minus: float
-    m2_plus: float
-    m2_minus: float
-    true_szf: float
-    flips_df: int
-    flips_dmf: int
-    flips_both: int
-    saturated: bool
-
-    @property
-    def m1(self) -> float:
-        return 0.5 * (self.m1_plus + self.m1_minus)
-
-    @property
-    def m2(self) -> float:
-        return 0.5 * (self.m2_plus + self.m2_minus)
-
-
-@dataclass(frozen=True)
 class TrialSet:
     """Per-trial measurement records plus the run provenance."""
 
@@ -201,201 +186,135 @@ def electronic_count_sigma(probe: ProbeConfig, domega_dn: float) -> float:
 
 
 def simulate_probe_pulse(
-    true_shift_trajectory,
+    true_shift,
     photons: float,
     probe: ProbeConfig,
     rng: np.random.Generator,
     probe_share: float = 1.0,
     electronic_sigma: float = 0.0,
 ):
-    """Measure one pulse: counts on both detection channels -> shift.
+    """Measure probe pulses: counts on both detection channels -> shifts.
 
-    `true_shift_trajectory` is the atom-induced differential shift in
-    kappa units: a scalar (constant over the pulse) or an array of
-    (duration-weight, value) segments whose transmissions are averaged,
-    preserving the Lorentzian nonlinearity.  `photons` is the transmitted
-    photon number at the operating point for this pulse.  Returns
-    (inferred shift in kappa units, saturated flag).
+    `true_shift` is the atom-induced differential shift of each pulse in
+    kappa units, a scalar or an array of any shape.  `photons` is the
+    transmitted photon number per pulse at the operating point.  Returns
+    (inferred shifts in kappa units, saturated flags), shaped like
+    `true_shift`.
     """
     if photons < 0:
         raise ValueError("photon number must be >= 0")
     offset = probe.probe_offset
-    t_op = float(lorentzian_transmission(offset, 1.0))
-    flux = photons / t_op  # input photons per pulse
-    qe = probe.quantum_efficiency
+    # detected counts per unit transmission: Q_e times the input flux
+    scale = probe.quantum_efficiency * photons / float(
+        lorentzian_transmission(offset, 1.0)
+    )
+    shift = np.asarray(true_shift, dtype=float)
 
-    traj = np.atleast_2d(np.asarray(true_shift_trajectory, dtype=float))
-    if traj.shape == (1, 1):
-        weights, values = np.array([1.0]), traj.ravel()
-    else:
-        weights, values = traj[:, 0], traj[:, 1]
-        weights = weights / weights.sum()
-
-    g_p = probe_share
-    g_c = 1.0 - probe_share
-    t_probe = float(weights @ lorentzian_transmission(offset - g_p * values, 1.0))
-    t_comp = float(weights @ lorentzian_transmission(-offset + g_c * values, 1.0))
-
-    mean_p = qe * flux * t_probe
-    mean_c = qe * flux * t_comp
-    n_p, n_c = mean_p, mean_c
+    n_p = scale * lorentzian_transmission(offset - probe_share * shift, 1.0)
+    n_c = scale * lorentzian_transmission(-offset + (1.0 - probe_share) * shift, 1.0)
     if probe.switches.shot and photons > 0:
-        n_p = rng.normal(mean_p, math.sqrt(probe.apd_excess_factor * mean_p))
-        n_c = rng.normal(mean_c, math.sqrt(probe.apd_excess_factor * mean_c))
+        n_p = rng.normal(n_p, np.sqrt(probe.apd_excess_factor * n_p))
+        n_c = rng.normal(n_c, np.sqrt(probe.apd_excess_factor * n_c))
     if probe.switches.electronic and electronic_sigma > 0:
-        n_p += rng.normal(0.0, electronic_sigma)
-        n_c += rng.normal(0.0, electronic_sigma)
+        n_p = n_p + rng.normal(0.0, electronic_sigma, shift.shape)
+        n_c = n_c + rng.normal(0.0, electronic_sigma, shift.shape)
 
-    t_hat_p = n_p / (qe * flux)
-    t_hat_c = n_c / (qe * flux)
-    saturated = not (0.0 < t_hat_p <= 1.0 and 0.0 < t_hat_c <= 1.0)
-    if saturated:
-        t_hat_p = min(max(t_hat_p, 1e-12), 1.0)
-        t_hat_c = min(max(t_hat_c, 1e-12), 1.0)
+    t_hat_p = np.asarray(n_p) / scale
+    t_hat_c = np.asarray(n_c) / scale
+    saturated = ~((0.0 < t_hat_p) & (t_hat_p <= 1.0)
+                  & (0.0 < t_hat_c) & (t_hat_c <= 1.0))
+    t_hat_p = np.clip(t_hat_p, 1e-12, 1.0)
+    t_hat_c = np.clip(t_hat_c, 1e-12, 1.0)
 
-    w_probe = offset - float(inverse_transmission(t_hat_p, 1.0, "upper-slope"))
-    w_comp = float(inverse_transmission(t_hat_c, 1.0, "upper-slope")) + (-offset)
-    return w_probe - w_comp, saturated
+    w_probe = offset - inverse_transmission(t_hat_p, 1.0, "upper-slope")
+    w_comp = inverse_transmission(t_hat_c, 1.0, "upper-slope") + (-offset)
+    # [()] hands a scalar input back as scalars, an array input as arrays
+    return (w_probe - w_comp)[()], saturated[()]
 
 
 # ---------------------------------------------------------------------------
-# spin-flip event bookkeeping
+# block state evolution
 # ---------------------------------------------------------------------------
 
-def _pi_count(k: int, l: int) -> int:
-    return _N_PI_BETWEEN[(k, l)] if k < l else 0
+def _draw_up(rng: np.random.Generator, n, z, k):
+    """Up atoms among k drawn without replacement from n atoms of imbalance z."""
+    up = np.clip(np.rint(0.5 * n + z), 0, n).astype(np.int64)
+    return rng.hypergeometric(up, n - up, k)
 
 
-def _event_weights(kind: str, pulse: int, u: np.ndarray) -> np.ndarray:
-    """Perturbation weight of one event on each pulse average.
+def _flip_average(rng: np.random.Generator, up, n):
+    """Change of each trial's pulse-averaged imbalance from n flips, `up` of up atoms.
 
-    Returned array has shape (len(u), 4); entry w[l] multiplies the
-    signal perturbation (-x_pre) of the flipped atom on pulse l+1.
-
-    * "dF": the atom flips and keeps responding to composite pulses:
-      partial weight 1-u on its own pulse, 1 afterwards.
-    * "both" (dF+dmF): flips and stops responding: its perturbation is
-      toggled off/on by each later composite pulse.
-    * "dmF": does not flip but stops responding: perturbation appears
-      after an odd number of later composite pulses.
+    A flip at uniform fraction u of the pulse changes the imbalance by
+    -1 (up atom) or +1 (down atom) for the remaining 1 - u of it.  One
+    flat uniform array serves the block; its running sum, read at each
+    trial's segment bounds (up events, then down events), gives the sums
+    of u.
     """
-    n = len(u)
-    w = np.zeros((n, _PULSES))
-    if kind == "dF":
-        w[:, pulse - 1] = 1.0 - u
-        for l in range(pulse + 1, _PULSES + 1):
-            w[:, l - 1] = 1.0
-    elif kind == "both":
-        w[:, pulse - 1] = 1.0 - u
-        for l in range(pulse + 1, _PULSES + 1):
-            w[:, l - 1] = (1.0 + (-1.0) ** _pi_count(pulse, l)) / 2.0
-    elif kind == "dmF":
-        for l in range(pulse + 1, _PULSES + 1):
-            w[:, l - 1] = (1.0 - (-1.0) ** _pi_count(pulse, l)) / 2.0
-    else:
-        raise ValueError(kind)
-    return w
+    end = np.cumsum(n)
+    start = end - n
+    mid = start + up
+    c = np.empty(int(end[-1]) + 1)
+    c[0] = 0.0
+    rng.random(out=c[1:])
+    np.cumsum(c, out=c)
+    return (n - 2 * up) + 2.0 * c[mid] - c[start] - c[end]
 
 
-_SZF_WEIGHT = {
-    # weight of each event type on Sz at the end of measurement 1,
-    # by the pulse (or composite pulse) the event happened in
-    "dF": {1: 1.0, 2: 1.0},
-    "dmF": {1: 1.0, 2: 0.0},
-    "both": {1: 0.0, 2: 1.0},
-    "mu1": 1.0,
-}
+def _simulate_block(rng, b, plan, state, probe, lam, mu, couplings):
+    """Pulses (b, 4), true S_z after M_1, flip counts (b, 3), saturated flags."""
+    n0 = max(int(round(state.n0)), 1)
+    sd_z = math.sqrt(state.var_z)
+    z_r = rng.normal(0.0, sd_z, b)
+    z_s = np.zeros(b)
+    n_s = np.zeros(b, dtype=np.int64)
+    avg = np.empty((b, _PULSES))
+    counts = np.zeros((b, len(_KINDS)), dtype=np.int64)
 
+    for k in range(_PULSES):
+        if k == 2:  # the M_1 -> M_2 manipulation
+            szf = z_r + z_s
+            if plan.scenario == "double-prep":
+                z_r = rng.normal(0.0, sd_z, b)
+                z_s = np.zeros(b)
+                n_s = np.zeros(b, dtype=np.int64)
+            else:
+                carry = plan.carryover()
+                z_r, z_s = carry * z_r, carry * z_s
+                if plan.scenario == "rotate-alpha":
+                    y = rng.normal(0.0, math.sqrt(state.var_y), b)
+                    z_r += y * math.sin(plan.rotation_angle)
+                elif plan.scenario == "ramsey-clock" and plan.phase_noise_rms > 0:
+                    z_r += state.mean_length * rng.normal(0.0, plan.phase_noise_rms, b)
+        avg[:, k] = z_r + z_s
 
-def simulate_trial(
-    state: GaussianSpinState,
-    plan: SequencePlan,
-    probe: ProbeConfig,
-    rates: ScatteringRates | None,
-    pulses: PulseModel,
-    couplings: CouplingSummary,
-    rng: np.random.Generator,
-    n0: float | None = None,
-) -> TrialRecord:
-    """One full trial: prepare, measure M_1, manipulate, measure M_2."""
-    n0 = float(n0 if n0 is not None else state.n0)
-    p_half = probe.photons_per_measurement / 2.0
-    if rates is not None and probe.photons_per_measurement * rates.p_raman_total > 0.1:
-        raise ValueError("p * P_Ram > 0.1: first-order flip sampling invalid")
-
-    x0 = rng.normal(0.0, math.sqrt(state.var_z))
-
-    raman_on = probe.switches.raman and rates is not None
-    lam = {
-        "dF": n0 * p_half * (rates.p_delta_f if raman_on else 0.0),
-        "dmF": n0 * p_half * (rates.p_delta_mf if raman_on else 0.0),
-        "both": n0 * p_half * (rates.p_delta_f_delta_mf if raman_on else 0.0),
-    }
-    mu_on = probe.switches.microwave and pulses.mu_total > 0
-
-    pulse_pert = np.zeros(_PULSES)
-    szf = x0
-    counts = {"dF": 0, "dmF": 0, "both": 0}
-    carry = plan.carryover()
-
-    n0_int = max(int(round(n0)), 1)
-
-    def signs(n: int, z_now: float) -> np.ndarray:
-        """Pre-flip signal signs of n affected atoms.
-
-        Atoms are drawn without replacement from the current up/down
-        populations (hypergeometric), which keeps the flip back-reaction
-        faithful beyond first order: random flips of a CSS leave its
-        variance exactly at the projection-noise level.
-        """
-        n_up = min(max(int(round(n0 / 2.0 + z_now)), 0), n0_int)
-        k_up = rng.hypergeometric(n_up, n0_int - n_up, min(n, n0_int))
-        out = np.full(n, -1.0)
-        out[:k_up] = 1.0
-        return out
-
-    for pulse_idx in range(1, _PULSES + 1):
-        z_now = x0 + pulse_pert[pulse_idx - 1]
-        for kind in ("dF", "dmF", "both"):
-            if lam[kind] <= 0.0:
+        for j, (flips, stops) in enumerate(_KINDS):
+            if lam[j] <= 0.0:
                 continue
-            n_ev = rng.poisson(lam[kind])
-            counts[kind] += n_ev
-            if n_ev == 0:
-                continue
-            u = rng.uniform(size=n_ev)
-            x_pre = signs(n_ev, z_now)
-            w = _event_weights(kind, pulse_idx, u)
-            pert = -(x_pre[:, None] * w)
-            if pulse_idx <= 2:
-                pert[:, 2:] *= carry
-                szf += np.sum(-x_pre * _SZF_WEIGHT[kind][pulse_idx])
-            pulse_pert += pert.sum(axis=0)
+            n_ev = np.minimum(rng.poisson(lam[j], b), n0)
+            counts[:, j] += n_ev
+            k_s = rng.hypergeometric(n_s, n0 - n_s, n_ev)
+            k_r = n_ev - k_s
+            up = _draw_up(rng, np.concatenate((n0 - n_s, n_s)),
+                          np.concatenate((z_r, z_s)), np.concatenate((k_r, k_s)))
+            up_r, up_s = up[:b], up[b:]
+            # summed pre-event contribution (+-1/2 per atom) of the hit responders
+            h_r = up_r - 0.5 * k_r
+            if flips:
+                avg[:, k] += _flip_average(rng, up_r + up_s, n_ev)
+                z_s -= 2.0 * up_s - k_s
+            if stops:  # the hit responders join the stopped atoms
+                z_r -= h_r
+                z_s += -h_r if flips else h_r
+                n_s = n_s + k_r
+            else:
+                z_r -= 2.0 * h_r
 
-        if mu_on and pulse_idx in (1, 3):
-            # composite pulse follows pulses 1 and 3
-            n_fail = rng.binomial(int(round(n0)), pulses.mu_total)
-            if n_fail:
-                x_pre = signs(n_fail, x0 + pulse_pert[pulse_idx])
-                total = -np.sum(x_pre)
-                if pulse_idx == 1:
-                    pulse_pert[1:] += np.array([1.0, carry, carry]) * total
-                    szf += total
-                else:
-                    pulse_pert[3] += total
-
-    base = np.array([1.0, 1.0, carry, carry]) * x0
-    if plan.scenario == "double-prep":
-        x0b = rng.normal(0.0, math.sqrt(state.var_z))
-        base[2:] = x0b
-    elif plan.scenario == "rotate-alpha":
-        y = rng.normal(0.0, math.sqrt(state.var_y))
-        base[2:] = x0 * carry + y * math.sin(plan.rotation_angle)
-    elif plan.scenario == "ramsey-clock" and plan.phase_noise_rms > 0:
-        phi_n = rng.normal(0.0, plan.phase_noise_rms)
-        base[2:] += state.mean_length * phi_n
-
-    z_pulse = base + pulse_pert
+        if k in (0, 2):  # composite pulse
+            if mu > 0.0:
+                n_fail = rng.binomial(n0 - n_s, mu)
+                z_r -= 2.0 * _draw_up(rng, n0 - n_s, z_r, n_fail) - n_fail
+            z_s = -z_s
 
     domega_dn = couplings.domega_dn
     sigma_e = (
@@ -403,32 +322,20 @@ def simulate_trial(
         if probe.switches.electronic
         else 0.0
     )
-    share = couplings.probe_signal_share
-
-    m = np.zeros(_PULSES)
-    saturated = False
-    for k in range(_PULSES):
-        omega_true = 2.0 * _PULSE_SIGNS[k] * z_pulse[k] * domega_dn
-        omega_hat, sat = simulate_probe_pulse(
-            omega_true, p_half, probe, rng, share, sigma_e
-        )
-        saturated |= sat
-        m[k] = _PULSE_SIGNS[k] * omega_hat / (2.0 * domega_dn)
+    omega_hat, sat = simulate_probe_pulse(
+        2.0 * domega_dn * _PULSE_SIGNS * avg, probe.photons_per_measurement / 2.0,
+        probe, rng, couplings.probe_signal_share, sigma_e,
+    )
+    m = _PULSE_SIGNS * omega_hat / (2.0 * domega_dn)
 
     if probe.switches.technical and probe.technical_noise_fraction > 0:
-        sigma_t = math.sqrt(probe.technical_noise_fraction * n0) / 2.0
+        sigma_t = math.sqrt(probe.technical_noise_fraction * state.n0) / 2.0
         rho = probe.technical_correlation
-        t1 = rng.normal(0.0, sigma_t)
-        t2 = rho * t1 + math.sqrt(max(1 - rho**2, 0.0)) * rng.normal(0.0, sigma_t)
-        m[:2] += t1
-        m[2:] += t2
-
-    return TrialRecord(
-        m1_minus=m[0], m1_plus=m[1], m2_plus=m[2], m2_minus=m[3],
-        true_szf=szf,
-        flips_df=counts["dF"], flips_dmf=counts["dmF"], flips_both=counts["both"],
-        saturated=saturated,
-    )
+        t1 = rng.normal(0.0, sigma_t, b)
+        t2 = rho * t1 + math.sqrt(max(1 - rho**2, 0.0)) * rng.normal(0.0, sigma_t, b)
+        m[:, :2] += t1[:, None]
+        m[:, 2:] += t2[:, None]
+    return m, szf, counts, sat.any(axis=1)
 
 
 def run_trials(
@@ -441,34 +348,43 @@ def run_trials(
     pulses: PulseModel,
     couplings: CouplingSummary,
 ) -> TrialSet:
-    """Run independent trials with per-trial counter-based RNG streams.
+    """Run independent trials, _BLOCK at a time, one Philox stream per block.
 
-    Results are bitwise reproducible: trial i always consumes the Philox
-    stream keyed (master_seed, i).
+    Results are bitwise reproducible: block b (trials b*_BLOCK onwards)
+    always consumes the Philox stream keyed (master_seed, b).
     """
     if n_trials < 2:
         raise ValueError("need at least 2 trials for any variance estimate")
+    if rates is not None and probe.photons_per_measurement * rates.p_raman_total > 0.1:
+        raise ValueError("p * P_Ram > 0.1: first-order flip sampling invalid")
     plan = SequencePlan(scenario) if isinstance(scenario, str) else scenario
-
-    def one(i: int) -> TrialRecord:
-        rng = np.random.Generator(np.random.Philox(key=[master_seed, i]))
-        return simulate_trial(state, plan, probe, rates, pulses, couplings, rng)
-
-    records = [one(i) for i in range(n_trials)]
-
-    pulses_arr = np.array(
-        [[r.m1_minus, r.m1_plus, r.m2_plus, r.m2_minus] for r in records]
+    raman_on = probe.switches.raman and rates is not None
+    scale = state.n0 * probe.photons_per_measurement / 2.0
+    lam = (
+        [scale * rates.p_delta_f, scale * rates.p_delta_mf,
+         scale * rates.p_delta_f_delta_mf]
+        if raman_on else [0.0] * len(_KINDS)
     )
+    mu = pulses.mu_total if probe.switches.microwave else 0.0
+
+    out = (np.empty((n_trials, _PULSES)), np.empty(n_trials),
+           np.empty((n_trials, len(_KINDS)), dtype=np.int64),
+           np.empty(n_trials, dtype=bool))
+    for block, lo in enumerate(range(0, n_trials, _BLOCK)):
+        rng = np.random.Generator(np.random.Philox(key=[master_seed, block]))
+        b = min(_BLOCK, n_trials - lo)
+        parts = _simulate_block(rng, b, plan, state, probe, lam, mu, couplings)
+        for arr, part in zip(out, parts):
+            arr[lo:lo + b] = part
+    pulses_arr, szf, counts, saturated = out
     return TrialSet(
         master_seed=master_seed,
         scenario=plan.scenario,
         n0=state.n0,
         pulses=pulses_arr,
-        true_szf=np.array([r.true_szf for r in records]),
-        flip_counts=np.array(
-            [[r.flips_df, r.flips_dmf, r.flips_both] for r in records], dtype=int
-        ),
-        saturated=np.array([r.saturated for r in records], dtype=bool),
+        true_szf=szf,
+        flip_counts=counts,
+        saturated=saturated,
     )
 
 

@@ -249,15 +249,6 @@ def scenario_rotation(cfg: RunConfig, n_trials: int, seed: int) -> dict:
                              rows)}
 
 
-def _conditional_from_records(ts, var_meas_model: float):
-    """min_w Var(M2 - w M1) minus the readout imprecision."""
-    keep = ~ts.saturated
-    m1, m2 = ts.m1[keep], ts.m2[keep]
-    w = np.cov(m1, m2, ddof=1)[0, 1] / np.var(m1, ddof=1)
-    resid = float(np.var(m2 - w * m1, ddof=1))
-    return max(resid - var_meas_model, 1e-12)
-
-
 def scenario_ramsey(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     """Squeezing before vs after a short Ramsey clock sequence."""
     opts = cfg.scenario_options("ramsey")
@@ -276,8 +267,10 @@ def scenario_ramsey(cfg: RunConfig, n_trials: int, seed: int) -> dict:
 
     rows = []
     for i, plan in enumerate(plans):
-        ts = _run(cfg, plan, n_trials, seed + i, state)
-        sigma2 = _conditional_from_records(ts, vm_model) / css
+        rep = variance_stats(_run(cfg, plan, n_trials, seed + i, state))
+        # min_w Var(M2 - w M1) minus the readout imprecision
+        resid = rep.var_m2 - rep.cov_m1_m2**2 / rep.var_m1
+        sigma2 = max(resid - vm_model, 1e-12) / css
         rows.append([plan.scenario, sigma2, to_db(sigma2)])
     return {"ramsey.csv": (["sequence", "sigma2", "sigma2_db"], rows)}
 

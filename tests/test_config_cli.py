@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qndspin
+from qndspin import scenarios
 from qndspin.cli import main
 from qndspin.config import ConfigError, load_and_validate
 from qndspin.scenarios import (
@@ -266,7 +268,11 @@ class TestCli:
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
 
-    def test_too_few_trials_explained(self, tmp_path, capsys):
+    def test_too_few_trials_explained(self, tmp_path, capsys, monkeypatch):
+        # drive the message path deterministically: report var_prep < 0
+        real = scenarios.variance_stats
+        monkeypatch.setattr(scenarios, "variance_stats",
+                            lambda ts: replace(real(ts), var_prep=-1.0))
         rc = main([
             "run", "--scenario", "fig3", "--trials", "4",
             "--out", str(tmp_path / "o"),
@@ -276,6 +282,18 @@ class TestCli:
         assert "fig3 at p=" in err
         assert "var_prep" in err
         assert "4 trials are too few" in err
+
+    @pytest.mark.parametrize("scenario", ["fig2", "fig3", "rotation", "ramsey"])
+    def test_schema_minimum_trials_exit_three(self, scenario, tmp_path, capsys):
+        # two trials leave one adjacent-cycle difference: no variance
+        rc = main([
+            "run", "--scenario", scenario, "--trials", "2",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "got 2 of 2 trials" in err
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"

@@ -58,16 +58,16 @@ class TestSimulateProbePulse:
             assert not sat
             assert w_hat == pytest.approx(w_true, abs=1e-9)
 
-    def test_trajectory_averaging_uses_lorentzian(self, couplings):
-        # piecewise trajectory: the transmission average is taken segment
-        # by segment, not on the averaged shift
+    def test_array_of_pulses(self, couplings):
         probe = probe_config(6e5, NoiseSwitches.none())
-        rng = np.random.default_rng(0)
-        traj = np.array([[0.5, 0.3], [0.5, -0.3]])  # huge swings
-        w_hat, _ = simulate_probe_pulse(traj, 3e5, probe, rng, 1.0, 0.0)
-        # mean transmission of the two segments is above T(0) since the
-        # Lorentzian is convex around the half-transmission point
-        assert w_hat != pytest.approx(0.0, abs=1e-6)
+        shifts = np.array([[0.0, 0.004], [-0.01, 0.02]])
+        w_hat, sat = simulate_probe_pulse(
+            shifts, 3e5, probe, np.random.default_rng(0),
+            couplings.probe_signal_share, 0.0,
+        )
+        assert w_hat.shape == sat.shape == shifts.shape
+        assert not sat.any()
+        assert np.allclose(w_hat, shifts, atol=1e-9)
 
     def test_shot_noise_variance(self, couplings):
         # per-pulse inferred-shift variance = f_APD kappa^2 / (Qe p)
@@ -278,6 +278,16 @@ class TestRunTrials:
         assert np.array_equal(a.pulses, c.pulses)
         assert np.array_equal(a.true_szf, c.true_szf)
 
+    def test_blocks_do_not_depend_on_trial_count(self, couplings):
+        # block b always draws from the stream keyed (master_seed, b)
+        state = css_state()
+        probe = probe_config(6e5, NoiseSwitches())
+        args = (state, probe, RATES, MU_PULSES, couplings)
+        short = run_trials("squeeze-readout", 64, 123, *args)
+        long = run_trials("squeeze-readout", 150, 123, *args)
+        assert np.array_equal(short.pulses, long.pulses[:64])
+        assert np.array_equal(short.flip_counts, long.flip_counts[:64])
+
     def test_single_trial_rejected(self, couplings):
         with pytest.raises(ValueError):
             run_trials(
@@ -348,6 +358,84 @@ class TestScenarios:
         # with zero precession phase the readout is the inverted squeeze
         # measurement: M1 + M2 = 0 identically
         assert np.allclose(ts.m1 + ts.m2, 0.0, atol=1e-8)
+
+
+FLIPS_ONLY = NoiseSwitches(
+    shot=False, electronic=False, technical=False, raman=True, microwave=True
+)
+
+
+def regression_slope(ts):
+    """OLS slope of M2 on M1 and its standard error."""
+    slope = np.cov(ts.m1, ts.m2, ddof=1)[0, 1] / np.var(ts.m1, ddof=1)
+    resid = np.var(ts.m2 - slope * ts.m1, ddof=2)
+    return slope, math.sqrt(resid / ((ts.n_trials - 1) * np.var(ts.m1, ddof=1)))
+
+
+class TestFlipBackReaction:
+    """Flips act on the spin the ensemble holds when they happen.
+
+    Flips only, ideal detector.  Each regression fails if M2-era flips
+    are drawn against the M1-era spin, or if atoms that no longer follow
+    the composite pulses are treated like responders.
+    """
+
+    def test_double_prep_readout_is_independent(self, couplings):
+        n = 20_000
+        ts = run_trials(
+            "double-prep", n, 81, css_state(), probe_config(6.4e5, FLIPS_ONLY),
+            RATES, MU_PULSES, couplings,
+        )
+        assert abs(np.corrcoef(ts.m1, ts.m2)[0, 1]) <= 3.0 / math.sqrt(n)
+        # y2 reads two independent M1-like measurements
+        sc = spinflip_covariance_analytic(
+            RATES.p_delta_f, RATES.p_delta_mf, RATES.p_delta_f_delta_mf,
+            MU_PULSES.mu_total, 6.4e5, N0,
+        )
+        y2 = 2 * np.var(ts.m1 - ts.m2, ddof=1)
+        assert abs(y2 - sc.projection_term_4var_m1) <= 3 * var_se(y2, n)
+
+    def test_rotation_pi_half_readout_is_independent(self, couplings):
+        # M2 reads the y quadrature, which is independent of M1
+        n = 20_000
+        plan = SequencePlan("rotate-alpha", rotation_angle=math.pi / 2)
+        ts = run_trials(
+            plan, n, 82, css_state(), probe_config(6.4e5, FLIPS_ONLY),
+            RATES, MU_PULSES, couplings,
+        )
+        assert abs(np.corrcoef(ts.m1, ts.m2)[0, 1]) <= 3.0 / math.sqrt(n)
+
+    def test_ramsey_mirrors_squeeze_readout(self, couplings):
+        # at zero phase the clock sequence inverts the spin, and flips
+        # keep shrinking it towards zero: the regression of M2 on M1 is
+        # minus that of squeeze-readout
+        args = (css_state(), probe_config(6.4e5, FLIPS_ONLY), RATES,
+                MU_PULSES, couplings)
+        ramsey, se_r = regression_slope(
+            run_trials(SequencePlan("ramsey-clock"), 10_000, 83, *args))
+        plain, se_p = regression_slope(
+            run_trials("squeeze-readout", 10_000, 84, *args))
+        assert abs(ramsey + plain) <= 3 * math.hypot(se_r, se_p)
+
+    def test_outer_pulse_variances_agree(self, couplings):
+        # the analytic diagonal is flat: Var(M2-) = Var(M1-).  Atoms that
+        # stopped following the composite pulses must flip sign with each
+        # one they ignore, and cannot be stopped twice.  Small N0 and the
+        # boosted rates of the covariance test keep this fast and sharp.
+        n0 = 1000
+        n = 100_000
+        boosted = ScatteringRates(
+            p_delta_f=5.2e-8, p_delta_mf=3e-8, p_delta_f_delta_mf=3e-8,
+            p_rayleigh_f1=0.0, p_rayleigh_f2=0.0, cooperativity=0.14,
+        )
+        ts = run_trials(
+            "squeeze-readout", n, 85, css_state(n0),
+            probe_config(6.4e5, NoiseSwitches.only("raman")), boosted,
+            NO_PULSE_ERRORS, couplings,
+        )
+        x = ts.pulses - ts.pulses.mean(axis=0)
+        d = x[:, 3] ** 2 - x[:, 0] ** 2
+        assert abs(d.mean()) <= 3 * d.std(ddof=1) / math.sqrt(n)
 
 
 class TestCoherentErrorBound:
