@@ -13,8 +13,6 @@ from qndspin.constants import TWO_PI
 resonator = ResonatorParams(
     wavelength=780.241209686e-9,
     mirror_separation=26.62e-3,
-    mirror_curvature=25.04e-3,
-    free_spectral_range=TWO_PI * 5632.0e6,
     linewidth=TWO_PI * 1.01e6,
     finesse=5.6e3,
     mode_waist=56.9e-6,

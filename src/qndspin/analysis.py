@@ -12,7 +12,7 @@ in variance dB, 10*log10.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,9 +63,6 @@ class VarianceReport:
     def __post_init__(self):
         if self.var_meas < 0:
             raise ValueError("var_meas must be >= 0")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def variance_stats(trials: TrialSet) -> VarianceReport:
@@ -149,9 +146,6 @@ class SqueezingReport:
     def __post_init__(self):
         if self.sigma2 <= 0:
             raise ValueError("sigma2 must be > 0")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def squeezing_parameters(

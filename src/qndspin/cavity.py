@@ -35,16 +35,13 @@ class ResonatorParams:
 
     wavelength: float          # m
     mirror_separation: float   # L, m
-    mirror_curvature: float    # R, m
-    free_spectral_range: float  # angular rad/s
     linewidth: float           # kappa, angular rad/s
     finesse: float
     mode_waist: float          # w at the atoms, m
-    transverse_mode_spacing: float = 0.0  # angular rad/s, stored metadata
 
     def __post_init__(self):
-        for name in ("wavelength", "mirror_separation", "mirror_curvature",
-                     "linewidth", "finesse", "mode_waist"):
+        for name in ("wavelength", "mirror_separation", "linewidth", "finesse",
+                     "mode_waist"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         f_from_kappa = math.pi * RB87.speed_of_light / (
@@ -56,10 +53,6 @@ class ResonatorParams:
                 f"{self.finesse:.4g} vs {f_from_kappa:.4g}"
             )
 
-    @property
-    def wavenumber(self) -> float:
-        return TWO_PI / self.wavelength
-
 
 @dataclass(frozen=True)
 class EnsembleConfig:
@@ -67,16 +60,10 @@ class EnsembleConfig:
 
     physical_atom_number: float        # N_a
     rms_radius: float                  # per-axis transverse rms, m
-    axial_distribution: str = "uniform-standing-wave"
-    cloud_length: float = 0.0          # m, metadata only
 
     def __post_init__(self):
         if self.physical_atom_number < 0 or self.rms_radius < 0:
             raise ValueError("atom number and radius must be >= 0")
-        if self.axial_distribution != "uniform-standing-wave":
-            raise ValueError(
-                f"unsupported axial distribution {self.axial_distribution!r}"
-            )
 
 
 def antinode_cooperativity(finesse: float, wavelength: float, waist: float) -> float:
@@ -204,6 +191,12 @@ def differential_shift_per_atom(
     c2, _ = hyperfine_mode_shift(2, compensation_detuning_f2_f3, eta_eff, kappa, constants)
     c1, _ = hyperfine_mode_shift(1, compensation_detuning_f2_f3, eta_eff, kappa, constants)
     domega_dn = ((w2 - c2) - (w1 - c1)) / 2.0
+    if domega_dn == 0.0:
+        raise ValueError(
+            f"probe detuning {probe_detuning_f2_f3 / TWO_PI / 1e9:.6g} GHz and "
+            f"compensation detuning {compensation_detuning_f2_f3 / TWO_PI / 1e9:.6g}"
+            " GHz give no differential shift d omega/dN"
+        )
     gamma = constants.rb87_d2_linewidth
     delta_prime = eta_eff * gamma * kappa / (4.0 * domega_dn)
     return domega_dn, delta_prime

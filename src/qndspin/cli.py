@@ -105,7 +105,7 @@ def main(argv=None) -> int:
             args.scenario, cfg, out_dir,
             n_trials=args.trials, seed=args.seed,
         )
-    except (ValueError, RuntimeError) as err:
+    except (ValueError, RuntimeError, ArithmeticError) as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"wrote {artifact}")

@@ -46,30 +46,24 @@ SCHEMA = {
         "resonator": {
             "type": "object",
             "required": [
-                "wavelength_nm", "mirror_separation_mm", "mirror_curvature_mm",
-                "free_spectral_range_mhz", "linewidth_mhz", "finesse",
-                "mode_waist_um",
+                "wavelength_nm", "mirror_separation_mm", "linewidth_mhz",
+                "finesse", "mode_waist_um",
             ],
             "properties": {
                 "wavelength_nm": _positive,
                 "mirror_separation_mm": _positive,
-                "mirror_curvature_mm": _positive,
-                "free_spectral_range_mhz": _positive,
                 "linewidth_mhz": _positive,
                 "finesse": _positive,
                 "mode_waist_um": _positive,
-                "transverse_mode_spacing_mhz": _number,
             },
             "additionalProperties": False,
         },
-        "trap_resonator": {"type": "object"},
         "ensemble": {
             "type": "object",
             "required": ["physical_atom_number", "rms_radius_um"],
             "properties": {
                 "physical_atom_number": {"type": "number", "minimum": 0},
                 "rms_radius_um": {"type": "number", "minimum": 0},
-                "cloud_length_mm": _number,
             },
             "additionalProperties": False,
         },
@@ -80,7 +74,6 @@ SCHEMA = {
                 "detuning_f2_f3_ghz": _number,
                 "compensation_detuning_f2_f3_ghz": _number,
                 "photons_per_measurement": {"type": "number", "minimum": 0},
-                "pulse_duration_us": _positive,
                 "quantum_efficiency": {
                     "type": "number", "exclusiveMinimum": 0, "maximum": 1,
                 },
@@ -124,7 +117,11 @@ SCHEMA = {
         },
         "scattering": {
             "type": "object",
-            "properties": {"b1_target_per_atom": {"type": ["number", "null"]}},
+            "properties": {
+                "b1_target_per_atom": {
+                    "type": ["number", "null"], "exclusiveMinimum": 0,
+                },
+            },
             "additionalProperties": False,
         },
         "scenarios": {
@@ -162,7 +159,6 @@ SCHEMA = {
                 "ramsey": {
                     "type": "object",
                     "properties": {
-                        "precession_us": _number,
                         "precession_phase": _number,
                         "phase_noise_rms": {"type": "number", "minimum": 0},
                     },
@@ -244,20 +240,14 @@ def _build(raw: dict) -> RunConfig:
     resonator = ResonatorParams(
         wavelength=res["wavelength_nm"] * 1e-9,
         mirror_separation=res["mirror_separation_mm"] * 1e-3,
-        mirror_curvature=res["mirror_curvature_mm"] * 1e-3,
-        free_spectral_range=TWO_PI * res["free_spectral_range_mhz"] * 1e6,
         linewidth=TWO_PI * res["linewidth_mhz"] * 1e6,
         finesse=res["finesse"],
         mode_waist=res["mode_waist_um"] * 1e-6,
-        transverse_mode_spacing=TWO_PI
-        * res["transverse_mode_spacing_mhz"]
-        * 1e6,
     )
     ens = raw["ensemble"]
     ensemble = EnsembleConfig(
         physical_atom_number=ens["physical_atom_number"],
         rms_radius=ens["rms_radius_um"] * 1e-6,
-        cloud_length=ens["cloud_length_mm"] * 1e-3,
     )
     pr = raw["probe"]
     probe_detuning = TWO_PI * pr["detuning_f2_f3_ghz"] * 1e9
@@ -268,7 +258,6 @@ def _build(raw: dict) -> RunConfig:
 
     probe = ProbeConfig(
         photons_per_measurement=pr["photons_per_measurement"],
-        pulse_duration=pr["pulse_duration_us"] * 1e-6,
         quantum_efficiency=pr["quantum_efficiency"],
         apd_excess_factor=pr["apd_excess_factor"],
         electronic_noise_b2=pr["electronic_noise_b2"],
@@ -333,3 +322,5 @@ def load_and_validate(path: str | Path | None = None,
         return _build(raw)
     except ValueError as err:
         raise ConfigError([str(err)]) from err
+    except ArithmeticError as err:  # overflow of extreme, schema-valid values
+        raise ConfigError([f"values out of numerical range: {err}"]) from err

@@ -41,11 +41,6 @@ class PhysicalConstants:
         if abs(self.d2_oscillator_strength - 2.0 / 3.0) > 1e-12:
             raise ValueError("D2 oscillator strength must be exactly 2/3")
 
-    @property
-    def wavenumber(self) -> float:
-        """Probe wavenumber k = 2 pi / lambda (rad/m)."""
-        return TWO_PI / self.rb87_d2_wavelength
-
     def excited_offset(self, f_excited: int) -> float:
         """Angular frequency of level F' relative to F'=3 (negative below)."""
         return self.rb87_excited_level_offsets[f_excited]

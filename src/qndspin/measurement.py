@@ -36,7 +36,7 @@ trials of a block do not depend on how many trials follow it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +46,9 @@ from .spinstate import GaussianSpinState, PulseModel
 
 _PULSES = 4
 _BLOCK = 64
+# probe detuning from its mode in units of kappa; the compensation
+# channel sits at -_PROBE_OFFSET, on the opposite slope of its mode
+_PROBE_OFFSET = 0.5
 # measurement-frame sign of each pulse: M_k = s_k * omega_k / (2 domega/dN)
 _PULSE_SIGNS = np.array([-1.0, +1.0, +1.0, -1.0])
 # Raman flip kinds dF, dmF, dF+dmF (the flip_counts columns):
@@ -79,15 +82,12 @@ class ProbeConfig:
     """Probe photon budget and detection chain."""
 
     photons_per_measurement: float      # p, transmitted; split p/2 per pulse
-    pulse_duration: float = 50e-6       # s, metadata (>> 1/kappa)
-    probe_offset: float = 0.5           # units of kappa
-    compensation_offset: float = -0.5   # units of kappa
-    quantum_efficiency: float = 0.43
-    apd_excess_factor: float = 1.9
-    electronic_noise_b2: float = 6e13   # b_-2, atom^2 photon^2 units
-    technical_noise_fraction: float = 0.04   # b_0,tech / N0
-    technical_correlation: float = 0.0  # between M_1 and M_2 (sensitivity knob)
-    switches: NoiseSwitches = field(default_factory=NoiseSwitches)
+    quantum_efficiency: float
+    apd_excess_factor: float
+    electronic_noise_b2: float          # b_-2, atom^2 photon^2 units
+    technical_noise_fraction: float     # b_0,tech / N0
+    technical_correlation: float        # between M_1 and M_2 (sensitivity knob)
+    switches: NoiseSwitches
 
     def __post_init__(self):
         if self.photons_per_measurement < 0:
@@ -96,26 +96,18 @@ class ProbeConfig:
             raise ValueError("quantum efficiency must lie in (0, 1]")
         if self.apd_excess_factor < 1.0:
             raise ValueError("APD excess factor must be >= 1")
-        if self.probe_offset * self.compensation_offset >= 0:
-            raise ValueError("probe and compensation offsets must have opposite sign")
         if not -1.0 <= self.technical_correlation <= 1.0:
             raise ValueError("technical correlation must lie in [-1, 1]")
 
 
 @dataclass(frozen=True)
 class SequencePlan:
-    """Named experiment scenario with its manipulation between M_1 and M_2.
-
-    Pulse separations are stored for documentation; the simulated physics
-    contains no motional dynamics, so they do not enter the sampling.
-    """
+    """Named experiment scenario with its manipulation between M_1 and M_2."""
 
     scenario: str = "squeeze-readout"
     rotation_angle: float = 0.0         # rotate-alpha: angle about <S>
     precession_phase: float = 0.0       # ramsey-clock: deterministic phase
     phase_noise_rms: float = 0.0        # ramsey-clock: shot-to-shot phase noise
-    intra_measurement_gap: float = 280e-6   # s, metadata
-    inter_measurement_gap: float = 330e-6   # s, metadata
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -203,7 +195,7 @@ def simulate_probe_pulse(
     """
     if photons < 0:
         raise ValueError("photon number must be >= 0")
-    offset = probe.probe_offset
+    offset = _PROBE_OFFSET
     # detected counts per unit transmission: Q_e times the input flux
     scale = probe.quantum_efficiency * photons / float(
         lorentzian_transmission(offset, 1.0)

@@ -56,8 +56,8 @@ class PreparationModel:
 class PulseModel:
     """Composite microwave pi pulse modeled by a flip-failure fraction."""
 
-    composite_pi_infidelity: float = 0.02   # mu
-    lock_light_mu: float = 0.005            # additive scattering-equivalent
+    composite_pi_infidelity: float   # mu
+    lock_light_mu: float             # additive scattering-equivalent
 
     def __post_init__(self):
         if not 0.0 <= self.composite_pi_infidelity <= 0.1:
@@ -107,24 +107,9 @@ class GaussianSpinState:
         return self.mean_length / self.s0
 
     @property
-    def mean_vector(self) -> np.ndarray:
-        return np.array(
-            [
-                self.mean_length * math.cos(self.azimuth),
-                self.mean_length * math.sin(self.azimuth),
-                self.mean_z,
-            ]
-        )
-
-    @property
     def css_variance(self) -> float:
         """Projection-noise reference Var(Sz)_CSS = N0/4."""
         return self.n0 / 4.0
-
-    def covariance(self) -> np.ndarray:
-        return np.array(
-            [[self.var_z, self.cov_yz], [self.cov_yz, self.var_y]]
-        )
 
 
 def prepare_css(n0: float, prep: PreparationModel) -> GaussianSpinState:

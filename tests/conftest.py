@@ -9,12 +9,9 @@ def probe_resonator():
     return ResonatorParams(
         wavelength=780.241209686e-9,
         mirror_separation=26.62e-3,
-        mirror_curvature=25.04e-3,
-        free_spectral_range=TWO_PI * 5632.0e6,
         linewidth=TWO_PI * 1.01e6,
         finesse=5.6e3,
         mode_waist=56.9e-6,
-        transverse_mode_spacing=TWO_PI * 226.3e6,
     )
 
 
@@ -23,8 +20,6 @@ def trap_resonator():
     return ResonatorParams(
         wavelength=851e-9,
         mirror_separation=26.62e-3,
-        mirror_curvature=25.04e-3,
-        free_spectral_range=TWO_PI * 5632.0e6,
         linewidth=TWO_PI * 135e3,
         finesse=4.2e4,
         mode_waist=59.5e-6,
@@ -33,9 +28,7 @@ def trap_resonator():
 
 @pytest.fixture(scope="session")
 def cloud():
-    return EnsembleConfig(
-        physical_atom_number=5e4, rms_radius=8.1e-6, cloud_length=1e-3
-    )
+    return EnsembleConfig(physical_atom_number=5e4, rms_radius=8.1e-6)
 
 
 PROBE_DETUNING = TWO_PI * 3.57e9

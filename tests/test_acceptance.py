@@ -280,7 +280,7 @@ def test_criterion_8_property_suites(cfg):
         measurement_backaction,
     )
 
-    pulses = PulseModel()
+    pulses = PulseModel(composite_pi_infidelity=0.02, lock_light_mu=0.005)
     for _ in range(100):
         vz = rng.uniform(0.2, 2.0) * CSS
         vy = rng.uniform(0.2, 2.0) * CSS

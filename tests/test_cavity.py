@@ -231,8 +231,6 @@ class TestResonatorParams:
             ResonatorParams(
                 wavelength=780e-9,
                 mirror_separation=26.62e-3,
-                mirror_curvature=25.04e-3,
-                free_spectral_range=TWO_PI * 5632.0e6,
                 linewidth=TWO_PI * 2.0e6,  # inconsistent with finesse
                 finesse=5.6e3,
                 mode_waist=56.9e-6,

@@ -2,16 +2,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qndspin
 from qndspin import scenarios
 from qndspin.cli import main
-from qndspin.config import ConfigError, load_and_validate
+from qndspin.config import SCHEMA, ConfigError, default_config, load_and_validate
 from qndspin.scenarios import (
     SCENARIO_NAMES,
     noise_budget_from_config,
@@ -68,6 +71,38 @@ class TestConfig:
         assert raman_noise_coefficient(cfg.rates, 1.0) == pytest.approx(
             4.7e-8, rel=1e-9
         )
+
+    @pytest.mark.parametrize("key, value", [
+        ("trap_resonator", {"anything": "goes"}),
+        ("resonator.mirror_curvature_mm", 25.04),
+        ("resonator.free_spectral_range_mhz", 5632.0),
+        ("resonator.transverse_mode_spacing_mhz", 226.3),
+        ("ensemble.cloud_length_mm", 1.0),
+        ("probe.pulse_duration_us", 50.0),
+        ("scenarios.ramsey.precession_us", 70.0),
+    ])
+    def test_unread_apparatus_keys_rejected(self, key, value):
+        # these settings had no reader; a config that still sets one is
+        # told so instead of having it silently ignored
+        path = tuple(key.split("."))
+        with pytest.raises(ConfigError) as err:
+            load_and_validate(overrides=_nested({path: value}))
+        assert any(path[-1] in v for v in err.value.violations)
+
+    def test_every_schema_property_has_a_default(self):
+        # _build reads raw[...] directly, so a property without a shipped
+        # default would surface as a KeyError; the fig2 preparation block
+        # is a partial override of `preparation` by design
+        partial = {("scenarios", "fig2", "preparation")}
+
+        def missing(schema, defaults, path=()):
+            for key, sub in schema.get("properties", {}).items():
+                if key not in defaults:
+                    yield path + (key,)
+                elif path + (key,) not in partial:
+                    yield from missing(sub, defaults[key], path + (key,))
+
+        assert list(missing(SCHEMA, default_config())) == []
 
 
 class TestParamsReport:
@@ -283,6 +318,34 @@ class TestCli:
         assert "var_prep" in err
         assert "4 trials are too few" in err
 
+    def test_equal_probe_and_compensation_detunings_exit_two(
+            self, tmp_path, capsys):
+        # equal detunings cancel the differential shift d omega/dN
+        bad = tmp_path / "equal.json"
+        bad.write_text(json.dumps(
+            {"probe": {"compensation_detuning_f2_f3_ghz": 3.57}}
+        ))
+        rc = main([
+            "run", "--scenario", "params-report", "--config", str(bad),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "probe detuning 3.57 GHz" in err
+        assert "compensation detuning 3.57 GHz" in err
+
+    def test_zero_b1_target_exit_two(self, tmp_path, capsys):
+        # a zero target would scale every Raman rate to 0; noise.raman
+        # is the switch for that
+        bad = tmp_path / "zero.json"
+        bad.write_text(json.dumps({"scattering": {"b1_target_per_atom": 0}}))
+        rc = main([
+            "run", "--scenario", "params-report", "--config", str(bad),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert "b1_target_per_atom" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scenario", ["fig2", "fig3", "rotation", "ramsey"])
     def test_schema_minimum_trials_exit_three(self, scenario, tmp_path, capsys):
         # two trials leave one adjacent-cycle difference: no variance
@@ -319,3 +382,62 @@ def test_cli_import_loads_no_scipy():
         check=True, env={**os.environ, "PYTHONPATH": src},
     ).stdout
     assert out.strip() == "[]"
+
+
+def _numeric_leaves(schema, path=()):
+    for key, sub in schema.get("properties", {}).items():
+        if sub.get("type") == "object":
+            yield from _numeric_leaves(sub, path + (key,))
+        elif sub.get("type") in ("number", "integer", ["number", "null"]):
+            yield path + (key,), sub
+
+
+def _leaf_values(leaf):
+    """Every finite value the schema accepts for one numeric leaf."""
+    if leaf["type"] == "integer":
+        return st.integers(min_value=leaf.get("minimum"), max_value=2**63 - 1)
+    lo = leaf.get("minimum", leaf.get("exclusiveMinimum"))
+    values = st.floats(
+        min_value=lo, max_value=leaf.get("maximum"),
+        exclude_min="exclusiveMinimum" in leaf,
+        allow_nan=False, allow_infinity=False,
+    )
+    return st.none() | values if "null" in leaf["type"] else values
+
+
+def _nested(flat):
+    tree = {}
+    for path, val in flat.items():
+        node = tree
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = val
+    return tree
+
+
+NUMERIC_OVERRIDES = st.fixed_dictionaries({}, optional={
+    path: _leaf_values(leaf) for path, leaf in _numeric_leaves(SCHEMA)
+}).map(_nested)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(overrides=NUMERIC_OVERRIDES)
+@example(overrides={"probe": {"compensation_detuning_f2_f3_ghz": 3.57}})
+@example(overrides={"scattering": {"b1_target_per_atom": 0}})
+@example(overrides={"resonator": {"wavelength_nm": 1e200}})  # 1/0 in _build
+@example(overrides={"resonator": {"mode_waist_um": 6.5e76}})  # overflow at run
+def test_schema_valid_overrides_never_crash(overrides):
+    """A numeric override builds a config or is a ConfigError, never a crash."""
+    try:
+        load_and_validate(overrides=overrides)
+    except ConfigError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "override.json"
+        path.write_text(json.dumps(overrides))
+        for scenario in ("params-report", "limits"):
+            rc = main([
+                "run", "--scenario", scenario, "--config", str(path),
+                "--out", str(Path(tmp) / scenario),
+            ])
+            assert rc in (0, 2, 3)

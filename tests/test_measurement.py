@@ -33,7 +33,11 @@ MU_PULSES = PulseModel(composite_pi_infidelity=0.02, lock_light_mu=0.0)
 def probe_config(p, switches, tech=0.04):
     return ProbeConfig(
         photons_per_measurement=p,
+        quantum_efficiency=0.43,
+        apd_excess_factor=1.9,
+        electronic_noise_b2=6e13,
         technical_noise_fraction=tech,
+        technical_correlation=0.0,
         switches=switches,
     )
 
@@ -231,8 +235,11 @@ class TestSpinFlipCovariance:
         # flips only, ideal detector: the sampled 4x4 pulse covariance
         # matches the analytic structure within sampling error.  Rates
         # are twice the physical ones: strong enough that the flip terms
-        # stand ~10 sigma above sampling noise, small enough that the
-        # first-order analytics are exact at this resolution.
+        # stand ~10 sigma above sampling noise.  The analytics are first
+        # order in the flip fractions and not exact at this resolution:
+        # the outer-pulse entries cov[03] and cov[13] sit about 2 SE
+        # above them on average (tests/calibrate_engine.py), which the
+        # 3.5 SE bound absorbs at this seed but not on every seed.
         p = 6.4e5
         n = 50_000
         boosted = ScatteringRates(

@@ -264,7 +264,7 @@ class TestPropertyInvariants:
     def test_psd_and_mean_monotone_under_ops(self):
         rng = np.random.default_rng(21)
         rates = ScatteringRates(2.6e-8, 1.5e-8, 1.5e-8, 1.4e-7, 8.6e-8, 0.14)
-        pulses = PulseModel()
+        pulses = PulseModel(composite_pi_infidelity=0.02, lock_light_mu=0.005)
         for _ in range(100):
             vz = rng.uniform(0.3, 2.0) * N0 / 4
             vy = rng.uniform(0.3, 2.0) * N0 / 4
