@@ -98,6 +98,9 @@ def main(argv=None) -> int:
     if args.trials is not None and args.trials < 2:
         print("config error: n_trials: must be >= 2", file=sys.stderr)
         return EXIT_CONFIG
+    if args.seed is not None and args.seed < 0:
+        print("config error: --seed: must be >= 0", file=sys.stderr)
+        return EXIT_CONFIG
 
     out_dir = args.out or Path(cfg.output_dir)
     try:

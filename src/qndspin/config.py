@@ -182,9 +182,14 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+def _reject_constant(name: str):
+    # json accepts NaN and +-Infinity, which pass every numeric bound
+    raise ConfigError([f"config is not valid JSON: {name} is not a number"])
+
+
 def default_config() -> dict:
     text = resources.files("qndspin").joinpath("data/default_config.json").read_text()
-    return json.loads(text)
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -301,7 +306,7 @@ def load_and_validate(path: str | Path | None = None,
         if not p.exists():
             raise ConfigError([f"config file not found: {p}"])
         try:
-            user = json.loads(p.read_text())
+            user = json.loads(p.read_text(), parse_constant=_reject_constant)
         except json.JSONDecodeError as err:
             raise ConfigError([f"config is not valid JSON: {err}"]) from err
         raw = _merge(raw, user)

@@ -28,9 +28,12 @@ guard keeps small.  Detector noise is applied at the photocount level
 on both the probe and compensation channels and propagated through the
 Lorentzian inversion.
 
-Block b draws from the counter-based stream Philox(key=[master_seed, b])
-(Salmon et al., SC'11), so results are bitwise reproducible and the
-trials of a block do not depend on how many trials follow it.
+Block b draws from its own stream, PCG64DXSM seeded with the pair
+(master_seed, b) through SeedSequence (O'Neill 2014), so results are
+bitwise reproducible and the trials of a block do not depend on how many
+trials follow it.  Blocks of 256 trials spread the fixed cost of a step's
+library calls (chiefly the argument checks of `hypergeometric`) thinly
+while keeping a step's flat uniform array small.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .scattering import ScatteringRates
 from .spinstate import GaussianSpinState, PulseModel
 
 _PULSES = 4
-_BLOCK = 64
+_BLOCK = 256
 # probe detuning from its mode in units of kappa; the compensation
 # channel sits at -_PROBE_OFFSET, on the opposite slope of its mode
 _PROBE_OFFSET = 0.5
@@ -238,19 +241,17 @@ def _flip_average(rng: np.random.Generator, up, n):
     """Change of each trial's pulse-averaged imbalance from n flips, `up` of up atoms.
 
     A flip at uniform fraction u of the pulse changes the imbalance by
-    -1 (up atom) or +1 (down atom) for the remaining 1 - u of it.  One
-    flat uniform array serves the block; its running sum, read at each
-    trial's segment bounds (up events, then down events), gives the sums
-    of u.
+    -1 (up atom) or +1 (down atom) for the remaining 1 - u of it.  As
+    1 - u is itself uniform, the change is distributed as the sum of n
+    uniforms minus `up`.  One flat uniform array serves the block; its
+    running sum, read at each trial's segment bounds, gives the sums.
     """
     end = np.cumsum(n)
-    start = end - n
-    mid = start + up
     c = np.empty(int(end[-1]) + 1)
     c[0] = 0.0
     rng.random(out=c[1:])
     np.cumsum(c, out=c)
-    return (n - 2 * up) + 2.0 * c[mid] - c[start] - c[end]
+    return c[end] - c[end - n] - up
 
 
 def _simulate_block(rng, b, plan, state, probe, lam, mu, couplings):
@@ -340,10 +341,11 @@ def run_trials(
     pulses: PulseModel,
     couplings: CouplingSummary,
 ) -> TrialSet:
-    """Run independent trials, _BLOCK at a time, one Philox stream per block.
+    """Run independent trials, _BLOCK at a time, one PCG64DXSM stream per block.
 
     Results are bitwise reproducible: block b (trials b*_BLOCK onwards)
-    always consumes the Philox stream keyed (master_seed, b).
+    always consumes the stream seeded with (master_seed, b), whatever
+    the trial count.  master_seed is any non-negative int.
     """
     if n_trials < 2:
         raise ValueError("need at least 2 trials for any variance estimate")
@@ -363,7 +365,7 @@ def run_trials(
            np.empty((n_trials, len(_KINDS)), dtype=np.int64),
            np.empty(n_trials, dtype=bool))
     for block, lo in enumerate(range(0, n_trials, _BLOCK)):
-        rng = np.random.Generator(np.random.Philox(key=[master_seed, block]))
+        rng = np.random.Generator(np.random.PCG64DXSM([master_seed, block]))
         b = min(_BLOCK, n_trials - lo)
         parts = _simulate_block(rng, b, plan, state, probe, lam, mu, couplings)
         for arr, part in zip(out, parts):

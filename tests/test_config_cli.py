@@ -346,6 +346,39 @@ class TestCli:
         assert rc == 2
         assert "b1_target_per_atom" in capsys.readouterr().err
 
+    def test_negative_seed_exit_two(self, tmp_path, capsys):
+        rc = main([
+            "run", "--scenario", "fig3", "--trials", "8", "--seed", "-1",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "config error: --seed: must be >= 0\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_exit_two(self, constant, tmp_path, capsys):
+        # json accepts these, and NaN passes every numeric bound
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"probe": {"photons_per_measurement": %s}}' % constant)
+        rc = main([
+            "run", "--scenario", "fig3", "--trials", "8", "--config", str(bad),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert f"{constant} is not a number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_master_seed_beyond_64_bits_runs(self, tmp_path):
+        # a block stream is seeded through SeedSequence, which takes any
+        # non-negative int
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"master_seed": 2**64}))
+        rc = main([
+            "run", "--scenario", "fig3", "--trials", "8", "--config", str(big),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 0
+
     @pytest.mark.parametrize("scenario", ["fig2", "fig3", "rotation", "ramsey"])
     def test_schema_minimum_trials_exit_three(self, scenario, tmp_path, capsys):
         # two trials leave one adjacent-cycle difference: no variance

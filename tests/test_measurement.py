@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qndspin.measurement import (
+    _BLOCK,
     coherent_error_bound,
     NoiseSwitches,
     ProbeConfig,
@@ -290,10 +291,10 @@ class TestRunTrials:
         state = css_state()
         probe = probe_config(6e5, NoiseSwitches())
         args = (state, probe, RATES, MU_PULSES, couplings)
-        short = run_trials("squeeze-readout", 64, 123, *args)
-        long = run_trials("squeeze-readout", 150, 123, *args)
-        assert np.array_equal(short.pulses, long.pulses[:64])
-        assert np.array_equal(short.flip_counts, long.flip_counts[:64])
+        short = run_trials("squeeze-readout", _BLOCK, 123, *args)
+        long = run_trials("squeeze-readout", 2 * _BLOCK + 22, 123, *args)
+        assert np.array_equal(short.pulses, long.pulses[:_BLOCK])
+        assert np.array_equal(short.flip_counts, long.flip_counts[:_BLOCK])
 
     def test_single_trial_rejected(self, couplings):
         with pytest.raises(ValueError):
