@@ -54,6 +54,18 @@ def _verify(manifest_path: Path, cfg: RunConfig) -> int:
     except (OSError, json.JSONDecodeError) as err:
         print(f"error: cannot read manifest: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    if not isinstance(recorded, dict):
+        problem = "is not a JSON object"
+    elif "scenario" not in recorded:
+        problem = 'has no "scenario" entry'
+    elif not isinstance(recorded.get("outputs", {}), dict):
+        problem = 'has an "outputs" entry that is not a JSON object'
+    else:
+        problem = None
+    if problem:
+        print(f"error: cannot read manifest: {manifest_path} {problem}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     if recorded.get("config_hash") != cfg.config_hash():
         print("verify: configuration hash differs from the manifest",
               file=sys.stderr)

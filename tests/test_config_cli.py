@@ -265,6 +265,21 @@ class TestCli:
         rc = main(["run", "--scenario", "ramsey", "--verify", str(manifest)])
         assert rc == 4
 
+    @pytest.mark.parametrize("recorded, problem", [
+        ([], "is not a JSON object"),
+        ({"seed": 7}, 'has no "scenario" entry'),
+        ({"scenario": "fig3", "outputs": []}, '"outputs" entry'),
+    ], ids=["not-an-object", "no-scenario", "outputs-not-an-object"])
+    def test_malformed_manifest_exit_two(self, recorded, problem, tmp_path,
+                                         capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(recorded))
+        rc = main(["run", "--scenario", "fig3", "--verify", str(manifest)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "cannot read manifest:" in err and problem in err
+
     def test_runtime_error_exit_three(self, tmp_path, capsys):
         # photon number far outside the first-order flip regime trips the
         # engine's validity guard at runtime

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qndspin.measurement import (
     _BLOCK,
+    _flip_average,
     coherent_error_bound,
     NoiseSwitches,
     ProbeConfig,
@@ -295,6 +297,36 @@ class TestRunTrials:
         long = run_trials("squeeze-readout", 2 * _BLOCK + 22, 123, *args)
         assert np.array_equal(short.pulses, long.pulses[:_BLOCK])
         assert np.array_equal(short.flip_counts, long.flip_counts[:_BLOCK])
+
+    def test_flip_average_moments(self):
+        # a trial's n flips shift its pulse average by a sum of n uniforms
+        # minus its up count: mean n/2 - up, variance n/12, exactly -up at n = 0
+        draws = 20_000
+        n = np.repeat([0, 1, 300], draws)
+        up = n // 3
+        x = _flip_average(np.random.Generator(np.random.PCG64DXSM(17)), up, n)
+        assert np.array_equal(x[:draws], -up[:draws])
+        for k in (1, 300):
+            sample = x[n == k]
+            mean, var = k / 2 - k // 3, k / 12
+            assert abs(sample.mean() - mean) < 4 * math.sqrt(var / draws)
+            assert abs(sample.var(ddof=1) - var) < 4 * var_se(var, draws)
+
+    def test_block_memory_does_not_grow_with_events(self, couplings):
+        # a block draws a fixed number of values per trial, not one per event
+        state = css_state()
+        peaks = []
+        for p in (1e5, 9e5):
+            args = (state, probe_config(p, NoiseSwitches()), RATES, MU_PULSES,
+                    couplings)
+            run_trials("squeeze-readout", 2, 5, *args)  # first-call caches
+            tracemalloc.start()
+            try:
+                run_trials("squeeze-readout", _BLOCK, 5, *args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_single_trial_rejected(self, couplings):
         with pytest.raises(ValueError):
