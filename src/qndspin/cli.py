@@ -48,6 +48,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _entry_problem(recorded: dict) -> str | None:
+    """What makes a manifest's run or output entries unusable, if anything."""
+    scenario, n_trials, seed = (recorded.get(key)
+                                for key in ("scenario", "n_trials", "seed"))
+    if scenario not in SCENARIO_NAMES:
+        return f'has a "scenario" entry {scenario!r} that names no scenario'
+    if n_trials is not None and not (
+            type(n_trials) is int and (n_trials == 0 or n_trials >= 2)):
+        return (f'has an "n_trials" entry {n_trials!r} that is not 0, null '
+                "or an integer >= 2")
+    if seed is not None and not (type(seed) is int and seed >= 0):
+        return (f'has a "seed" entry {seed!r} that is not null or an '
+                "integer >= 0")
+    for name in recorded.get("outputs", {}):
+        if name in ("", "..") or Path(name).name != name:
+            return (f'has an "outputs" entry {name!r} that is not a plain '
+                    "file name")
+    return None
+
+
 def _verify(manifest_path: Path, cfg: RunConfig) -> int:
     try:
         recorded = json.loads(manifest_path.read_text())
@@ -61,7 +81,7 @@ def _verify(manifest_path: Path, cfg: RunConfig) -> int:
     elif not isinstance(recorded.get("outputs", {}), dict):
         problem = 'has an "outputs" entry that is not a JSON object'
     else:
-        problem = None
+        problem = _entry_problem(recorded)
     if problem:
         print(f"error: cannot read manifest: {manifest_path} {problem}",
               file=sys.stderr)

@@ -8,36 +8,35 @@ M_1, first of M_2: no microwaves between them) and the "-" pulses the
 outer pair (two composite pulses between them).
 
 Trials are simulated in blocks of _BLOCK as a state evolution over
-arrays, in the measurement frame (where a composite pulse leaves the
-contribution of an atom that follows it unchanged).  Each trial holds
-its ensemble in two classes: the responders, which still follow the
-composite pulses (imbalance z_R), and the stopped atoms, which no
-longer do after a dmF or dF+dmF Raman event (imbalance z_S, count n_S).
-For each pulse and flip kind (dF, dmF, dF+dmF) a Poisson event count is
-split between the classes, and the signs of the affected atoms are
-drawn without replacement against each class's current imbalance
-(hypergeometric), so every flip acts on the spin the ensemble holds at
-that point, also after the M_1 -> M_2 manipulation.  A flip at uniform
-fraction u of its pulse enters that pulse's average with weight 1 - u;
-a trial's sum of n weights is drawn as a normal of the Irwin-Hall mean
-n/2 and variance n/12: every first and second moment of the pulse
-records is kept, and the fourth changes by the excess kurtosis -6/(5n).
-Each composite pulse makes Binomial(N0 - n_S, mu) responders fail and
+arrays in the measurement frame, where a composite pulse leaves the
+contribution of an atom that follows it unchanged.  Each trial holds
+two classes of atoms: the responders, which follow the composite pulses
+(imbalance z_R), and the atoms stopped by a dmF or dF+dmF Raman event
+(imbalance z_S, count n_S).  Per pulse and flip kind (dF, dmF, dF+dmF)
+a Poisson event count is split between the classes (hypergeometric, so
+n_S stays an atom count).  Each class's up count among its hit atoms is
+a normal of the mean and variance of drawing them without replacement
+against its current imbalance, so every flip acts on the spin the
+ensemble holds, also after the M_1 -> M_2 manipulation.  A flip at
+uniform fraction u of its pulse weighs 1 - u in that pulse's average,
+and a trial's sum of n weights is a normal of the Irwin-Hall mean n/2
+and variance n/12.  Both normals enter the records linearly, so every
+mean, variance and covariance of the pulse records is kept.  Each
+composite pulse makes Binomial(N0 - n_S, mu) responders fail and
 negates z_S.  Signs are drawn against the state at the start of each
-(pulse, kind) step, so the sampling is exact to first order in the
-per-pulse flip fractions eps = (p/2) P_x; the residual bias is of
-second order in the flip fractions, which the p * P_Ram <= 0.1 validity
-guard keeps small.  Detector noise is applied at the photocount level
-on both the probe and compensation channels and propagated through the
-Lorentzian inversion.
+(pulse, kind) step: exact to first order in the per-pulse flip
+fractions eps = (p/2) P_x, with a second-order bias that the
+p * P_Ram <= 0.1 validity guard keeps small.  Detector noise acts on
+the photocounts of the probe and compensation channels and passes
+through the Lorentzian inversion.
 
 Block b draws from its own stream, PCG64DXSM seeded with the pair
 (master_seed, b) through SeedSequence (O'Neill 2014), so results are
-bitwise reproducible and the trials of a block do not depend on how many
-trials follow it.  A step draws a fixed number of values per trial, so
-a block's memory does not grow with the event count, and blocks of 2048
-trials spread the fixed cost of a step's library calls (chiefly the
-argument checks of `hypergeometric`) thinly.
+bitwise reproducible and a block's trials do not depend on how many
+follow it.  A step draws a fixed number of values per trial, so block
+memory does not grow with the event count, and 2048-trial blocks spread
+the fixed cost of each library call (chiefly the argument checks of the
+class split's `hypergeometric`) thinly.
 """
 
 from __future__ import annotations
@@ -236,9 +235,15 @@ def simulate_probe_pulse(
 # ---------------------------------------------------------------------------
 
 def _draw_up(rng: np.random.Generator, n, z, k):
-    """Up atoms among k drawn without replacement from n atoms of imbalance z."""
-    up = np.clip(np.rint(0.5 * n + z), 0, n).astype(np.int64)
-    return rng.hypergeometric(up, n - up, k)
+    """Up atoms among k drawn without replacement from n atoms of imbalance z.
+
+    A normal of the hypergeometric's mean k q and variance
+    k q (1 - q) (n - k) / (n - 1), q = rint(n/2 + z) / n; exact where certain.
+    """
+    n_up = np.clip(np.rint(0.5 * n + z), 0, n)
+    mean = k * n_up / np.maximum(n, 1)
+    var = mean * (1.0 - n_up / np.maximum(n, 1)) * (n - k) / np.maximum(n - 1, 1)
+    return mean + np.sqrt(var) * rng.standard_normal(np.shape(k))
 
 
 def _flip_average(rng: np.random.Generator, up, n):
@@ -284,7 +289,8 @@ def _simulate_block(rng, b, plan, state, probe, lam, mu, couplings):
                 continue
             n_ev = np.minimum(rng.poisson(lam[j], b), n0)
             counts[:, j] += n_ev
-            k_s = rng.hypergeometric(n_s, n0 - n_s, n_ev)
+            k_s = (rng.hypergeometric(n_s, n0 - n_s, n_ev) if n_s.any()
+                   else np.zeros_like(n_ev))
             k_r = n_ev - k_s
             up = _draw_up(rng, np.concatenate((n0 - n_s, n_s)),
                           np.concatenate((z_r, z_s)), np.concatenate((k_r, k_s)))
@@ -368,16 +374,8 @@ def run_trials(
         parts = _simulate_block(rng, b, plan, state, probe, lam, mu, couplings)
         for arr, part in zip(out, parts):
             arr[lo:lo + b] = part
-    pulses_arr, szf, counts, saturated = out
-    return TrialSet(
-        master_seed=master_seed,
-        scenario=plan.scenario,
-        n0=state.n0,
-        pulses=pulses_arr,
-        true_szf=szf,
-        flip_counts=counts,
-        saturated=saturated,
-    )
+    # out holds pulses, true_szf, flip_counts and saturated, in field order
+    return TrialSet(master_seed, plan.scenario, state.n0, *out)
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,33 @@ class TestCli:
         assert err.count("\n") == 1
         assert "cannot read manifest:" in err and problem in err
 
+    @pytest.mark.parametrize("entries, key", [
+        ({"outputs": {"../../../../etc/hostname": "0" * 64}},
+         "../../../../etc/hostname"),
+        ({"outputs": {"/etc/hostname": "0" * 64}}, "/etc/hostname"),
+        ({"outputs": {"..": "0" * 64}}, "'..'"),
+        ({"n_trials": "x"}, '"n_trials"'),
+        ({"n_trials": 1}, '"n_trials"'),
+        ({"n_trials": True}, '"n_trials"'),
+        ({"scenario": "bogus"}, '"scenario"'),
+        ({"seed": -5}, '"seed"'),
+    ], ids=["outputs-parent-path", "outputs-absolute", "outputs-dotdot",
+            "n-trials-string", "n-trials-one", "n-trials-bool",
+            "scenario-unknown", "seed-negative"])
+    def test_bad_manifest_entry_exit_two(self, entries, key, cfg, tmp_path,
+                                         capsys):
+        # a manifest of the right configuration whose run or output entries
+        # cannot be used is rejected, naming the entry, before anything runs
+        recorded = {"scenario": "fig3", "n_trials": 24, "seed": 7,
+                    "config_hash": cfg.config_hash(), **entries}
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(recorded))
+        rc = main(["run", "--scenario", "fig3", "--verify", str(manifest)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "cannot read manifest:" in err and key in err
+
     def test_runtime_error_exit_three(self, tmp_path, capsys):
         # photon number far outside the first-order flip regime trips the
         # engine's validity guard at runtime

@@ -6,6 +6,7 @@ import pytest
 
 from qndspin.measurement import (
     _BLOCK,
+    _draw_up,
     _flip_average,
     coherent_error_bound,
     NoiseSwitches,
@@ -312,6 +313,28 @@ class TestRunTrials:
             assert abs(sample.mean() - mean) < 4 * math.sqrt(var / draws)
             assert abs(sample.var(ddof=1) - var) < 4 * var_se(var, draws)
 
+    def test_sign_draw_moments(self):
+        # up atoms among k of n atoms of imbalance z: exact where the draw
+        # is certain, else the hypergeometric's mean k q and variance
+        # k q (1 - q) (n - k) / (n - 1), with q = rint(n/2 + z) / n
+        rng = np.random.Generator(np.random.PCG64DXSM(23))
+        n = np.array([40, 33_146, 40, 33_146, 40, 40])
+        z = np.array([3.2, -50.0, 3.2, -50.0, 20.0, -20.0])
+        k = np.array([0, 0, 40, 33_146, 3, 3])
+        x = _draw_up(rng, n, z, k)
+        assert np.array_equal(x, [0, 0, 23, 16_523, 3, 0])
+        draws = 20_000
+        settings = ((33_146, 276, 812.3), (40, 3, -7.0), (1, 1, 0.2))
+        n, k, z = (np.repeat(col, draws) for col in zip(*settings))
+        x = _draw_up(rng, n, z, k)
+        for i, (n_i, k_i, z_i) in enumerate(settings):
+            sample = x[i * draws:(i + 1) * draws]
+            q = np.clip(np.rint(n_i / 2 + z_i), 0, n_i) / n_i
+            mean = k_i * q
+            var = k_i * q * (1 - q) * (n_i - k_i) / max(n_i - 1, 1)
+            assert abs(sample.mean() - mean) <= 4 * math.sqrt(var / draws)
+            assert abs(sample.var(ddof=1) - var) <= 4 * var_se(var, draws)
+
     def test_block_memory_does_not_grow_with_events(self, couplings):
         # a block draws a fixed number of values per trial, not one per event
         state = css_state()
@@ -343,18 +366,6 @@ class TestRunTrials:
         b = run_trials("squeeze-readout", 16, 2, state, probe, RATES, MU_PULSES,
                        couplings)
         assert not np.array_equal(a.pulses, b.pulses)
-
-    def test_flip_time_uniformity(self, couplings):
-        # the within-pulse flip-time distribution is uniform: binned event
-        # perturbation weights on the own pulse are linear in time with
-        # slope matching uniform sampling (5% at ~1e6 events)
-        rng = np.random.default_rng(5)
-        n_ev = 1_000_000
-        u = rng.uniform(size=n_ev)
-        hist, edges = np.histogram(u, bins=20)
-        centers = 0.5 * (edges[1:] + edges[:-1])
-        slope = np.polyfit(centers, hist, 1)[0]
-        assert abs(slope) / hist.mean() < 0.05
 
     def test_linear_regime_guard(self, couplings):
         # sampled shifts stay within the linear-regime bound
