@@ -9,13 +9,13 @@ compared against the parameter-free covariance-rotation model.
 import math
 from dataclasses import replace
 
-import numpy as np
-
 from qndspin import (
-    conditional_variance,
+    condition_on_measurement,
     measurement_backaction,
     prepare_css,
     PreparationModel,
+    rotated_variance,
+    rotated_z_variance,
     run_trials,
     SequencePlan,
     variance_stats,
@@ -33,9 +33,9 @@ state = measurement_backaction(base, p, cfg.couplings.phase_per_photon_eff, n0)
 
 budget = noise_budget_from_config(cfg)
 var_meas_model = budget.evaluate(p) / 4
-var_z_cond = conditional_variance(1.14 * n0 / 4, var_meas_model)
-print(f"squeezed quadrature (model):      {var_z_cond:8.0f} atoms^2")
-print(f"anti-squeezed quadrature (model): {state.var_y:8.0f} atoms^2")
+model_state = condition_on_measurement(state, 0.0, var_meas_model)
+print(f"squeezed quadrature (model):      {model_state.var_z:8.0f} atoms^2")
+print(f"anti-squeezed quadrature (model): {model_state.var_y:8.0f} atoms^2")
 print(f"CSS reference:                    {n0 / 4:8.0f} atoms^2\n")
 
 ts0 = run_trials("squeeze-readout", 2000, 400, state, probe,
@@ -48,9 +48,8 @@ for i, deg in enumerate([0, 20, 45, 70, 90, 110, 135, 160, 180]):
     plan = SequencePlan("rotate-alpha", rotation_angle=alpha)
     ts = run_trials(plan, 2000, 401 + i, state, probe,
                     cfg.rates, cfg.pulses, cfg.couplings)
-    keep = ~ts.saturated
-    est = max(float(np.var(ts.m1[keep] - ts.m2[keep], ddof=1)) - var_meas0, 0.0)
-    model = var_z_cond * math.cos(alpha) ** 2 + state.var_y * math.sin(alpha) ** 2
+    est, _ = rotated_variance(ts, var_meas0)
+    model = rotated_z_variance(model_state, alpha)
     print(f"{deg:10.0f} {est:14.0f} {model:10.0f}")
 
 print("\nthe uncertainty area is conserved: squeezing Sz inflates S_perp")

@@ -10,10 +10,8 @@ __version__ = "0.1.0"
 
 from .analysis import (
     conditional_variance,
-    fit_contrast,
     fit_noise_model,
     fit_quadratic_scaling,
-    from_db,
     NoiseBudget,
     rotated_variance,
     squeezing_parameters,
@@ -48,7 +46,6 @@ from .limits import (
     sigma2_min,
 )
 from .measurement import (
-    coherent_error_bound,
     NoiseSwitches,
     ProbeConfig,
     run_trials,
@@ -66,8 +63,6 @@ from .spinstate import (
     prepare_css,
     PreparationModel,
     PulseModel,
-    raman_flip_update,
     rotate,
     rotated_z_variance,
-    shot_noise_measurement_variance,
 )

@@ -2,7 +2,7 @@
 
 Variances with chi^2 standard errors, conditional spin noise, squeezing
 parameters, the four-term noise-budget fit, quadratic atom-number
-scaling fits, the contrast model fit, and rotated-state variance.
+scaling fits, the contrast model, and rotated-state variance.
 
 Conventions: "atom number units" means 4*Var(Sz)-style quantities
 (y1 = 4 Var(M1), the CSS reference line is y = N0); squeezing is quoted
@@ -25,12 +25,6 @@ def to_db(linear) -> float:
     if np.any(arr <= 0):
         raise ValueError("dB conversion requires a positive ratio")
     out = 10.0 * np.log10(arr)
-    return float(out) if out.ndim == 0 else out
-
-
-def from_db(db) -> float:
-    arr = np.asarray(db, dtype=float)
-    out = 10.0 ** (arr / 10.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -306,47 +300,6 @@ def fit_quadratic_scaling(n0, y, y_se=None, constrain_a1: bool = False):
 def contrast_model(p, c0, alpha, beta):
     """C(p) = C0 exp(-alpha p - beta p^2 / 2)."""
     return c0 * np.exp(-alpha * p - beta * p**2 / 2.0)
-
-
-def fit_contrast(photons, contrast, readout_loss: float = 0.04):
-    """Nonlinear fit of the contrast decay model.
-
-    Start point: C0 = max(C), alpha from the two-point log slope between
-    the extreme photon numbers, beta = 0 (deterministic, documented).
-    Returns ((C0, alpha, beta), standard errors, C_in) where C_in undoes
-    the readout's own contrast reduction.
-    """
-    from scipy.optimize import curve_fit  # lazy: slow import, no scenario fits
-
-    p = np.asarray(photons, dtype=float)
-    c = np.asarray(contrast, dtype=float)
-    if len(p) < 4:
-        raise ValueError("need at least 4 points")
-    if np.any(c <= 0) or np.any(c > 1):
-        raise ValueError("contrast must lie in (0, 1]")
-    if p.max() <= p.min():
-        raise ValueError("degenerate design: photon numbers do not vary")
-
-    # fit in q = p / p_scale so all three parameters are O(1)
-    p_scale = float(p.max())
-    q = p / p_scale
-    i_lo, i_hi = np.argmin(q), np.argmax(q)
-    a0 = max(math.log(c[i_lo] / c[i_hi]) / (q[i_hi] - q[i_lo]), 1e-9)
-    start = (float(c.max()), a0, 1e-6)
-    try:
-        popt, pcov = curve_fit(
-            contrast_model, q, c, p0=start,
-            bounds=([1e-6, 0.0, 0.0], [1.5, 50.0, 50.0]),
-            maxfev=10000,
-        )
-    except (RuntimeError, ValueError) as err:
-        raise ValueError(f"contrast fit did not converge: {err}") from err
-    se = np.sqrt(np.diag(pcov))
-    unscale = np.array([1.0, 1.0 / p_scale, 1.0 / p_scale**2])
-    popt = popt * unscale
-    se = se * unscale
-    c_in = float(popt[0]) / (1.0 - readout_loss)
-    return tuple(float(v) for v in popt), tuple(float(v) for v in se), c_in
 
 
 def rotated_variance(trials_alpha: TrialSet, var_meas_alpha0: float):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -61,10 +62,17 @@ def _entry_problem(recorded: dict) -> str | None:
     if seed is not None and not (type(seed) is int and seed >= 0):
         return (f'has a "seed" entry {seed!r} that is not null or an '
                 "integer >= 0")
-    for name in recorded.get("outputs", {}):
+    outputs = recorded.get("outputs", {})
+    for name, digest in outputs.items():
         if name in ("", "..") or Path(name).name != name:
             return (f'has an "outputs" entry {name!r} that is not a plain '
                     "file name")
+        if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
+            return (f'has an "outputs" digest {digest!r} for {name!r} that is '
+                    "not a 64-character lowercase hex SHA-256")
+    # resolved_config.json is not compared: the config hash stands for it
+    if not set(outputs) - {"resolved_config.json"}:
+        return "has no outputs to compare"
     return None
 
 

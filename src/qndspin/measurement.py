@@ -462,12 +462,3 @@ def spinflip_covariance_analytic(
         projection_term_4var_m1=proj_m1,
         projection_term_4var_m2=proj_m2,
     )
-
-
-def coherent_error_bound(
-    dphi_max: float, contrast_with_spinecho: float, n0: float
-) -> float:
-    """Upper bound on coherent composite-pulse errors, normalized to CSS noise."""
-    if dphi_max < 0 or contrast_with_spinecho < 0 or n0 < 0:
-        raise ValueError("inputs must be >= 0")
-    return dphi_max**2 * contrast_with_spinecho**2 * n0

@@ -36,7 +36,12 @@ from .config import RunConfig
 from .limits import LimitInputs, limits_report
 from .measurement import SequencePlan, run_trials
 from .scattering import raman_noise_coefficient
-from .spinstate import measurement_backaction, prepare_css
+from .spinstate import (
+    condition_on_measurement,
+    measurement_backaction,
+    prepare_css,
+    rotated_z_variance,
+)
 
 
 def noise_budget_from_config(cfg: RunConfig, n0: float | None = None) -> NoiseBudget:
@@ -224,10 +229,8 @@ def scenario_rotation(cfg: RunConfig, n_trials: int, seed: int) -> dict:
         base, p, cfg.couplings.phase_per_photon_eff, n0,
     )
 
-    budget = noise_budget_from_config(cfg)
-    vm_model = budget.evaluate(p) / 4.0
-    vp_model = cfg.preparation.prep_variance(n0)
-    var_z_cond = conditional_variance(vp_model, vm_model, 0.0)
+    vm_model = noise_budget_from_config(cfg).evaluate(p) / 4.0
+    model_state = condition_on_measurement(state, 0.0, vm_model)
 
     ts0 = _run(cfg, "squeeze-readout", n_trials, seed, state, probe=probe)
     var_meas0 = variance_stats(ts0).var_meas
@@ -239,10 +242,8 @@ def scenario_rotation(cfg: RunConfig, n_trials: int, seed: int) -> dict:
         est, _ = rotated_variance(ts, var_meas0)
         # chi^2 error of Var(M1 - M2): y2 = 2 Var(M1 - M2)
         est_err = variance_stats(ts).y2_se / 2.0
-        model = (
-            var_z_cond * math.cos(alpha) ** 2
-            + state.var_y * math.sin(alpha) ** 2
-        )
+        # float: _write_csv would write a 0-d array with str
+        model = float(rotated_z_variance(model_state, alpha))
         rows.append([alpha, est, est_err, model])
 
     return {"rotation.csv": (["alpha_rad", "var_alpha", "var_alpha_err", "model"],

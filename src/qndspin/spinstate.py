@@ -4,7 +4,7 @@ The state tracks the mean Bloch vector and the 2x2 covariance of the
 (S_z, in-plane transverse) fluctuations.  With N0 ~ 1e4 this second-moment
 description is essentially exact for every protocol step used here:
 CSS preparation, rotations, composite-pi spin flips, measurement
-back-action, conditional updates, and first-order Raman corrections.
+back-action and conditional updates.
 
 The mean spin is constrained to the equatorial (xy) plane, which covers
 the full measurement protocol; rotations that would tip the mean out of
@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .scattering import ScatteringRates
 
 
 @dataclass(frozen=True)
@@ -105,11 +103,6 @@ class GaussianSpinState:
     @property
     def contrast(self) -> float:
         return self.mean_length / self.s0
-
-    @property
-    def css_variance(self) -> float:
-        """Projection-noise reference Var(Sz)_CSS = N0/4."""
-        return self.n0 / 4.0
 
 
 def prepare_css(n0: float, prep: PreparationModel) -> GaussianSpinState:
@@ -209,18 +202,6 @@ def measurement_backaction(
     )
 
 
-def shot_noise_measurement_variance(n0: float, p: float, phi_eff: float) -> float:
-    """Imprecision of an ideal photon-shot-noise-limited Sz measurement.
-
-    Defined so that conditioning a CSS on it leaves the normalized
-    variance at 1/(1 + N0 p phi_eff^2).
-    """
-    k = n0 * p * phi_eff**2
-    if k <= 0:
-        return math.inf
-    return (n0 / 4.0) / k
-
-
 def condition_on_measurement(
     state: GaussianSpinState, measured_z: float, var_meas: float
 ) -> GaussianSpinState:
@@ -237,41 +218,6 @@ def condition_on_measurement(
         var_z=state.var_z * var_meas / total,
         var_y=state.var_y - state.cov_yz**2 / total,
         cov_yz=state.cov_yz * var_meas / total,
-    )
-
-
-def raman_flip_update(
-    state: GaussianSpinState, rates: ScatteringRates, p: float
-) -> GaussianSpinState:
-    """First-order state change from Raman scattering of p probe photons.
-
-    Clock-state flips (probability e_f = p * P_dF per atom) invert spins;
-    m_F-changing events (e_m, e_c) remove atoms from the clock ensemble.
-    All Raman events destroy the scattered atom's coherence.
-    """
-    if p < 0:
-        raise ValueError("photon number must be >= 0")
-    if p * rates.p_raman_total > 0.1:
-        raise ValueError(
-            "p * P_Ram > 0.1: first-order spin-flip model is invalid"
-        )
-    e_f = p * rates.p_delta_f
-    e_out = p * (rates.p_delta_mf + rates.p_delta_f_delta_mf)
-    n0 = state.n0
-    var_z = (
-        (1 - 2 * e_f) ** 2 * (1 - e_out) ** 2 * state.var_z
-        + e_f * (1 - e_f) * n0
-        + e_out * (1 - e_out) * n0 / 4.0
-    )
-    keep = (1 - 2 * e_f) * (1 - e_out)
-    return GaussianSpinState(
-        s0=state.s0 * (1 - e_out),
-        mean_length=state.mean_length * (1 - p * rates.p_raman_total),
-        azimuth=state.azimuth,
-        mean_z=state.mean_z * keep,
-        var_z=var_z,
-        var_y=state.var_y,
-        cov_yz=state.cov_yz * keep,
     )
 
 

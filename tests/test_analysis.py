@@ -4,11 +4,8 @@ from scipy import stats
 
 from qndspin.analysis import (
     conditional_variance,
-    contrast_model,
-    fit_contrast,
     fit_noise_model,
     fit_quadratic_scaling,
-    from_db,
     NoiseBudget,
     rotated_variance,
     squeezing_parameters,
@@ -37,10 +34,6 @@ def synthetic_trialset(rng, n, cov, mean=(0.0, 0.0)):
 
 
 class TestDbConversions:
-    def test_round_trip(self):
-        for x in [1e-6, 0.5, 1.0, 42.0]:
-            assert from_db(to_db(x)) == pytest.approx(x, rel=1e-12)
-
     def test_reference_values(self):
         assert to_db(1.0) == 0.0
         assert to_db(0.5) == pytest.approx(-3.0103, abs=1e-4)
@@ -336,31 +329,6 @@ class TestQuadraticScalingFit:
         n0 = np.linspace(1e4, 2e4, 6)
         with pytest.raises(ValueError):
             fit_quadratic_scaling(n0, n0.copy())
-
-
-class TestContrastFit:
-    def test_exact_round_trip(self):
-        p = np.linspace(0, 9e5, 12)
-        truth = (0.69, 7e-7, 9e-13)
-        c = contrast_model(p, *truth)
-        popt, _, c_in = fit_contrast(p, c)
-        for got, want in zip(popt, truth):
-            assert got == pytest.approx(want, rel=1e-6)
-        assert c_in == pytest.approx(0.69 / 0.96, rel=1e-6)
-        assert c_in == pytest.approx(0.71, abs=0.02)
-
-    def test_noisy_recovery(self):
-        rng = np.random.default_rng(10)
-        p = np.linspace(1e5, 9e5, 9)
-        c = contrast_model(p, 0.69, 7e-7, 9e-13)
-        c_noisy = np.clip(c * (1 + 0.02 * rng.standard_normal(len(p))), 1e-3, 1.0)
-        (c0, alpha, beta), _, _ = fit_contrast(p, c_noisy)
-        assert c0 == pytest.approx(0.69, abs=0.04)
-        assert alpha == pytest.approx(7e-7, rel=0.4)
-
-    def test_degenerate_design(self):
-        with pytest.raises(ValueError):
-            fit_contrast(np.zeros(6), np.full(6, 0.69))
 
 
 class TestRotatedVariance:

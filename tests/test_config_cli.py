@@ -290,9 +290,18 @@ class TestCli:
         ({"n_trials": True}, '"n_trials"'),
         ({"scenario": "bogus"}, '"scenario"'),
         ({"seed": -5}, '"seed"'),
+        ({"outputs": {"fig3.csv": 5}}, '"outputs" digest 5'),
+        ({"outputs": {"fig3.csv": "A" * 64}}, '"outputs" digest'),
+        ({"outputs": {"fig3.csv": "0" * 63}}, '"outputs" digest'),
+        ({}, "has no outputs to compare"),
+        ({"outputs": {}}, "has no outputs to compare"),
+        ({"outputs": {"resolved_config.json": "0" * 64}},
+         "has no outputs to compare"),
     ], ids=["outputs-parent-path", "outputs-absolute", "outputs-dotdot",
             "n-trials-string", "n-trials-one", "n-trials-bool",
-            "scenario-unknown", "seed-negative"])
+            "scenario-unknown", "seed-negative", "digest-not-a-string",
+            "digest-uppercase", "digest-short", "outputs-missing",
+            "outputs-empty", "outputs-only-resolved-config"])
     def test_bad_manifest_entry_exit_two(self, entries, key, cfg, tmp_path,
                                          capsys):
         # a manifest of the right configuration whose run or output entries

@@ -8,7 +8,6 @@ from qndspin.measurement import (
     _BLOCK,
     _draw_up,
     _flip_average,
-    coherent_error_bound,
     NoiseSwitches,
     ProbeConfig,
     run_trials,
@@ -487,17 +486,3 @@ class TestFlipBackReaction:
         x = ts.pulses - ts.pulses.mean(axis=0)
         d = x[:, 3] ** 2 - x[:, 0] ** 2
         assert abs(d.mean()) <= 3 * d.std(ddof=1) / math.sqrt(n)
-
-
-class TestCoherentErrorBound:
-    def test_reference_value(self):
-        val = coherent_error_bound(2e-3 * math.pi, 0.10, N0)
-        assert val == pytest.approx(0.013, abs=0.002)
-
-    def test_zeros(self):
-        assert coherent_error_bound(0.0, 0.1, N0) == 0.0
-        assert coherent_error_bound(1e-3, 0.0, N0) == 0.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            coherent_error_bound(-1e-3, 0.1, N0)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from qndspin.scattering import ScatteringRates
 from qndspin.spinstate import (
     composite_pi,
     condition_on_measurement,
@@ -12,10 +11,8 @@ from qndspin.spinstate import (
     prepare_css,
     PreparationModel,
     PulseModel,
-    raman_flip_update,
     rotate,
     rotated_z_variance,
-    shot_noise_measurement_variance,
 )
 
 N0 = 3.3e4
@@ -170,16 +167,16 @@ class TestBackactionAndConditioning:
         s = prepare_css(N0, ideal_prep())
         p, phi = 2e5, 1.18e-4
         b = measurement_backaction(s, p, phi, N0)
-        c = condition_on_measurement(b, 12.0, shot_noise_measurement_variance(N0, p, phi))
-        assert c.var_z * c.var_y == pytest.approx(s.css_variance**2, rel=1e-12)
+        c = condition_on_measurement(b, 12.0, (N0 / 4) / (N0 * p * phi**2))
+        assert c.var_z * c.var_y == pytest.approx((N0 / 4) ** 2, rel=1e-12)
 
     def test_ideal_conditional_variance(self):
         # normalized conditional variance = 1/(1 + N0 p phi^2)
         s = prepare_css(N0, ideal_prep())
         p, phi = 3e5, 1.18e-4
         b = measurement_backaction(s, p, phi, N0)
-        c = condition_on_measurement(b, 0.0, shot_noise_measurement_variance(N0, p, phi))
-        assert c.var_z / s.css_variance == pytest.approx(
+        c = condition_on_measurement(b, 0.0, (N0 / 4) / (N0 * p * phi**2))
+        assert c.var_z / (N0 / 4) == pytest.approx(
             1.0 / (1.0 + N0 * p * phi**2), rel=1e-6
         )
 
@@ -222,48 +219,9 @@ class TestBackactionAndConditioning:
             assert c.var_z <= min(vz, vm) + 1e-12
 
 
-class TestRamanFlipUpdate:
-    def test_zero_rates_identity(self):
-        s = prepare_css(N0, ideal_prep())
-        z = ScatteringRates(0, 0, 0, 0, 0, 0.1)
-        assert raman_flip_update(s, z, 1e5) == s
-
-    def test_first_order_guard(self):
-        s = prepare_css(N0, ideal_prep())
-        r = ScatteringRates(1e-6, 0, 0, 0, 0, 0.1)
-        with pytest.raises(ValueError):
-            raman_flip_update(s, r, 2e5)
-
-    def test_pure_clock_flip_variance(self):
-        # Monte Carlo flip oracle: eps of the atoms flip sign.
-        rng = np.random.default_rng(13)
-        n0 = 4000
-        eps = 0.01
-        trials = 40000
-        sz0 = rng.normal(0.0, math.sqrt(n0 / 4.0), size=trials)
-        n_up = np.round(n0 / 2 + sz0).astype(int)
-        f_up = rng.binomial(n_up, eps)
-        f_dn = rng.binomial(n0 - n_up, eps)
-        szf = sz0 - f_up + f_dn
-        s = GaussianSpinState(
-            s0=n0 / 2, mean_length=n0 / 2, azimuth=0.0,
-            mean_z=0.0, var_z=n0 / 4.0, var_y=n0 / 4.0,
-        )
-        rates = ScatteringRates(eps / 1e5, 0, 0, 0, 0, 0.1)
-        out = raman_flip_update(s, rates, 1e5)
-        assert np.var(szf) == pytest.approx(out.var_z, rel=0.03)
-
-    def test_loss_shrinks_s0(self):
-        s = prepare_css(N0, ideal_prep())
-        rates = ScatteringRates(0, 2e-8, 1e-8, 0, 0, 0.1)
-        out = raman_flip_update(s, rates, 1e6)
-        assert out.s0 == pytest.approx(s.s0 * (1 - 3e-2), rel=1e-12)
-
-
 class TestPropertyInvariants:
     def test_psd_and_mean_monotone_under_ops(self):
         rng = np.random.default_rng(21)
-        rates = ScatteringRates(2.6e-8, 1.5e-8, 1.5e-8, 1.4e-7, 8.6e-8, 0.14)
         pulses = PulseModel(composite_pi_infidelity=0.02, lock_light_mu=0.005)
         for _ in range(100):
             vz = rng.uniform(0.3, 2.0) * N0 / 4
@@ -280,13 +238,12 @@ class TestPropertyInvariants:
                 composite_pi(s, pulses),
                 measurement_backaction(s, 1e5, 1.18e-4, N0, 7e-7, 9e-13),
                 condition_on_measurement(s, rng.normal(0, 50), rng.uniform(10, 1e4)),
-                raman_flip_update(s, rates, 1e5),
                 rotate(s, "mean", rng.uniform(-3, 3)),
             ]
             for out in ops:
                 assert out.var_z > 0 and out.var_y > 0
                 assert out.var_z * out.var_y >= out.cov_yz**2 * (1 - 1e-12)
-            for out in ops[:4]:
+            for out in ops[:3]:
                 assert out.mean_length <= s.mean_length * (1 + 1e-12)
 
     def test_rotated_variance_model_periodicity(self):
