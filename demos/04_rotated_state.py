@@ -14,8 +14,8 @@ from qndspin import (
     measurement_backaction,
     prepare_css,
     PreparationModel,
+    rotate,
     rotated_variance,
-    rotated_z_variance,
     run_trials,
     SequencePlan,
     variance_stats,
@@ -49,7 +49,7 @@ for i, deg in enumerate([0, 20, 45, 70, 90, 110, 135, 160, 180]):
     ts = run_trials(plan, 2000, 401 + i, state, probe,
                     cfg.rates, cfg.pulses, cfg.couplings)
     est, _ = rotated_variance(ts, var_meas0)
-    model = rotated_z_variance(model_state, alpha)
+    model = rotate(model_state, "mean", alpha).var_z
     print(f"{deg:10.0f} {est:14.0f} {model:10.0f}")
 
 print("\nthe uncertainty area is conserved: squeezing Sz inflates S_perp")

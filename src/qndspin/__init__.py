@@ -24,7 +24,6 @@ from .cavity import (
     antinode_cooperativity,
     coupling_summary,
     CouplingSummary,
-    differential_shift_per_atom,
     ensemble_coupling,
     EnsembleConfig,
     hyperfine_mode_shift,
@@ -64,5 +63,4 @@ from .spinstate import (
     PreparationModel,
     PulseModel,
     rotate,
-    rotated_z_variance,
 )

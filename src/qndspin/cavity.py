@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .angular import clebsch_gordan
 from .constants import RB87, TWO_PI, PhysicalConstants
 
 CLOCK_STATES = (1, 2)
@@ -123,8 +124,6 @@ def strength_weighted_inverse_detuning(
     Units: 1/(rad/s).  Raises if any line is closer than the dispersive
     validity margin.
     """
-    from .angular import clebsch_gordan  # local import avoids cycle at init
-
     if f_ground not in CLOCK_STATES:
         raise ValueError("clock state must have F=1 or F=2")
     gamma = constants.rb87_d2_linewidth
@@ -171,35 +170,6 @@ def hyperfine_mode_shift(
     gamma = constants.rb87_d2_linewidth
     shift = (eta_eff / f_osc) * gamma * kappa * d_sum / 4.0
     return shift, f_osc / d_sum
-
-
-def differential_shift_per_atom(
-    probe_detuning_f2_f3: float,
-    compensation_detuning_f2_f3: float,
-    eta_eff: float,
-    kappa: float,
-    constants: PhysicalConstants = RB87,
-):
-    """Probe-minus-compensation mode shift slope d omega / dN.
-
-    N = N_2 - N_1 in effective atoms.  Returns (domega_dN, delta_prime)
-    with domega_dN in kappa-carrying units and delta_prime the single
-    effective detuning of the population-difference formula (angular).
-    """
-    w2, _ = hyperfine_mode_shift(2, probe_detuning_f2_f3, eta_eff, kappa, constants)
-    w1, _ = hyperfine_mode_shift(1, probe_detuning_f2_f3, eta_eff, kappa, constants)
-    c2, _ = hyperfine_mode_shift(2, compensation_detuning_f2_f3, eta_eff, kappa, constants)
-    c1, _ = hyperfine_mode_shift(1, compensation_detuning_f2_f3, eta_eff, kappa, constants)
-    domega_dn = ((w2 - c2) - (w1 - c1)) / 2.0
-    if domega_dn == 0.0:
-        raise ValueError(
-            f"probe detuning {probe_detuning_f2_f3 / TWO_PI / 1e9:.6g} GHz and "
-            f"compensation detuning {compensation_detuning_f2_f3 / TWO_PI / 1e9:.6g}"
-            " GHz give no differential shift d omega/dN"
-        )
-    gamma = constants.rb87_d2_linewidth
-    delta_prime = eta_eff * gamma * kappa / (4.0 * domega_dn)
-    return domega_dn, delta_prime
 
 
 def lorentzian_transmission(detuning, kappa: float):
@@ -299,7 +269,6 @@ def coupling_summary(
     )
     eta_eff = eta_ratio * eta0
     n0 = n_ratio * ensemble.physical_atom_number
-    kappa = resonator.linewidth
 
     shifts = {}
     for state in CLOCK_STATES:
@@ -309,9 +278,17 @@ def coupling_summary(
         shifts[("comp", state)], _ = hyperfine_mode_shift(
             state, compensation_detuning_f2_f3, eta_eff, 1.0, constants
         )
-    domega_dn, delta_prime = differential_shift_per_atom(
-        probe_detuning_f2_f3, compensation_detuning_f2_f3, eta_eff, 1.0, constants
-    )
+    # d omega/dN for N = N_2 - N_1, in units of kappa per effective atom
+    domega_dn = ((shifts[("probe", 2)] - shifts[("comp", 2)])
+                 - (shifts[("probe", 1)] - shifts[("comp", 1)])) / 2.0
+    if domega_dn == 0.0:
+        raise ValueError(
+            f"probe detuning {probe_detuning_f2_f3 / TWO_PI / 1e9:.6g} GHz and "
+            f"compensation detuning {compensation_detuning_f2_f3 / TWO_PI / 1e9:.6g}"
+            " GHz give no differential shift d omega/dN"
+        )
+    # the single effective detuning of the population-difference formula
+    delta_prime = eta_eff * constants.rb87_d2_linewidth / (4.0 * domega_dn)
 
     f_osc = constants.d2_oscillator_strength
     phi0 = phase_per_photon(

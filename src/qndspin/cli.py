@@ -4,7 +4,9 @@
                 [--out DIR] [--verify MANIFEST]
 
 Scenarios come from the registry in qndspin.scenarios, and run_scenario
-writes every artifact and manifest.  Exit codes: 0 success,
+writes every artifact and manifest.  --verify re-runs the manifest's
+scenario, trial count and seed, so --scenario must match it and
+--trials and --seed are rejected.  Exit codes: 0 success,
 2 configuration/validation error, 3 runtime or fit error,
 4 reproducibility mismatch under --verify.
 """
@@ -76,7 +78,7 @@ def _entry_problem(recorded: dict) -> str | None:
     return None
 
 
-def _verify(manifest_path: Path, cfg: RunConfig) -> int:
+def _verify(manifest_path: Path, cfg: RunConfig, scenario: str) -> int:
     try:
         recorded = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as err:
@@ -93,6 +95,10 @@ def _verify(manifest_path: Path, cfg: RunConfig) -> int:
     if problem:
         print(f"error: cannot read manifest: {manifest_path} {problem}",
               file=sys.stderr)
+        return EXIT_CONFIG
+    if recorded["scenario"] != scenario:
+        print(f"error: --scenario {scenario} differs from the manifest's "
+              f"scenario {recorded['scenario']}", file=sys.stderr)
         return EXIT_CONFIG
     if recorded.get("config_hash") != cfg.config_hash():
         print("verify: configuration hash differs from the manifest",
@@ -133,7 +139,15 @@ def main(argv=None) -> int:
             print(f"config error: {v}", file=sys.stderr)
         return EXIT_CONFIG
     if args.verify is not None:
-        return _verify(args.verify, cfg)
+        fixed = [flag for flag, value in (("--trials", args.trials),
+                                          ("--seed", args.seed))
+                 if value is not None]
+        if fixed:
+            print(f"config error: {' and '.join(fixed)} cannot be used with "
+                  "--verify: the manifest fixes n_trials and seed",
+                  file=sys.stderr)
+            return EXIT_CONFIG
+        return _verify(args.verify, cfg, args.scenario)
 
     if args.trials is not None and args.trials < 2:
         print("config error: n_trials: must be >= 2", file=sys.stderr)

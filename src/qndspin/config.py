@@ -240,7 +240,11 @@ def _build(raw: dict) -> RunConfig:
     Every key is present because load_and_validate merges onto the
     shipped defaults, so values are read directly.
     """
-    constants = load_constants(raw["constants_file"])
+    cf = raw["constants_file"]
+    try:
+        constants = load_constants(cf)
+    except (OSError, ValueError) as err:
+        raise ConfigError([f"constants_file {cf!r}: {err}"]) from err
     res = raw["resonator"]
     resonator = ResonatorParams(
         wavelength=res["wavelength_nm"] * 1e-9,

@@ -50,8 +50,17 @@ class PhysicalConstants:
         return self.line_strengths.get(f_ground, {}).get(f_excited, 0.0)
 
 
+def _number(value):
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a number")
+    return value
+
+
 def load_constants(path: str | Path | None = None) -> PhysicalConstants:
-    """Load constants from JSON; defaults to the packaged Rb-87 D2 file."""
+    """Load constants from JSON; defaults to the packaged Rb-87 D2 file.
+
+    Raises ValueError naming the entry that is missing or malformed.
+    """
     if path is None:
         text = (
             resources.files("qndspin").joinpath("data/rb87_d2.json").read_text()
@@ -59,20 +68,31 @@ def load_constants(path: str | Path | None = None) -> PhysicalConstants:
     else:
         text = Path(path).read_text()
     raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise ValueError("not a JSON object")
+
+    def entry(key, convert=_number):
+        try:
+            return convert(raw[key])
+        except KeyError:
+            raise ValueError(f"no {key!r} entry") from None
+        except (TypeError, ValueError, AttributeError) as err:
+            raise ValueError(f"{key!r} entry is malformed: {err}") from None
+
     return PhysicalConstants(
-        speed_of_light=raw["speed_of_light_m_s"],
-        rb87_d2_wavelength=raw["d2_wavelength_m"],
-        rb87_d2_linewidth=TWO_PI * raw["gamma_hz"],
-        rb87_ground_hyperfine_splitting=TWO_PI * raw["ground_splitting_hz"],
-        rb87_excited_level_offsets={
-            int(k): TWO_PI * v for k, v in raw["excited_level_offsets_hz"].items()
-        },
-        line_strengths={
-            int(F): {int(Fp): s for Fp, s in row.items()}
-            for F, row in raw["line_strengths"].items()
-        },
-        d2_oscillator_strength=raw["d2_oscillator_strength"],
-        version=raw["version"],
+        speed_of_light=entry("speed_of_light_m_s"),
+        rb87_d2_wavelength=entry("d2_wavelength_m"),
+        rb87_d2_linewidth=TWO_PI * entry("gamma_hz"),
+        rb87_ground_hyperfine_splitting=TWO_PI * entry("ground_splitting_hz"),
+        rb87_excited_level_offsets=entry("excited_level_offsets_hz", lambda d: {
+            int(k): TWO_PI * _number(v) for k, v in d.items()
+        }),
+        line_strengths=entry("line_strengths", lambda d: {
+            int(F): {int(Fp): _number(s) for Fp, s in row.items()}
+            for F, row in d.items()
+        }),
+        d2_oscillator_strength=entry("d2_oscillator_strength"),
+        version=entry("version", str),
     )
 
 

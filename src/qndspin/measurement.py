@@ -151,28 +151,12 @@ class TrialSet:
         return len(self.pulses)
 
     @property
-    def m1_minus(self):
-        return self.pulses[:, 0]
-
-    @property
-    def m1_plus(self):
-        return self.pulses[:, 1]
-
-    @property
-    def m2_plus(self):
-        return self.pulses[:, 2]
-
-    @property
-    def m2_minus(self):
-        return self.pulses[:, 3]
-
-    @property
     def m1(self):
-        return 0.5 * (self.m1_plus + self.m1_minus)
+        return 0.5 * (self.pulses[:, 1] + self.pulses[:, 0])
 
     @property
     def m2(self):
-        return 0.5 * (self.m2_plus + self.m2_minus)
+        return 0.5 * (self.pulses[:, 2] + self.pulses[:, 3])
 
 
 def electronic_count_sigma(probe: ProbeConfig, domega_dn: float) -> float:
@@ -382,27 +366,6 @@ def run_trials(
 # first-order analytics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpinFlipCovariance:
-    """First-order single-pulse covariance structure and its aggregates.
-
-    `cov` is the 4x4 covariance of the measurement-frame pulse values
-    (M1-, M1+, M2+, M2-) in spin^2 units; the diagonal of an undisturbed
-    ensemble is N0/4.  Aggregates are in the 4*Var atom-number units.
-    """
-
-    cov: np.ndarray
-    flip_term_4var_meas: float     # (4/3 PdF + 1/2 PdmF + 1/3 Pboth) p N0 + mu N0
-    projection_term_4var_m1: float  # (1 - mu - [...] p) N0
-    projection_term_4var_m2: float
-
-    @property
-    def var_meas_4_from_matrix(self) -> float:
-        """Flip contribution to 2 Var(M1 - M2) recomputed from the matrix."""
-        v = np.array([0.5, 0.5, -0.5, -0.5])
-        return 2.0 * float(v @ self.cov @ v)
-
-
 def spinflip_covariance_analytic(
     p_delta_f: float,
     p_delta_mf: float,
@@ -410,16 +373,19 @@ def spinflip_covariance_analytic(
     mu: float,
     photons: float,
     n0: float,
-) -> SpinFlipCovariance:
-    """Exact first-order pulse-pair covariances from the flip processes.
+) -> np.ndarray:
+    """Exact first-order 4x4 covariance of the pulse values (M1-, M1+, M2+, M2-).
 
+    In spin^2 units; the diagonal of an undisturbed ensemble is N0/4.
     Derived by counting, for each pulse pair (k, l), the probability that
     a single flip event makes an atom's measurement-frame contribution
     differ between a random time in pulse k and one in pulse l.  With
     a = (p/2) PdF, m = (p/2) PdmF, c = (p/2) Pboth per pulse and mu per
     composite pulse, the mean differ-probabilities are polynomial in the
-    event windows; the resulting aggregates reproduce the published
-    noise-model combinations exactly.
+    event windows.  The noise-model combinations are quadratic forms
+    w^T C w of the result: 4 Var(M1) with w = (1, 1, 0, 0), 4 Var(M2)
+    with w = (0, 0, 1, 1), and 2 Var(M1 - M2), the flip term
+    (b1 p + mu N0), with w = (1, 1, -1, -1) / sqrt(2).
     """
     a = 0.5 * photons * p_delta_f
     m = 0.5 * photons * p_delta_mf
@@ -439,26 +405,4 @@ def spinflip_covariance_analytic(
     for (i, j), val in pair_values.items():
         d[i, j] = d[j, i] = val
 
-    cov = (n0 / 4.0) * (1.0 - 2.0 * d)
-
-    flip_4var_meas = (
-        (4.0 / 3.0) * photons * p_delta_f
-        + 0.5 * photons * p_delta_mf
-        + (1.0 / 3.0) * photons * p_delta_f_delta_mf
-        + mu
-    ) * n0
-    proj_m1 = (
-        1.0 - mu
-        - (2.0 / 3.0) * photons * p_delta_f
-        - 0.5 * photons * p_delta_mf
-        - (2.0 / 3.0) * photons * p_delta_f_delta_mf
-    ) * n0
-    # 4 Var(M2) = N0 [1 - mu - 4a/3 - 10c/3 - 3m]: readout after the
-    # scrambling accumulated during M1 sees slightly less projection noise
-    proj_m2 = (1.0 - mu - 4.0 * a / 3.0 - 10.0 * c / 3.0 - 3.0 * m) * n0
-    return SpinFlipCovariance(
-        cov=cov,
-        flip_term_4var_meas=flip_4var_meas,
-        projection_term_4var_m1=proj_m1,
-        projection_term_4var_m2=proj_m2,
-    )
+    return (n0 / 4.0) * (1.0 - 2.0 * d)

@@ -40,7 +40,6 @@ class ScatteringRates:
     p_delta_f_delta_mf: float  # changes both
     p_rayleigh_f1: float       # elastic, atom in F=1
     p_rayleigh_f2: float       # elastic, atom in F=2
-    cooperativity: float       # coupling the rates were evaluated at
 
     def __post_init__(self):
         for name in ("p_delta_f", "p_delta_mf", "p_delta_f_delta_mf",
@@ -65,7 +64,6 @@ class ScatteringRates:
             p_delta_f_delta_mf=self.p_delta_f_delta_mf * factor,
             p_rayleigh_f1=self.p_rayleigh_f1 * factor,
             p_rayleigh_f2=self.p_rayleigh_f2 * factor,
-            cooperativity=self.cooperativity,
         )
 
 
@@ -156,7 +154,6 @@ def raman_rates(
         p_delta_f_delta_mf=totals["dFdmF"],
         p_rayleigh_f1=totals["rayleigh"][1],
         p_rayleigh_f2=totals["rayleigh"][2],
-        cooperativity=cooperativity,
     )
 
 

@@ -40,7 +40,7 @@ from .spinstate import (
     condition_on_measurement,
     measurement_backaction,
     prepare_css,
-    rotated_z_variance,
+    rotate,
 )
 
 
@@ -242,8 +242,7 @@ def scenario_rotation(cfg: RunConfig, n_trials: int, seed: int) -> dict:
         est, _ = rotated_variance(ts, var_meas0)
         # chi^2 error of Var(M1 - M2): y2 = 2 Var(M1 - M2)
         est_err = variance_stats(ts).y2_se / 2.0
-        # float: _write_csv would write a 0-d array with str
-        model = float(rotated_z_variance(model_state, alpha))
+        model = rotate(model_state, "mean", alpha).var_z
         rows.append([alpha, est, est_err, model])
 
     return {"rotation.csv": (["alpha_rad", "var_alpha", "var_alpha_err", "model"],

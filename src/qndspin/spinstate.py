@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class PreparationModel:
@@ -220,16 +218,3 @@ def condition_on_measurement(
         cov_yz=state.cov_yz * var_meas / total,
     )
 
-
-def rotated_z_variance(state: GaussianSpinState, angle) -> np.ndarray:
-    """Var(S_z) after rotating the state by `angle` about the mean spin.
-
-    The covariance-rotation sinusoid: var_z cos^2 a + var_y sin^2 a
-    + cov_yz sin 2a.  Vectorized over angle for model curves.
-    """
-    a = np.asarray(angle, dtype=float)
-    return (
-        state.var_z * np.cos(a) ** 2
-        + state.var_y * np.sin(a) ** 2
-        + state.cov_yz * np.sin(2 * a)
-    )

@@ -29,11 +29,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from test_measurement import (  # noqa: E402
     FLIPS_ONLY,
+    M1_WEIGHTS,
     MU_PULSES,
     N0,
     NO_PULSE_ERRORS,
     RATES,
     css_state,
+    four_var,
     probe_config,
     regression_slope,
 )
@@ -54,7 +56,7 @@ COUPLINGS = CFG.couplings
 P = 6.4e5
 BOOSTED = ScatteringRates(
     p_delta_f=5.2e-8, p_delta_mf=3e-8, p_delta_f_delta_mf=3e-8,
-    p_rayleigh_f1=0.0, p_rayleigh_f2=0.0, cooperativity=0.14,
+    p_rayleigh_f1=0.0, p_rayleigh_f2=0.0,
 )
 PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]
 
@@ -63,7 +65,7 @@ def cov_z(ts, analytic):
     """Covariance entries minus the analytic ones, in sqrt(2/(n-1)) N0/4."""
     se = math.sqrt(2.0 / (ts.n_trials - 1)) * N0 / 4
     sample = np.cov(ts.pulses.T, ddof=1)
-    return {f"cov[{i}{j}]": (sample[i, j] - analytic.cov[i, j]) / se for i, j in PAIRS}
+    return {f"cov[{i}{j}]": (sample[i, j] - analytic[i, j]) / se for i, j in PAIRS}
 
 
 def diff_var_z(ts, expected, allowance=0.0):
@@ -77,17 +79,17 @@ def covariance_structure(seed):
     ts = run_trials("squeeze-readout", 50_000, seed, css_state(),
                     probe_config(P, NoiseSwitches.only("raman")), BOOSTED,
                     MU_PULSES, COUPLINGS)
-    sc = spinflip_covariance_analytic(BOOSTED.p_delta_f, BOOSTED.p_delta_mf,
-                                      BOOSTED.p_delta_f_delta_mf, 0.0, P, N0)
-    return {k: (z, 3.5) for k, z in cov_z(ts, sc).items()}
+    cov = spinflip_covariance_analytic(BOOSTED.p_delta_f, BOOSTED.p_delta_mf,
+                                       BOOSTED.p_delta_f_delta_mf, 0.0, P, N0)
+    return {k: (z, 3.5) for k, z in cov_z(ts, cov).items()}
 
 
 def mu_covariance(seed):
     ts = run_trials("squeeze-readout", 50_000, seed, css_state(),
                     probe_config(P, NoiseSwitches.only("microwave")), None,
                     PulseModel(0.02, 0.0), COUPLINGS)
-    sc = spinflip_covariance_analytic(0, 0, 0, 0.02, P, N0)
-    return {k: (z, 3.5) for k, z in cov_z(ts, sc).items()}
+    cov = spinflip_covariance_analytic(0, 0, 0, 0.02, P, N0)
+    return {k: (z, 3.5) for k, z in cov_z(ts, cov).items()}
 
 
 def noise_sources(seed):
@@ -138,9 +140,9 @@ def criterion_4(seed):
     probe = replace(base, switches=FLIPS_ONLY)
     ts = run_trials("squeeze-readout", 100_000, seed, state, probe, CFG.rates,
                     mu_pulses, COUPLINGS)
-    sc = spinflip_covariance_analytic(CFG.rates.p_delta_f, CFG.rates.p_delta_mf,
-                                      CFG.rates.p_delta_f_delta_mf, 0.02, P, N0)
-    out.update({k: (z, 3.0) for k, z in cov_z(ts, sc).items()})
+    cov = spinflip_covariance_analytic(CFG.rates.p_delta_f, CFG.rates.p_delta_mf,
+                                       CFG.rates.p_delta_f_delta_mf, 0.02, P, N0)
+    out.update({k: (z, 3.0) for k, z in cov_z(ts, cov).items()})
     return out
 
 
@@ -150,9 +152,9 @@ def back_reaction(seed):
     n = 20_000
     ts = run_trials("double-prep", n, seed, *args)
     out["double-prep corr"] = (np.corrcoef(ts.m1, ts.m2)[0, 1] * math.sqrt(n), 3.0)
-    sc = spinflip_covariance_analytic(RATES.p_delta_f, RATES.p_delta_mf,
-                                      RATES.p_delta_f_delta_mf, 0.02, P, N0)
-    out["double-prep y2"] = diff_var_z(ts, sc.projection_term_4var_m1)
+    cov = spinflip_covariance_analytic(RATES.p_delta_f, RATES.p_delta_mf,
+                                       RATES.p_delta_f_delta_mf, 0.02, P, N0)
+    out["double-prep y2"] = diff_var_z(ts, four_var(cov, M1_WEIGHTS))
     plan = SequencePlan("rotate-alpha", rotation_angle=math.pi / 2)
     ts = run_trials(plan, n, seed, *args)
     out["rotate pi/2 corr"] = (np.corrcoef(ts.m1, ts.m2)[0, 1] * math.sqrt(n), 3.0)

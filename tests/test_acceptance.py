@@ -155,13 +155,13 @@ def test_criterion_4_noise_budget_monte_carlo(cfg):
         "squeeze-readout", n_cov, 2024, state, probe, cfg.rates,
         mu_pulses, cfg.couplings,
     )
-    sc = spinflip_covariance_analytic(
+    cov = spinflip_covariance_analytic(
         cfg.rates.p_delta_f, cfg.rates.p_delta_mf,
         cfg.rates.p_delta_f_delta_mf, 0.02, p, N0,
     )
     sample_cov = np.cov(ts.pulses.T, ddof=1)
     se_scale = math.sqrt(2.0 / (n_cov - 1)) * CSS
-    worst = float(np.max(np.abs(sample_cov - sc.cov))) / se_scale
+    worst = float(np.max(np.abs(sample_cov - cov))) / se_scale
     assert worst <= 3.0, f"covariance structure off by {worst:.2f} SE"
     _report(
         "ACCEPTANCE 4 PASS: per-source 2Var(M1-M2) ratios "

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,11 @@ from qndspin.scenarios import (
     noise_budget_from_config,
     run_scenario,
     scenario_params_report,
+)
+
+
+PACKAGED_CONSTANTS = json.loads(
+    resources.files("qndspin").joinpath("data/rb87_d2.json").read_text()
 )
 
 
@@ -315,6 +321,48 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "cannot read manifest:" in err and key in err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--scenario", "limits"], ["--scenario limits", "scenario fig3"]),
+        (["--scenario", "fig3", "--trials", "1"], ["--trials"]),
+        (["--scenario", "fig3", "--seed", "-3"], ["--seed"]),
+        (["--scenario", "fig3", "--trials", "1", "--seed", "-3"],
+         ["--trials and --seed"]),
+    ], ids=["scenario-differs", "trials", "seed", "trials-and-seed"])
+    def test_verify_conflicting_flag_exit_two(self, flags, named, cfg,
+                                              tmp_path, capsys):
+        # the manifest fixes the scenario, n_trials and seed: a flag that
+        # contradicts it is rejected before anything runs (a run would
+        # exit 4 on the made-up digest)
+        recorded = {"scenario": "fig3", "n_trials": 24, "seed": 7,
+                    "config_hash": cfg.config_hash(),
+                    "outputs": {"fig3.csv": "0" * 64}}
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(recorded))
+        rc = main(["run", *flags, "--verify", str(manifest)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert all(name in err for name in named)
+
+    @pytest.mark.parametrize("constants, named", [
+        ({"version": "x"}, "no 'speed_of_light_m_s' entry"),
+        ({**PACKAGED_CONSTANTS, "gamma_hz": "x"}, "'gamma_hz' entry is malformed"),
+        ([], "not a JSON object"),
+    ], ids=["missing-key", "key-not-a-number", "not-an-object"])
+    def test_malformed_constants_file_exit_two(self, constants, named,
+                                               tmp_path, capsys):
+        consts = tmp_path / "constants.json"
+        consts.write_text(json.dumps(constants))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"constants_file": str(consts)}))
+        rc = main(["run", "--scenario", "params-report", "--config",
+                   str(config), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(consts) in err and named in err
+        assert not (tmp_path / "o").exists()
 
     def test_runtime_error_exit_three(self, tmp_path, capsys):
         # photon number far outside the first-order flip regime trips the

@@ -27,7 +27,6 @@ RATES = ScatteringRates(
     p_delta_f_delta_mf=1.5e-8,
     p_rayleigh_f1=1.4e-7,
     p_rayleigh_f2=8.6e-8,
-    cooperativity=0.14,
 )
 NO_PULSE_ERRORS = PulseModel(composite_pi_infidelity=0.0, lock_light_mu=0.0)
 MU_PULSES = PulseModel(composite_pi_infidelity=0.02, lock_light_mu=0.0)
@@ -52,6 +51,20 @@ def css_state(n0=N0, factor=1.0):
 def var_se(sample_var, n):
     """Standard error of a sample variance for Gaussian data."""
     return sample_var * math.sqrt(2.0 / (n - 1))
+
+
+# pulse weights of M1 and M2: w^T C w is 4 Var(M) for a pulse covariance C
+M1_WEIGHTS = np.array([1.0, 1.0, 0.0, 0.0])
+M2_WEIGHTS = np.array([0.0, 0.0, 1.0, 1.0])
+
+
+def four_var(cov, weights):
+    return float(weights @ cov @ weights)
+
+
+def two_var_diff(cov):
+    """2 Var(M1 - M2): the quadratic form of w = (1, 1, -1, -1) / sqrt(2)."""
+    return 0.5 * four_var(cov, M1_WEIGHTS - M2_WEIGHTS)
 
 
 class TestSimulateProbePulse:
@@ -184,55 +197,43 @@ class TestNoiseBudgetSources:
 
 
 class TestSpinFlipCovariance:
+    """The 4x4 pulse covariance of spinflip_covariance_analytic."""
+
     def test_zero_rates_pattern(self):
-        sc = spinflip_covariance_analytic(0, 0, 0, 0.0, 6e5, N0)
-        assert np.allclose(sc.cov, N0 / 4)
-        assert sc.flip_term_4var_meas == 0.0
-        assert sc.projection_term_4var_m1 == pytest.approx(N0)
+        cov = spinflip_covariance_analytic(0, 0, 0, 0.0, 6e5, N0)
+        assert np.allclose(cov, N0 / 4)
+        assert two_var_diff(cov) == 0.0
+        assert four_var(cov, M1_WEIGHTS) == pytest.approx(N0)
 
     def test_mu_only_aggregate(self):
-        sc = spinflip_covariance_analytic(0, 0, 0, 0.02, 6e5, N0)
-        assert sc.flip_term_4var_meas == pytest.approx(0.02 * N0)
-        assert sc.var_meas_4_from_matrix == pytest.approx(0.02 * N0, rel=1e-12)
+        cov = spinflip_covariance_analytic(0, 0, 0, 0.02, 6e5, N0)
+        assert two_var_diff(cov) == pytest.approx(0.02 * N0, rel=1e-12)
 
     def test_reference_rate_aggregates(self):
         p = 6e5
-        sc = spinflip_covariance_analytic(
+        cov = spinflip_covariance_analytic(
             RATES.p_delta_f, RATES.p_delta_mf, RATES.p_delta_f_delta_mf,
             0.0, p, N0,
         )
         b1 = (4 / 3 * RATES.p_delta_f + 0.5 * RATES.p_delta_mf
               + 1 / 3 * RATES.p_delta_f_delta_mf) * N0
-        assert sc.flip_term_4var_meas == pytest.approx(b1 * p, rel=1e-12)
-        assert sc.var_meas_4_from_matrix == pytest.approx(b1 * p, rel=1e-9)
+        assert two_var_diff(cov) == pytest.approx(b1 * p, rel=1e-9)
 
     def test_m1_projection_term(self):
-        p = 6e5
-        sc = spinflip_covariance_analytic(
+        # 4 Var(M2) = N0 [1 - mu - 4a/3 - 10c/3 - 3m]: readout after the
+        # scrambling accumulated during M1 sees slightly less projection
+        # noise than 4 Var(M1) = N0 [1 - mu - 4a/3 - m - 4c/3]
+        p, mu = 6e5, 0.02
+        cov = spinflip_covariance_analytic(
             RATES.p_delta_f, RATES.p_delta_mf, RATES.p_delta_f_delta_mf,
-            0.02, p, N0,
+            mu, p, N0,
         )
-        expected = (
-            1 - 0.02
-            - (2 / 3 * RATES.p_delta_f + 0.5 * RATES.p_delta_mf
-               + 2 / 3 * RATES.p_delta_f_delta_mf) * p
-        ) * N0
-        assert sc.projection_term_4var_m1 == pytest.approx(expected, rel=1e-12)
-
-    def test_matrix_reproduces_m1_variance(self):
-        p = 6e5
-        sc = spinflip_covariance_analytic(
-            RATES.p_delta_f, RATES.p_delta_mf, RATES.p_delta_f_delta_mf,
-            0.02, p, N0,
-        )
-        v = np.array([0.5, 0.5, 0.0, 0.0])
-        assert 4 * float(v @ sc.cov @ v) == pytest.approx(
-            sc.projection_term_4var_m1, rel=1e-9
-        )
-        v2 = np.array([0.0, 0.0, 0.5, 0.5])
-        assert 4 * float(v2 @ sc.cov @ v2) == pytest.approx(
-            sc.projection_term_4var_m2, rel=1e-9
-        )
+        a, m, c = (0.5 * p * x for x in (
+            RATES.p_delta_f, RATES.p_delta_mf, RATES.p_delta_f_delta_mf))
+        expected_m1 = (1 - mu - 4 * a / 3 - m - 4 * c / 3) * N0
+        expected_m2 = (1 - mu - 4 * a / 3 - 10 * c / 3 - 3 * m) * N0
+        assert four_var(cov, M1_WEIGHTS) == pytest.approx(expected_m1, rel=1e-9)
+        assert four_var(cov, M2_WEIGHTS) == pytest.approx(expected_m2, rel=1e-9)
 
     def test_monte_carlo_covariance_structure(self, couplings):
         # flips only, ideal detector: the sampled 4x4 pulse covariance
@@ -247,7 +248,7 @@ class TestSpinFlipCovariance:
         n = 50_000
         boosted = ScatteringRates(
             p_delta_f=5.2e-8, p_delta_mf=3e-8, p_delta_f_delta_mf=3e-8,
-            p_rayleigh_f1=0.0, p_rayleigh_f2=0.0, cooperativity=0.14,
+            p_rayleigh_f1=0.0, p_rayleigh_f2=0.0,
         )
         probe = probe_config(p, NoiseSwitches.only("raman"))
         ts = run_trials(
@@ -255,13 +256,13 @@ class TestSpinFlipCovariance:
             MU_PULSES, couplings,
         )
         # microwave switch is off, so only scattering events act here
-        sc = spinflip_covariance_analytic(
+        cov = spinflip_covariance_analytic(
             boosted.p_delta_f, boosted.p_delta_mf, boosted.p_delta_f_delta_mf,
             0.0, p, N0,
         )
         sample_cov = np.cov(ts.pulses.T, ddof=1)
         se_scale = math.sqrt(2.0 / (n - 1)) * N0 / 4
-        assert np.all(np.abs(sample_cov - sc.cov) <= 3.5 * se_scale)
+        assert np.all(np.abs(sample_cov - cov) <= 3.5 * se_scale)
 
     def test_monte_carlo_mu_covariance(self, couplings):
         p = 6.4e5
@@ -272,10 +273,10 @@ class TestSpinFlipCovariance:
             PulseModel(composite_pi_infidelity=0.02, lock_light_mu=0.0),
             couplings,
         )
-        sc = spinflip_covariance_analytic(0, 0, 0, 0.02, p, N0)
+        cov = spinflip_covariance_analytic(0, 0, 0, 0.02, p, N0)
         sample_cov = np.cov(ts.pulses.T, ddof=1)
         se_scale = math.sqrt(2.0 / (n - 1)) * N0 / 4
-        assert np.all(np.abs(sample_cov - sc.cov) <= 3.5 * se_scale)
+        assert np.all(np.abs(sample_cov - cov) <= 3.5 * se_scale)
 
 
 class TestRunTrials:
@@ -438,12 +439,12 @@ class TestFlipBackReaction:
         )
         assert abs(np.corrcoef(ts.m1, ts.m2)[0, 1]) <= 3.0 / math.sqrt(n)
         # y2 reads two independent M1-like measurements
-        sc = spinflip_covariance_analytic(
+        cov = spinflip_covariance_analytic(
             RATES.p_delta_f, RATES.p_delta_mf, RATES.p_delta_f_delta_mf,
             MU_PULSES.mu_total, 6.4e5, N0,
         )
         y2 = 2 * np.var(ts.m1 - ts.m2, ddof=1)
-        assert abs(y2 - sc.projection_term_4var_m1) <= 3 * var_se(y2, n)
+        assert abs(y2 - four_var(cov, M1_WEIGHTS)) <= 3 * var_se(y2, n)
 
     def test_rotation_pi_half_readout_is_independent(self, couplings):
         # M2 reads the y quadrature, which is independent of M1
@@ -476,7 +477,7 @@ class TestFlipBackReaction:
         n = 100_000
         boosted = ScatteringRates(
             p_delta_f=5.2e-8, p_delta_mf=3e-8, p_delta_f_delta_mf=3e-8,
-            p_rayleigh_f1=0.0, p_rayleigh_f2=0.0, cooperativity=0.14,
+            p_rayleigh_f1=0.0, p_rayleigh_f2=0.0,
         )
         ts = run_trials(
             "squeeze-readout", n, 85, css_state(n0),

@@ -89,18 +89,18 @@ class TestNoiseCoefficient:
         )
 
     def test_zero_rates(self):
-        z = ScatteringRates(0, 0, 0, 0, 0, 0.1)
+        z = ScatteringRates(0, 0, 0, 0, 0)
         assert raman_noise_coefficient(z, 3.3e4) == 0.0
 
     def test_coefficient_isolation(self):
         x = 1e-8
-        r = ScatteringRates(x, 0, 0, 0, 0, 0.1)
+        r = ScatteringRates(x, 0, 0, 0, 0)
         assert raman_noise_coefficient(r, 2.0) == pytest.approx(8 * x / 3, rel=1e-15)
-        r = ScatteringRates(0, x, 0, 0, 0, 0.1)
+        r = ScatteringRates(0, x, 0, 0, 0)
         assert raman_noise_coefficient(r, 2.0) == pytest.approx(x, rel=1e-15)
-        r = ScatteringRates(0, 0, x, 0, 0, 0.1)
+        r = ScatteringRates(0, 0, x, 0, 0)
         assert raman_noise_coefficient(r, 2.0) == pytest.approx(2 * x / 3, rel=1e-15)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            ScatteringRates(-1e-9, 0, 0, 0, 0, 0.1)
+            ScatteringRates(-1e-9, 0, 0, 0, 0)
