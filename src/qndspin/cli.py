@@ -6,7 +6,8 @@
 Scenarios come from the registry in qndspin.scenarios, and run_scenario
 writes every artifact and manifest.  --verify re-runs the manifest's
 scenario, trial count and seed, so --scenario must match it and
---trials and --seed are rejected.  Exit codes: 0 success,
+--trials and --seed are rejected; it re-runs into a temporary directory
+and keeps nothing, so --out is rejected too.  Exit codes: 0 success,
 2 configuration/validation error, 3 runtime or fit error,
 4 reproducibility mismatch under --verify.
 """
@@ -146,6 +147,10 @@ def main(argv=None) -> int:
             print(f"config error: {' and '.join(fixed)} cannot be used with "
                   "--verify: the manifest fixes n_trials and seed",
                   file=sys.stderr)
+            return EXIT_CONFIG
+        if args.out is not None:
+            print("config error: --out cannot be used with --verify: the "
+                  "re-run writes into a temporary directory", file=sys.stderr)
             return EXIT_CONFIG
         return _verify(args.verify, cfg, args.scenario)
 

@@ -53,6 +53,8 @@ class PhysicalConstants:
 def _number(value):
     if type(value) not in (int, float):
         raise TypeError(f"{value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
     return value
 
 
@@ -76,7 +78,7 @@ def load_constants(path: str | Path | None = None) -> PhysicalConstants:
             return convert(raw[key])
         except KeyError:
             raise ValueError(f"no {key!r} entry") from None
-        except (TypeError, ValueError, AttributeError) as err:
+        except (TypeError, ValueError, AttributeError, OverflowError) as err:
             raise ValueError(f"{key!r} entry is malformed: {err}") from None
 
     return PhysicalConstants(

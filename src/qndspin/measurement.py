@@ -13,17 +13,18 @@ contribution of an atom that follows it unchanged.  Each trial holds
 two classes of atoms: the responders, which follow the composite pulses
 (imbalance z_R), and the atoms stopped by a dmF or dF+dmF Raman event
 (imbalance z_S, count n_S).  Per pulse and flip kind (dF, dmF, dF+dmF)
-a Poisson event count is split between the classes (hypergeometric, so
-n_S stays an atom count).  Each class's up count among its hit atoms is
-a normal of the mean and variance of drawing them without replacement
-against its current imbalance, so every flip acts on the spin the
-ensemble holds, also after the M_1 -> M_2 manipulation.  A flip at
-uniform fraction u of its pulse weighs 1 - u in that pulse's average,
-and a trial's sum of n weights is a normal of the Irwin-Hall mean n/2
-and variance n/12.  Both normals enter the records linearly, so every
-mean, variance and covariance of the pulse records is kept.  Each
-composite pulse makes Binomial(N0 - n_S, mu) responders fail and
-negates z_S.  Signs are drawn against the state at the start of each
+each class draws its own Poisson event count, of mean lam * n / N0 for
+its n atoms and capped at n: every atom scatters on its own, so the
+total stays Poisson(lam) and n_S stays an atom count.  Each class's up
+count among its hit atoms is a normal of the mean and variance of
+drawing them without replacement against its current imbalance, so
+every flip acts on the spin the ensemble holds, also after the
+M_1 -> M_2 manipulation.  A flip at uniform fraction u of its pulse
+weighs 1 - u in that pulse's average, and a trial's sum of n weights
+is a normal of the Irwin-Hall mean n/2 and variance n/12.  Both normals
+enter the records linearly, so every mean, variance and covariance of
+the pulse records is kept.  Each composite pulse makes
+Binomial(N0 - n_S, mu) responders fail and negates z_S.  Signs are drawn against the state at the start of each
 (pulse, kind) step: exact to first order in the per-pulse flip
 fractions eps = (p/2) P_x, with a second-order bias that the
 p * P_Ram <= 0.1 validity guard keeps small.  Detector noise acts on
@@ -35,8 +36,7 @@ Block b draws from its own stream, PCG64DXSM seeded with the pair
 bitwise reproducible and a block's trials do not depend on how many
 follow it.  A step draws a fixed number of values per trial, so block
 memory does not grow with the event count, and 2048-trial blocks spread
-the fixed cost of each library call (chiefly the argument checks of the
-class split's `hypergeometric`) thinly.
+the fixed cost of each library call thinly.
 """
 
 from __future__ import annotations
@@ -271,11 +271,11 @@ def _simulate_block(rng, b, plan, state, probe, lam, mu, couplings):
         for j, (flips, stops) in enumerate(_KINDS):
             if lam[j] <= 0.0:
                 continue
-            n_ev = np.minimum(rng.poisson(lam[j], b), n0)
+            k_r = np.minimum(rng.poisson(lam[j] * (n0 - n_s) / n0), n0 - n_s)
+            k_s = (np.minimum(rng.poisson(lam[j] * n_s / n0), n_s) if n_s.any()
+                   else np.zeros_like(k_r))
+            n_ev = k_r + k_s
             counts[:, j] += n_ev
-            k_s = (rng.hypergeometric(n_s, n0 - n_s, n_ev) if n_s.any()
-                   else np.zeros_like(n_ev))
-            k_r = n_ev - k_s
             up = _draw_up(rng, np.concatenate((n0 - n_s, n_s)),
                           np.concatenate((z_r, z_s)), np.concatenate((k_r, k_s)))
             up_r, up_s = up[:b], up[b:]

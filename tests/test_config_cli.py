@@ -345,6 +345,21 @@ class TestCli:
         assert err.count("\n") == 1
         assert all(name in err for name in named)
 
+    def test_verify_with_out_exit_two(self, cfg, tmp_path, capsys):
+        # the re-run writes into a temporary directory, so an --out
+        # directory would silently stay empty
+        recorded = {"scenario": "limits", "config_hash": cfg.config_hash(),
+                    "outputs": {"limits.json": "0" * 64}}
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(recorded))
+        rc = main(["run", "--scenario", "limits", "--verify", str(manifest),
+                   "--out", str(tmp_path / "o2")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: --out cannot be used with --verify")
+        assert not (tmp_path / "o2").exists()
+
     @pytest.mark.parametrize("constants, named", [
         ({"version": "x"}, "no 'speed_of_light_m_s' entry"),
         ({**PACKAGED_CONSTANTS, "gamma_hz": "x"}, "'gamma_hz' entry is malformed"),
@@ -362,6 +377,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert str(consts) in err and named in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("literal, named", [
+        ("NaN", "nan is not a finite number"),
+        ("Infinity", "inf is not a finite number"),
+        ("1e400", "inf is not a finite number"),
+        ("1" + "0" * 400, "int too large to convert to float"),
+    ], ids=["NaN", "Infinity", "1e400", "int-beyond-float"])
+    def test_non_finite_constants_file_exit_two(self, literal, named,
+                                                tmp_path, capsys):
+        # json reads the first three as floats (1e400 overflows to inf);
+        # the entry is named instead of a later probe-placement failure
+        consts = tmp_path / "constants.json"
+        consts.write_text(json.dumps({**PACKAGED_CONSTANTS, "gamma_hz": "X"})
+                          .replace('"X"', literal))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"constants_file": str(consts)}))
+        rc = main(["run", "--scenario", "params-report", "--config",
+                   str(config), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(consts) in err and "'gamma_hz' entry is malformed" in err
+        assert named in err
         assert not (tmp_path / "o").exists()
 
     def test_runtime_error_exit_three(self, tmp_path, capsys):

@@ -335,6 +335,43 @@ class TestRunTrials:
             assert abs(sample.mean() - mean) <= 4 * math.sqrt(var / draws)
             assert abs(sample.var(ddof=1) - var) <= 4 * var_se(var, draws)
 
+    def test_flip_count_moments(self, couplings):
+        # each class's events are a Poisson count of its own, so a kind's
+        # four-pulse total is Poisson: mean = variance = 4 N0 (p/2) P_x
+        p, n = 6.4e5, 20_000
+        boosted = ScatteringRates(
+            p_delta_f=5.2e-8, p_delta_mf=3e-8, p_delta_f_delta_mf=3e-8,
+            p_rayleigh_f1=0.0, p_rayleigh_f2=0.0,
+        )
+        ts = run_trials(
+            "squeeze-readout", n, 83, css_state(),
+            probe_config(p, NoiseSwitches.only("raman")), boosted,
+            MU_PULSES, couplings,
+        )
+        rates = (boosted.p_delta_f, boosted.p_delta_mf,
+                 boosted.p_delta_f_delta_mf)
+        for column, rate in zip(ts.flip_counts.T, rates):
+            lam = 4 * N0 * (p / 2) * rate
+            assert abs(column.mean() - lam) <= 4 * math.sqrt(lam / n)
+            assert abs(column.var(ddof=1) - lam) <= 4 * var_se(lam, n)
+
+    def test_tiny_ensemble_counts_stay_atom_counts(self, couplings):
+        # N0 = 20 at p P_Ram = 0.096, just inside the guard: a class's
+        # mean count is far below 1, and its draws stay non-negative
+        p = 6.4e5
+        hot = ScatteringRates(
+            p_delta_f=6e-8, p_delta_mf=4.5e-8, p_delta_f_delta_mf=4.5e-8,
+            p_rayleigh_f1=0.0, p_rayleigh_f2=0.0,
+        )
+        for scenario in ("squeeze-readout", "double-prep"):
+            ts = run_trials(
+                scenario, 4096, 84, css_state(20), probe_config(p, FLIPS_ONLY),
+                hot, MU_PULSES, couplings,
+            )
+            assert ts.flip_counts.min() >= 0
+            assert ts.flip_counts.max() <= 4 * 20
+            assert np.all(np.isfinite(ts.pulses))
+
     def test_block_memory_does_not_grow_with_events(self, couplings):
         # a block draws a fixed number of values per trial, not one per event
         state = css_state()
