@@ -14,8 +14,8 @@ from qndspin import (
     measurement_backaction,
     prepare_css,
     PreparationModel,
+    residual_variance,
     rotate,
-    rotated_variance,
     run_trials,
     SequencePlan,
     variance_stats,
@@ -48,7 +48,7 @@ for i, deg in enumerate([0, 20, 45, 70, 90, 110, 135, 160, 180]):
     plan = SequencePlan("rotate-alpha", rotation_angle=alpha)
     ts = run_trials(plan, 2000, 401 + i, state, probe,
                     cfg.rates, cfg.pulses, cfg.couplings)
-    est, _ = rotated_variance(ts, var_meas0)
+    est = residual_variance(variance_stats(ts))[0] - var_meas0
     model = rotate(model_state, "mean", alpha).var_z
     print(f"{deg:10.0f} {est:14.0f} {model:10.0f}")
 

@@ -13,7 +13,7 @@ from .analysis import (
     fit_noise_model,
     fit_quadratic_scaling,
     NoiseBudget,
-    rotated_variance,
+    residual_variance,
     squeezing_parameters,
     SqueezingReport,
     to_db,
@@ -50,7 +50,7 @@ from .measurement import (
     run_trials,
     SequencePlan,
     simulate_probe_pulse,
-    spinflip_covariance_analytic,
+    spinflip_covariance_exact,
     TrialSet,
 )
 from .scattering import raman_noise_coefficient, raman_rates, ScatteringRates

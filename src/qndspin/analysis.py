@@ -1,8 +1,9 @@
 """Estimators and fits: trial records -> published quantities.
 
-Variances with chi^2 standard errors, conditional spin noise, squeezing
-parameters, the four-term noise-budget fit, quadratic atom-number
-scaling fits, the contrast model, and rotated-state variance.
+Variances with chi^2 standard errors, conditional spin noise (the
+Gaussian posterior and the regression residual of the readout),
+squeezing parameters, the four-term noise-budget fit, quadratic
+atom-number scaling fits, and the contrast model.
 
 Conventions: "atom number units" means 4*Var(Sz)-style quantities
 (y1 = 4 Var(M1), the CSS reference line is y = N0); squeezing is quoted
@@ -122,6 +123,16 @@ def conditional_variance(var_prep: float, var_meas: float, epsilon_p: float = 0.
     if not 0.0 <= epsilon_p < 0.5:
         raise ValueError("epsilon_p must lie in [0, 0.5)")
     return (var_meas * var_prep) / ((1 - epsilon_p) ** 2 * (var_prep + var_meas))
+
+
+def residual_variance(report: VarianceReport) -> tuple[float, float]:
+    """Var(M2 | M1) = min_w Var(M2 - w M1) and its chi^2 standard error.
+
+    The readout's variance after regressing it on the squeeze measurement,
+    whatever lies between them (at alpha = pi, w absorbs M2 = -S_z).
+    """
+    resid = report.var_m2 - report.cov_m1_m2**2 / report.var_m1
+    return resid, resid * math.sqrt(2.0 / (report.n_trials - 2))
 
 
 @dataclass(frozen=True)
@@ -300,19 +311,3 @@ def fit_quadratic_scaling(n0, y, y_se=None, constrain_a1: bool = False):
 def contrast_model(p, c0, alpha, beta):
     """C(p) = C0 exp(-alpha p - beta p^2 / 2)."""
     return c0 * np.exp(-alpha * p - beta * p**2 / 2.0)
-
-
-def rotated_variance(trials_alpha: TrialSet, var_meas_alpha0: float):
-    """Estimate Var(S_z) of the rotated state from readout records.
-
-    Subtraction estimator Var(M1 - M2)|_alpha - var_meas, valid when the
-    measurement noise is small against the anti-squeezed quadrature.
-    Negative estimates are clipped to 0 (flagged in the second return).
-    """
-    if var_meas_alpha0 <= 0:
-        raise ValueError("var_meas must be > 0")
-    keep = ~trials_alpha.saturated
-    diff = trials_alpha.m1[keep] - trials_alpha.m2[keep]
-    est = float(np.var(diff, ddof=1)) - var_meas_alpha0
-    clipped = est < 0
-    return max(est, 0.0), clipped

@@ -7,35 +7,27 @@ follow the convention that the "+" pulses are the inner pair (second of
 M_1, first of M_2: no microwaves between them) and the "-" pulses the
 outer pair (two composite pulses between them).
 
-Trials are simulated in blocks of _BLOCK as a state evolution over
-arrays in the measurement frame, where a composite pulse leaves the
-contribution of an atom that follows it unchanged.  Each trial holds
-two classes of atoms: the responders, which follow the composite pulses
-(imbalance z_R), and the atoms stopped by a dmF or dF+dmF Raman event
-(imbalance z_S, count n_S).  Per pulse and flip kind (dF, dmF, dF+dmF)
-each class draws its own Poisson event count, of mean lam * n / N0 for
-its n atoms and capped at n: every atom scatters on its own, so the
-total stays Poisson(lam) and n_S stays an atom count.  Each class's up
-count among its hit atoms is a normal of the mean and variance of
-drawing them without replacement against its current imbalance, so
-every flip acts on the spin the ensemble holds, also after the
-M_1 -> M_2 manipulation.  A flip at uniform fraction u of its pulse
-weighs 1 - u in that pulse's average, and a trial's sum of n weights
-is a normal of the Irwin-Hall mean n/2 and variance n/12.  Both normals
-enter the records linearly, so every mean, variance and covariance of
-the pulse records is kept.  Each composite pulse makes
-Binomial(N0 - n_S, mu) responders fail and negates z_S.  Signs are drawn against the state at the start of each
-(pulse, kind) step: exact to first order in the per-pulse flip
-fractions eps = (p/2) P_x, with a second-order bias that the
-p * P_Ram <= 0.1 validity guard keeps small.  Detector noise acts on
-the photocounts of the probe and compensation channels and passes
-through the Lorentzian inversion.
+Raman flips act on each atom on its own, as a Markov chain over
+(+, -) x (responder R, stopped S) in the measurement frame, where a
+composite pulse leaves a responder's contribution unchanged and negates
+a stopped atom's.  The Van Loan exponential of its per-pulse generator
+(_flip_chain) gives both the exact pulse covariance
+(spinflip_covariance_exact) and what the trial engine draws.
+
+Trials are simulated in blocks of _BLOCK as an evolution of each
+trial's counts x = (+R, -R, +S, -S).  Each pulse is one draw: x times
+the per-atom means of end state and pulse average, plus one normal of
+the per-atom covariances summed over the expected counts E[x].  By the
+law of total covariance and the Markov property, every mean, variance
+and covariance of the pulse records is exact at any flip rate.
+Detector noise acts on the photocounts of the probe and compensation
+channels and passes through the Lorentzian inversion.
 
 Block b draws from its own stream, PCG64DXSM seeded with the pair
 (master_seed, b) through SeedSequence (O'Neill 2014), so results are
 bitwise reproducible and a block's trials do not depend on how many
-follow it.  A step draws a fixed number of values per trial, so block
-memory does not grow with the event count, and 2048-trial blocks spread
+follow it.  A pulse draws a fixed number of values per trial, so block
+memory does not grow with the flip rate, and 2048-trial blocks spread
 the fixed cost of each library call thinly.
 """
 
@@ -57,9 +49,6 @@ _BLOCK = 2048
 _PROBE_OFFSET = 0.5
 # measurement-frame sign of each pulse: M_k = s_k * omega_k / (2 domega/dN)
 _PULSE_SIGNS = np.array([-1.0, +1.0, +1.0, -1.0])
-# Raman flip kinds dF, dmF, dF+dmF (the flip_counts columns):
-# (flips the atom, stops it following the composite pulses)
-_KINDS = ((True, False), (False, True), (True, True))
 
 SCENARIOS = ("squeeze-readout", "double-prep", "rotate-alpha", "ramsey-clock")
 
@@ -139,7 +128,6 @@ class TrialSet:
     n0: float
     pulses: np.ndarray        # (n, 4): M1-, M1+, M2+, M2-  (time order)
     true_szf: np.ndarray      # (n,)
-    flip_counts: np.ndarray   # (n, 3): dF, dmF, both
     saturated: np.ndarray     # (n,) bool
 
     def __post_init__(self):
@@ -215,87 +203,153 @@ def simulate_probe_pulse(
 
 
 # ---------------------------------------------------------------------------
+# the Raman flip chain of one atom
+# ---------------------------------------------------------------------------
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring a 20-term Taylor series (a may be defective)."""
+    squarings = max(0, math.ceil(math.log2(np.abs(a).sum(axis=1).max())) + 1)
+    out = term = np.eye(len(a))
+    for k in range(1, 21):
+        term = term @ a / (k * 2.0**squarings)
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _flip_chain(a: float, m: float, c: float, mu: float):
+    """One atom's Markov chain over a probe pulse and over a composite pulse.
+
+    States (+R, -R, +S, -S): the sign of the atom's contribution +-1/2 to
+    S_z in the measurement frame, and whether it follows the composite
+    pulses (responder R) or was stopped (S).  Per pulse (time scaled to
+    1) dF flips a responder at rate a, dmF stops it at rate m and dF+dmF
+    does both at rate c; a stopped atom flips at rate a + c.  With Q that
+    generator and R = diag(+-1/2), exp([[Q, R, 0], [0, Q, R], [0, 0, Q]])
+    (Van Loan 1978) holds T = e^Q, F1[i, j] = E[I 1{end j} | start i] for
+    the atom's pulse average I, and F2 with E[I^2 1{end j} | i] = 2 F2[i, j].
+    A composite pulse negates a stopped atom, and a responder with
+    probability mu.  Returns (T, F1, F2, composite), indexed [start, end].
+    """
+    q = np.array([[0.0, a, m, c], [a, 0.0, c, m],
+                  [0.0, 0.0, 0.0, a + c], [0.0, 0.0, a + c, 0.0]])
+    q -= np.diag(q.sum(axis=1))
+    r = np.diag([0.5, -0.5, 0.5, -0.5])
+    zero = np.zeros((4, 4))
+    big = _expm(np.block([[q, r, zero], [zero, q, r], [zero, zero, q]]))
+    composite = np.array([[1.0 - mu, mu, 0.0, 0.0], [mu, 1.0 - mu, 0.0, 0.0],
+                          [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
+    return big[:4, :4], big[:4, 4:8], big[:4, 8:], composite
+
+
+def spinflip_covariance_exact(
+    p_delta_f: float,
+    p_delta_mf: float,
+    p_delta_f_delta_mf: float,
+    mu: float,
+    photons: float,
+    n0: float,
+) -> np.ndarray:
+    """Exact 4x4 covariance of the pulse values (M1-, M1+, M2+, M2-).
+
+    Squeeze-readout of a coherent spin state, in spin^2 units (diagonal
+    N0/4 undisturbed), to all orders in the flip fractions (p/2) P_x per
+    pulse and mu per composite pulse: N0 times one atom's covariance of
+    its pulse averages, chained through _flip_chain from a uniform sign.
+    Quadratic forms w^T C w give 4 Var(M1) for w = (1, 1, 0, 0), 4 Var(M2)
+    for w = (0, 0, 1, 1), and 2 Var(M1 - M2), whose first order is the
+    flip term b1 p + mu N0, for w = (1, 1, -1, -1) / sqrt(2).
+    """
+    flips = (0.5 * photons * x for x in (p_delta_f, p_delta_mf, p_delta_f_delta_mf))
+    t, f1, f2, composite = _flip_chain(*flips, mu)
+    after = (composite, np.eye(4), composite)  # from pulse k to pulse k + 1
+    f1_sum = f1.sum(axis=1)
+    mean = np.empty(_PULSES)
+    second = np.empty((_PULSES, _PULSES))
+    start = np.array([0.5, 0.5, 0.0, 0.0])
+    for k in range(_PULSES):
+        mean[k] = start @ f1_sum
+        second[k, k] = 2.0 * start @ f2.sum(axis=1)
+        joint = start @ f1  # E[I_k 1{state}] at the end of pulse k
+        for j in range(k + 1, _PULSES):
+            joint = joint @ after[j - 1]
+            second[k, j] = second[j, k] = joint @ f1_sum
+            joint = joint @ t
+        if k < len(after):
+            start = start @ t @ after[k]
+    return n0 * (second - np.outer(mean, mean))
+
+
+# ---------------------------------------------------------------------------
 # block state evolution
 # ---------------------------------------------------------------------------
 
-def _draw_up(rng: np.random.Generator, n, z, k):
-    """Up atoms among k drawn without replacement from n atoms of imbalance z.
+def _pulse_steps(plan: SequencePlan, n0: float, flips, mu: float):
+    """Per pulse, the (move, amp) that map counts x to y = (end counts, average).
 
-    A normal of the hypergeometric's mean k q and variance
-    k q (1 - q) (n - k) / (n - 1), q = rint(n/2 + z) / n; exact where certain.
+    y = x @ move + (standard normals) @ amp.  Row j of move is the mean of
+    one atom that starts in state j, [e^Q_j | (F1 1)_j]; amp stacks
+    sqrt(E[x_j]) L_j^T, with E[x_j] the expected count and L_j L_j^T one
+    atom's 5x5 covariance (eigh, eigenvalues clipped at 0).  Pulses 0 and
+    2 also carry the composite pulse after them; its failures add a row,
+    a normal of variance E[n_R] mu (1 - mu) moving +R atoms to -R.
     """
-    n_up = np.clip(np.rint(0.5 * n + z), 0, n)
-    mean = k * n_up / np.maximum(n, 1)
-    var = mean * (1.0 - n_up / np.maximum(n, 1)) * (n - k) / np.maximum(n - 1, 1)
-    return mean + np.sqrt(var) * rng.standard_normal(np.shape(k))
-
-
-def _flip_average(rng: np.random.Generator, up, n):
-    """Change of each trial's pulse-averaged imbalance from n flips, `up` of up atoms.
-
-    A flip at uniform fraction u of the pulse changes the imbalance by
-    -1 (up atom) or +1 (down atom) for the remaining 1 - u of it.  As
-    1 - u is itself uniform, the change is a sum of n uniforms, drawn as
-    a normal of its mean n/2 and variance n/12, minus `up`.
-    """
-    return 0.5 * n + np.sqrt(n / 12.0) * rng.standard_normal(n.shape) - up
-
-
-def _simulate_block(rng, b, plan, state, probe, lam, mu, couplings):
-    """Pulses (b, 4), true S_z after M_1, flip counts (b, 3), saturated flags."""
-    n0 = max(int(round(state.n0)), 1)
-    sd_z = math.sqrt(state.var_z)
-    z_r = rng.normal(0.0, sd_z, b)
-    z_s = np.zeros(b)
-    n_s = np.zeros(b, dtype=np.int64)
-    avg = np.empty((b, _PULSES))
-    counts = np.zeros((b, len(_KINDS)), dtype=np.int64)
-
+    t, f1, f2, composite = _flip_chain(*flips, mu)
+    move = np.hstack((t, f1.sum(axis=1, keepdims=True)))
+    factors = []
+    for j in range(4):
+        second = np.diag(np.append(t[j], 2.0 * f2[j].sum()))
+        second[:4, 4] = second[4, :4] = f1[j]
+        w, v = np.linalg.eigh(second - np.outer(move[j], move[j]))
+        factors.append(np.sqrt(np.clip(w, 0.0, None))[:, None] * v.T)
+    css = np.array([0.5 * n0, 0.5 * n0, 0.0, 0.0])
+    steps, counts = [], css
     for k in range(_PULSES):
+        if k == 2 and plan.scenario == "double-prep":
+            counts = css
+        amp = np.vstack([math.sqrt(max(n, 0.0)) * f for n, f in zip(counts, factors)])
+        counts = counts @ t
+        after, fails = np.eye(5), 0.0
+        if k in (0, 2):
+            after[:4, :4] = composite
+            fails = math.sqrt(counts[:2].sum() * mu * (1.0 - mu))
+            counts = counts @ composite
+        amp = np.vstack((amp @ after, [-fails, fails, 0.0, 0.0, 0.0]))
+        steps.append((move @ after, amp[np.any(amp != 0.0, axis=1)]))
+    return steps
+
+
+def _css_counts(rng: np.random.Generator, b: int, state: GaussianSpinState):
+    """Counts (+R, -R, +S, -S) of b freshly prepared ensembles."""
+    z = rng.normal(0.0, math.sqrt(state.var_z), (b, 1))
+    return 0.5 * state.n0 * np.array([1.0, 1.0, 0.0, 0.0]) + z * [1.0, -1.0, 0.0, 0.0]
+
+
+def _simulate_block(rng, b, plan, state, probe, steps, couplings):
+    """Pulses (b, 4), true S_z after M_1 and saturated flags of b trials."""
+    x = _css_counts(rng, b, state)
+    avg = np.empty((b, _PULSES))
+    for k, (move, amp) in enumerate(steps):
         if k == 2:  # the M_1 -> M_2 manipulation
-            szf = z_r + z_s
+            z = 0.5 * (x[:, 0::2] - x[:, 1::2])  # imbalance of R and of S
+            szf = z.sum(axis=1)
             if plan.scenario == "double-prep":
-                z_r = rng.normal(0.0, sd_z, b)
-                z_s = np.zeros(b)
-                n_s = np.zeros(b, dtype=np.int64)
+                x = _css_counts(rng, b, state)
             else:
-                carry = plan.carryover()
-                z_r, z_s = carry * z_r, carry * z_s
+                dz = (plan.carryover() - 1.0) * z
                 if plan.scenario == "rotate-alpha":
                     y = rng.normal(0.0, math.sqrt(state.var_y), b)
-                    z_r += y * math.sin(plan.rotation_angle)
+                    dz[:, 0] += y * math.sin(plan.rotation_angle)
                 elif plan.scenario == "ramsey-clock" and plan.phase_noise_rms > 0:
-                    z_r += state.mean_length * rng.normal(0.0, plan.phase_noise_rms, b)
-        avg[:, k] = z_r + z_s
-
-        for j, (flips, stops) in enumerate(_KINDS):
-            if lam[j] <= 0.0:
-                continue
-            k_r = np.minimum(rng.poisson(lam[j] * (n0 - n_s) / n0), n0 - n_s)
-            k_s = (np.minimum(rng.poisson(lam[j] * n_s / n0), n_s) if n_s.any()
-                   else np.zeros_like(k_r))
-            n_ev = k_r + k_s
-            counts[:, j] += n_ev
-            up = _draw_up(rng, np.concatenate((n0 - n_s, n_s)),
-                          np.concatenate((z_r, z_s)), np.concatenate((k_r, k_s)))
-            up_r, up_s = up[:b], up[b:]
-            # summed pre-event contribution (+-1/2 per atom) of the hit responders
-            h_r = up_r - 0.5 * k_r
-            if flips:
-                avg[:, k] += _flip_average(rng, up_r + up_s, n_ev)
-                z_s -= 2.0 * up_s - k_s
-            if stops:  # the hit responders join the stopped atoms
-                z_r -= h_r
-                z_s += -h_r if flips else h_r
-                n_s = n_s + k_r
-            else:
-                z_r -= 2.0 * h_r
-
-        if k in (0, 2):  # composite pulse
-            if mu > 0.0:
-                n_fail = rng.binomial(n0 - n_s, mu)
-                z_r -= 2.0 * _draw_up(rng, n0 - n_s, z_r, n_fail) - n_fail
-            z_s = -z_s
+                    dz[:, 0] += state.mean_length * rng.normal(0.0, plan.phase_noise_rms, b)
+                x[:, 0::2] += dz
+                x[:, 1::2] -= dz
+        y = x @ move
+        if len(amp):
+            y += rng.standard_normal((b, len(amp))) @ amp
+        avg[:, k] = y[:, 4]
+        x = y[:, :4]
 
     domega_dn = couplings.domega_dn
     sigma_e = (
@@ -316,7 +370,7 @@ def _simulate_block(rng, b, plan, state, probe, lam, mu, couplings):
         t2 = rho * t1 + math.sqrt(max(1 - rho**2, 0.0)) * rng.normal(0.0, sigma_t, b)
         m[:, :2] += t1[:, None]
         m[:, 2:] += t2[:, None]
-    return m, szf, counts, sat.any(axis=1)
+    return m, szf, sat.any(axis=1)
 
 
 def run_trials(
@@ -337,72 +391,20 @@ def run_trials(
     """
     if n_trials < 2:
         raise ValueError("need at least 2 trials for any variance estimate")
-    if rates is not None and probe.photons_per_measurement * rates.p_raman_total > 0.1:
-        raise ValueError("p * P_Ram > 0.1: first-order flip sampling invalid")
     plan = SequencePlan(scenario) if isinstance(scenario, str) else scenario
-    raman_on = probe.switches.raman and rates is not None
-    scale = state.n0 * probe.photons_per_measurement / 2.0
-    lam = (
-        [scale * rates.p_delta_f, scale * rates.p_delta_mf,
-         scale * rates.p_delta_f_delta_mf]
-        if raman_on else [0.0] * len(_KINDS)
-    )
+    flips = (0.5 * probe.photons_per_measurement * np.array(
+        [rates.p_delta_f, rates.p_delta_mf, rates.p_delta_f_delta_mf])
+        if probe.switches.raman and rates is not None else np.zeros(3))
     mu = pulses.mu_total if probe.switches.microwave else 0.0
+    steps = _pulse_steps(plan, state.n0, flips, mu)
 
     out = (np.empty((n_trials, _PULSES)), np.empty(n_trials),
-           np.empty((n_trials, len(_KINDS)), dtype=np.int64),
            np.empty(n_trials, dtype=bool))
     for block, lo in enumerate(range(0, n_trials, _BLOCK)):
         rng = np.random.Generator(np.random.PCG64DXSM([master_seed, block]))
         b = min(_BLOCK, n_trials - lo)
-        parts = _simulate_block(rng, b, plan, state, probe, lam, mu, couplings)
+        parts = _simulate_block(rng, b, plan, state, probe, steps, couplings)
         for arr, part in zip(out, parts):
             arr[lo:lo + b] = part
-    # out holds pulses, true_szf, flip_counts and saturated, in field order
+    # out holds pulses, true_szf and saturated, in field order
     return TrialSet(master_seed, plan.scenario, state.n0, *out)
-
-
-# ---------------------------------------------------------------------------
-# first-order analytics
-# ---------------------------------------------------------------------------
-
-def spinflip_covariance_analytic(
-    p_delta_f: float,
-    p_delta_mf: float,
-    p_delta_f_delta_mf: float,
-    mu: float,
-    photons: float,
-    n0: float,
-) -> np.ndarray:
-    """Exact first-order 4x4 covariance of the pulse values (M1-, M1+, M2+, M2-).
-
-    In spin^2 units; the diagonal of an undisturbed ensemble is N0/4.
-    Derived by counting, for each pulse pair (k, l), the probability that
-    a single flip event makes an atom's measurement-frame contribution
-    differ between a random time in pulse k and one in pulse l.  With
-    a = (p/2) PdF, m = (p/2) PdmF, c = (p/2) Pboth per pulse and mu per
-    composite pulse, the mean differ-probabilities are polynomial in the
-    event windows.  The noise-model combinations are quadratic forms
-    w^T C w of the result: 4 Var(M1) with w = (1, 1, 0, 0), 4 Var(M2)
-    with w = (0, 0, 1, 1), and 2 Var(M1 - M2), the flip term
-    (b1 p + mu N0), with w = (1, 1, -1, -1) / sqrt(2).
-    """
-    a = 0.5 * photons * p_delta_f
-    m = 0.5 * photons * p_delta_mf
-    c = 0.5 * photons * p_delta_f_delta_mf
-
-    d = np.zeros((4, 4))
-    for i in range(4):
-        d[i, i] = (a + c) / 3.0
-    pair_values = {
-        (0, 1): a + c + m + mu,
-        (0, 2): 2 * a + 2 * c + m + mu,
-        (0, 3): 3 * a + c + 2 * m + 2 * mu,
-        (1, 2): a + c,
-        (1, 3): 2 * a + 2 * c + 3 * m + mu,
-        (2, 3): a + 3 * c + 3 * m + mu,
-    }
-    for (i, j), val in pair_values.items():
-        d[i, j] = d[j, i] = val
-
-    return (n0 / 4.0) * (1.0 - 2.0 * d)

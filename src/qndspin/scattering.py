@@ -160,8 +160,8 @@ def raman_rates(
 def raman_noise_coefficient(rates: ScatteringRates, n0: float) -> float:
     """b1: Raman contribution to 4 Var(Sz)_meas per probe photon.
 
-    The weights follow from the first-order spin-flip covariance algebra
-    of the pulse-pair measurement (see measurement.spinflip_covariance_analytic).
+    The weights are the first order in the flip fractions of the flip
+    term of 2 Var(M1 - M2) (see measurement.spinflip_covariance_exact).
     """
     return (
         4.0 / 3.0 * rates.p_delta_f

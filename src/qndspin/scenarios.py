@@ -27,7 +27,7 @@ from .analysis import (
     conditional_variance,
     contrast_model,
     fit_quadratic_scaling,
-    rotated_variance,
+    residual_variance,
     squeezing_parameters,
     to_db,
     variance_stats,
@@ -116,9 +116,14 @@ def _params_report_artifacts(cfg: RunConfig, n_trials: int, seed: int) -> dict:
 
 
 def _run(cfg: RunConfig, plan, n_trials, seed, state, probe=None):
+    probe = probe or cfg.probe
+    if probe.photons_per_measurement * cfg.rates.p_raman_total > 0.1:
+        raise ValueError(
+            "p * P_Ram > 0.1: outside the first-order noise budget that "
+            "every scenario reports against"
+        )
     return run_trials(
-        plan, n_trials, seed, state, probe or cfg.probe, cfg.rates,
-        cfg.pulses, cfg.couplings,
+        plan, n_trials, seed, state, probe, cfg.rates, cfg.pulses, cfg.couplings,
     )
 
 
@@ -239,11 +244,9 @@ def scenario_rotation(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     for i, alpha in enumerate(angles):
         plan = SequencePlan("rotate-alpha", rotation_angle=float(alpha))
         ts = _run(cfg, plan, n_trials, seed + 1 + i, state, probe=probe)
-        est, _ = rotated_variance(ts, var_meas0)
-        # chi^2 error of Var(M1 - M2): y2 = 2 Var(M1 - M2)
-        est_err = variance_stats(ts).y2_se / 2.0
+        resid, resid_se = residual_variance(variance_stats(ts))
         model = rotate(model_state, "mean", alpha).var_z
-        rows.append([alpha, est, est_err, model])
+        rows.append([alpha, resid - var_meas0, resid_se, model])
 
     return {"rotation.csv": (["alpha_rad", "var_alpha", "var_alpha_err", "model"],
                              rows)}
@@ -267,9 +270,8 @@ def scenario_ramsey(cfg: RunConfig, n_trials: int, seed: int) -> dict:
 
     rows = []
     for i, plan in enumerate(plans):
-        rep = variance_stats(_run(cfg, plan, n_trials, seed + i, state))
-        # min_w Var(M2 - w M1) minus the readout imprecision
-        resid = rep.var_m2 - rep.cov_m1_m2**2 / rep.var_m1
+        resid, _ = residual_variance(
+            variance_stats(_run(cfg, plan, n_trials, seed + i, state)))
         sigma2 = max(resid - vm_model, 1e-12) / css
         rows.append([plan.scenario, sigma2, to_db(sigma2)])
     return {"ramsey.csv": (["sequence", "sigma2", "sigma2_db"], rows)}

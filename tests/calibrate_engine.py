@@ -9,10 +9,11 @@ prints for each gated entry the mean z (sample minus oracle, in the
 test's standard-error units) with its standard error, the spread of z,
 and the share of seeds that would fail the test's bound.  Where engine
 and oracle agree, the mean z lies within about 2 SE of 0 and the failure
-share is near the nominal rate of the bound.  The oracles are first
-order in the flip fractions, so a mean z away from 0 can come from
-second-order physics as well as from the engine.  The file name keeps
-pytest from collecting it.
+share is near the nominal rate of the bound.  The covariance entries
+are compared with the exact flip chain (spinflip_covariance_exact); the
+per-source noise terms are the first-order budget's, with the tests'
+own allowance for its higher orders.  The file name keeps pytest from
+collecting it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from qndspin.measurement import (  # noqa: E402
     NoiseSwitches,
     run_trials,
     SequencePlan,
-    spinflip_covariance_analytic,
+    spinflip_covariance_exact,
 )
 from qndspin.scattering import ScatteringRates  # noqa: E402
 from qndspin.scenarios import noise_budget_from_config  # noqa: E402
@@ -61,11 +62,11 @@ BOOSTED = ScatteringRates(
 PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]
 
 
-def cov_z(ts, analytic):
-    """Covariance entries minus the analytic ones, in sqrt(2/(n-1)) N0/4."""
+def cov_z(ts, exact):
+    """Covariance entries minus the exact ones, in sqrt(2/(n-1)) N0/4."""
     se = math.sqrt(2.0 / (ts.n_trials - 1)) * N0 / 4
     sample = np.cov(ts.pulses.T, ddof=1)
-    return {f"cov[{i}{j}]": (sample[i, j] - analytic[i, j]) / se for i, j in PAIRS}
+    return {f"cov[{i}{j}]": (sample[i, j] - exact[i, j]) / se for i, j in PAIRS}
 
 
 def diff_var_z(ts, expected, allowance=0.0):
@@ -79,8 +80,8 @@ def covariance_structure(seed):
     ts = run_trials("squeeze-readout", 50_000, seed, css_state(),
                     probe_config(P, NoiseSwitches.only("raman")), BOOSTED,
                     MU_PULSES, COUPLINGS)
-    cov = spinflip_covariance_analytic(BOOSTED.p_delta_f, BOOSTED.p_delta_mf,
-                                       BOOSTED.p_delta_f_delta_mf, 0.0, P, N0)
+    cov = spinflip_covariance_exact(BOOSTED.p_delta_f, BOOSTED.p_delta_mf,
+                                    BOOSTED.p_delta_f_delta_mf, 0.0, P, N0)
     return {k: (z, 3.5) for k, z in cov_z(ts, cov).items()}
 
 
@@ -88,7 +89,7 @@ def mu_covariance(seed):
     ts = run_trials("squeeze-readout", 50_000, seed, css_state(),
                     probe_config(P, NoiseSwitches.only("microwave")), None,
                     PulseModel(0.02, 0.0), COUPLINGS)
-    cov = spinflip_covariance_analytic(0, 0, 0, 0.02, P, N0)
+    cov = spinflip_covariance_exact(0, 0, 0, 0.02, P, N0)
     return {k: (z, 3.5) for k, z in cov_z(ts, cov).items()}
 
 
@@ -140,8 +141,8 @@ def criterion_4(seed):
     probe = replace(base, switches=FLIPS_ONLY)
     ts = run_trials("squeeze-readout", 100_000, seed, state, probe, CFG.rates,
                     mu_pulses, COUPLINGS)
-    cov = spinflip_covariance_analytic(CFG.rates.p_delta_f, CFG.rates.p_delta_mf,
-                                       CFG.rates.p_delta_f_delta_mf, 0.02, P, N0)
+    cov = spinflip_covariance_exact(CFG.rates.p_delta_f, CFG.rates.p_delta_mf,
+                                    CFG.rates.p_delta_f_delta_mf, 0.02, P, N0)
     out.update({k: (z, 3.0) for k, z in cov_z(ts, cov).items()})
     return out
 
@@ -152,8 +153,8 @@ def back_reaction(seed):
     n = 20_000
     ts = run_trials("double-prep", n, seed, *args)
     out["double-prep corr"] = (np.corrcoef(ts.m1, ts.m2)[0, 1] * math.sqrt(n), 3.0)
-    cov = spinflip_covariance_analytic(RATES.p_delta_f, RATES.p_delta_mf,
-                                       RATES.p_delta_f_delta_mf, 0.02, P, N0)
+    cov = spinflip_covariance_exact(RATES.p_delta_f, RATES.p_delta_mf,
+                                    RATES.p_delta_f_delta_mf, 0.02, P, N0)
     out["double-prep y2"] = diff_var_z(ts, four_var(cov, M1_WEIGHTS))
     plan = SequencePlan("rotate-alpha", rotation_angle=math.pi / 2)
     ts = run_trials(plan, n, seed, *args)

@@ -34,7 +34,7 @@ from qndspin.limits import (
 from qndspin.measurement import (
     NoiseSwitches,
     run_trials,
-    spinflip_covariance_analytic,
+    spinflip_covariance_exact,
 )
 from qndspin.scattering import raman_noise_coefficient, raman_rates
 from qndspin.scenarios import noise_budget_from_config
@@ -111,7 +111,7 @@ def test_criterion_3_scattering(cfg):
 
 def test_criterion_4_noise_budget_monte_carlo(cfg):
     """Each noise source alone matches its analytic term; covariance
-    structure matches the first-order flip algebra."""
+    structure matches the exact flip chain."""
     p = 6.4e5
     state = prepare_css(N0, PreparationModel())
     budget = noise_budget_from_config(cfg, N0)
@@ -155,7 +155,7 @@ def test_criterion_4_noise_budget_monte_carlo(cfg):
         "squeeze-readout", n_cov, 2024, state, probe, cfg.rates,
         mu_pulses, cfg.couplings,
     )
-    cov = spinflip_covariance_analytic(
+    cov = spinflip_covariance_exact(
         cfg.rates.p_delta_f, cfg.rates.p_delta_mf,
         cfg.rates.p_delta_f_delta_mf, 0.02, p, N0,
     )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,7 +9,7 @@ from qndspin.analysis import (
     fit_noise_model,
     fit_quadratic_scaling,
     NoiseBudget,
-    rotated_variance,
+    residual_variance,
     squeezing_parameters,
     to_db,
     variance_stats,
@@ -28,7 +30,6 @@ def synthetic_trialset(rng, n, cov, mean=(0.0, 0.0)):
         n0=N0,
         pulses=pulses,
         true_szf=m1.copy(),
-        flip_counts=np.zeros((n, 3), dtype=int),
         saturated=np.zeros(n, dtype=bool),
     )
 
@@ -52,7 +53,6 @@ class TestVarianceStats:
         ts = TrialSet(
             master_seed=0, scenario="squeeze-readout", n0=N0,
             pulses=pulses, true_szf=np.ones(10) * 3.0,
-            flip_counts=np.zeros((10, 3), dtype=int),
             saturated=np.zeros(10, dtype=bool),
         )
         rep = variance_stats(ts)
@@ -84,7 +84,7 @@ class TestVarianceStats:
         ts2 = TrialSet(
             master_seed=0, scenario="squeeze-readout", n0=N0,
             pulses=ts.pulses, true_szf=ts.true_szf,
-            flip_counts=ts.flip_counts, saturated=sat,
+            saturated=sat,
         )
         rep = variance_stats(ts2)
         assert rep.n_excluded_saturated == 7
@@ -331,23 +331,26 @@ class TestQuadraticScalingFit:
             fit_quadratic_scaling(n0, n0.copy())
 
 
-class TestRotatedVariance:
-    def test_subtraction_estimator(self):
+class TestResidualVariance:
+    def test_known_gaussian(self):
+        # M2 = S_z + noise after M1 = S_z + noise: Var(M2 | M1) is the
+        # readout noise plus the posterior variance v m / (v + m)
         rng = np.random.default_rng(11)
-        var_alpha, var_meas = 5e4, 1.2e3
-        cov = np.array(
-            [[var_alpha + var_meas, var_alpha], [var_alpha, var_alpha + var_meas]]
-        )
-        ts = synthetic_trialset(rng, 4000, cov)
-        # Var(M1 - M2) = 2 var_meas here by construction; the rotated
-        # state's Var(M1-M2)|alpha includes the state variance once
-        est, clipped = rotated_variance(ts, var_meas)
-        assert not clipped
-        assert est == pytest.approx(var_meas, rel=0.2)
+        v, m = 5e4, 1.2e3
+        cov = np.array([[v + m, v], [v, v + m]])
+        resid, se = residual_variance(variance_stats(synthetic_trialset(rng, 4000, cov)))
+        assert se == pytest.approx(resid * math.sqrt(2 / 3998), rel=1e-12)
+        assert abs(resid - (m + v * m / (v + m))) <= 3 * se
 
-    def test_negative_clipped(self):
+    def test_sign_of_readout_drops_out(self):
+        # a rotation by pi reads -S_z: the regression weight absorbs the sign
         rng = np.random.default_rng(12)
-        ts = synthetic_trialset(rng, 500, np.eye(2) * 0.5)
-        est, clipped = rotated_variance(ts, 10.0)
-        assert est == 0.0
-        assert clipped
+        ts = synthetic_trialset(rng, 500, np.array([[2.0, 1.5], [1.5, 2.0]]))
+        mirrored = TrialSet(
+            master_seed=0, scenario="rotate-alpha", n0=N0,
+            pulses=ts.pulses * np.array([1.0, 1.0, -1.0, -1.0]),
+            true_szf=ts.true_szf, saturated=ts.saturated,
+        )
+        plain = residual_variance(variance_stats(ts))
+        flipped = residual_variance(variance_stats(mirrored))
+        assert flipped == pytest.approx(plain, rel=1e-12)

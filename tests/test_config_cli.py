@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from qndspin.scenarios import (
     noise_budget_from_config,
     run_scenario,
     scenario_params_report,
+    scenario_rotation,
 )
 
 
@@ -165,6 +167,15 @@ class TestScenarioArtifacts:
         lines = path.read_text().splitlines()
         assert lines[0] == "sequence,sigma2,sigma2_db"
         assert lines[1].startswith("squeeze-readout")
+
+    def test_rotation_half_turn_reads_as_zero_turn(self):
+        # rotated by pi, M2 reads -S_z: the conditional variance of the
+        # readout is the one at 0 deg, not (1 - cos alpha)^2 Var(S_z) above it
+        cfg = load_and_validate(overrides={
+            "scenarios": {"rotation": {"angles_deg": [0.0, 180.0]}}})
+        (_, rows), = scenario_rotation(cfg, 4000, 11).values()
+        (_, var_0, err_0, _), (_, var_180, err_180, _) = rows
+        assert abs(var_180 - var_0) <= 4 * math.hypot(err_0, err_180)
 
     def test_unknown_scenario(self, cfg, tmp_path):
         with pytest.raises(ValueError):

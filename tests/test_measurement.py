@@ -6,14 +6,12 @@ import pytest
 
 from qndspin.measurement import (
     _BLOCK,
-    _draw_up,
-    _flip_average,
     NoiseSwitches,
     ProbeConfig,
     run_trials,
     SequencePlan,
     simulate_probe_pulse,
-    spinflip_covariance_analytic,
+    spinflip_covariance_exact,
 )
 from qndspin.scattering import ScatteringRates
 from qndspin.spinstate import prepare_css, PreparationModel, PulseModel
@@ -65,6 +63,34 @@ def four_var(cov, weights):
 def two_var_diff(cov):
     """2 Var(M1 - M2): the quadratic form of w = (1, 1, -1, -1) / sqrt(2)."""
     return 0.5 * four_var(cov, M1_WEIGHTS - M2_WEIGHTS)
+
+
+def first_order_covariance(p_delta_f, p_delta_mf, p_delta_f_delta_mf, mu, photons, n0):
+    """The pulse covariance to first order in the flip fractions.
+
+    Counts, for each pulse pair (k, l), the probability that a single
+    flip event makes an atom's contribution differ between a random time
+    in pulse k and one in pulse l; a, m, c = (p/2) P_x per pulse.
+    """
+    a, m, c = (0.5 * photons * x for x in (p_delta_f, p_delta_mf, p_delta_f_delta_mf))
+    d = np.full((4, 4), (a + c) / 3.0)
+    pair_values = {
+        (0, 1): a + c + m + mu,
+        (0, 2): 2 * a + 2 * c + m + mu,
+        (0, 3): 3 * a + c + 2 * m + 2 * mu,
+        (1, 2): a + c,
+        (1, 3): 2 * a + 2 * c + 3 * m + mu,
+        (2, 3): a + 3 * c + 3 * m + mu,
+    }
+    for (i, j), val in pair_values.items():
+        d[i, j] = d[j, i] = val
+    return (n0 / 4.0) * (1.0 - 2.0 * d)
+
+
+def sample_cov_z(ts, exact):
+    """Largest |sample - exact| of the 4x4 pulse covariance, in sqrt(2/(n-1)) N0/4."""
+    se_scale = math.sqrt(2.0 / (ts.n_trials - 1)) * ts.n0 / 4
+    return float(np.max(np.abs(np.cov(ts.pulses.T, ddof=1) - exact))) / se_scale
 
 
 class TestSimulateProbePulse:
@@ -197,53 +223,96 @@ class TestNoiseBudgetSources:
 
 
 class TestSpinFlipCovariance:
-    """The 4x4 pulse covariance of spinflip_covariance_analytic."""
+    """The 4x4 pulse covariance of spinflip_covariance_exact."""
 
     def test_zero_rates_pattern(self):
-        cov = spinflip_covariance_analytic(0, 0, 0, 0.0, 6e5, N0)
+        cov = spinflip_covariance_exact(0, 0, 0, 0.0, 6e5, N0)
         assert np.allclose(cov, N0 / 4)
         assert two_var_diff(cov) == 0.0
         assert four_var(cov, M1_WEIGHTS) == pytest.approx(N0)
 
-    def test_mu_only_aggregate(self):
-        cov = spinflip_covariance_analytic(0, 0, 0, 0.02, 6e5, N0)
-        assert two_var_diff(cov) == pytest.approx(0.02 * N0, rel=1e-12)
-
-    def test_reference_rate_aggregates(self):
-        p = 6e5
-        cov = spinflip_covariance_analytic(
-            RATES.p_delta_f, RATES.p_delta_mf, RATES.p_delta_f_delta_mf,
-            0.0, p, N0,
-        )
-        b1 = (4 / 3 * RATES.p_delta_f + 0.5 * RATES.p_delta_mf
-              + 1 / 3 * RATES.p_delta_f_delta_mf) * N0
-        assert two_var_diff(cov) == pytest.approx(b1 * p, rel=1e-9)
-
-    def test_m1_projection_term(self):
-        # 4 Var(M2) = N0 [1 - mu - 4a/3 - 10c/3 - 3m]: readout after the
+    def test_first_order_limit(self):
+        # rates and mu scaled by eps: the exact matrix leaves the first-order
+        # polynomial at O(eps^2), and the polynomial holds the budget's
+        # aggregates: 2 Var(M1 - M2) = b1 p + mu N0, 4 Var(M1) =
+        # N0 [1 - mu - 4a/3 - m - 4c/3] and, as readout after the
         # scrambling accumulated during M1 sees slightly less projection
-        # noise than 4 Var(M1) = N0 [1 - mu - 4a/3 - m - 4c/3]
-        p, mu = 6e5, 0.02
-        cov = spinflip_covariance_analytic(
-            RATES.p_delta_f, RATES.p_delta_mf, RATES.p_delta_f_delta_mf,
-            mu, p, N0,
-        )
-        a, m, c = (0.5 * p * x for x in (
-            RATES.p_delta_f, RATES.p_delta_mf, RATES.p_delta_f_delta_mf))
-        expected_m1 = (1 - mu - 4 * a / 3 - m - 4 * c / 3) * N0
-        expected_m2 = (1 - mu - 4 * a / 3 - 10 * c / 3 - 3 * m) * N0
-        assert four_var(cov, M1_WEIGHTS) == pytest.approx(expected_m1, rel=1e-9)
-        assert four_var(cov, M2_WEIGHTS) == pytest.approx(expected_m2, rel=1e-9)
+        # noise, 4 Var(M2) = N0 [1 - mu - 4a/3 - 10c/3 - 3m]
+        p = 6e5
+        rates = np.array([RATES.p_delta_f, RATES.p_delta_mf,
+                          RATES.p_delta_f_delta_mf])
+        gaps = []
+        for eps in (1.0, 0.1, 0.01):
+            args = (*(eps * rates), eps * 0.02, p, N0)
+            exact, first = spinflip_covariance_exact(*args), first_order_covariance(*args)
+            a, m, c = 0.5 * p * eps * rates
+            mu = eps * 0.02
+            b1 = (4 / 3 * rates[0] + 0.5 * rates[1] + 1 / 3 * rates[2]) * N0
+            flip_term = eps * b1 * p + mu * N0
+            assert two_var_diff(first) == pytest.approx(flip_term, rel=1e-9)
+            assert four_var(first, M1_WEIGHTS) == pytest.approx(
+                (1 - mu - 4 * a / 3 - m - 4 * c / 3) * N0, rel=1e-9)
+            assert four_var(first, M2_WEIGHTS) == pytest.approx(
+                (1 - mu - 4 * a / 3 - 10 * c / 3 - 3 * m) * N0, rel=1e-9)
+            gaps.append(np.max(np.abs(exact - first)))
+        assert gaps[0] > 1e-3 * N0 / 4
+        for eps, gap in zip((0.1, 0.01), gaps[1:]):
+            assert 0.5 * eps**2 <= gap / gaps[0] <= 2.0 * eps**2
+        # in the limit the exact flip term is the budget's
+        assert two_var_diff(exact) == pytest.approx(flip_term, rel=1e-3)
+
+    def test_atom_by_atom_simulation(self):
+        # the oracle's only check that does not go through the engine:
+        # atoms simulated one by one in continuous time, uniform start
+        # signs, exponential waits at the total rate a + m + c and the kind
+        # drawn per event (a stopped atom ignores dmF); composite pulses
+        # after pulses 0 and 2 negate stopped atoms, and responders with
+        # probability mu.  Rates are boosted, so cov[02], cov[03], cov[13]
+        # and cov[23] stand about 10 to 20 SE from their first order.
+        rng = np.random.default_rng(91)
+        n_atoms, p, mu = 2_000_000, 6.4e5, 0.02
+        rates = np.array([5.2e-8, 3e-8, 3e-8])
+        a, m, c = 0.5 * p * rates
+        total = a + m + c
+        sign = rng.choice([-0.5, 0.5], n_atoms)
+        stopped = np.zeros(n_atoms, dtype=bool)
+        t = np.zeros(n_atoms)
+        avg = np.zeros((n_atoms, 4))
+        live = np.arange(n_atoms)
+        while live.size:
+            t_event = t[live] + rng.exponential(1.0 / total, live.size)
+            edge = np.floor(t[live]) + 1.0  # end of the current pulse
+            hit = t_event < edge
+            t_end = np.where(hit, t_event, edge)
+            avg[live, np.floor(t[live]).astype(int)] += sign[live] * (t_end - t[live])
+            t[live] = t_end
+            # dF flips, dmF stops a responder, dF+dmF does both
+            atoms = live[hit]
+            kind = rng.choice(3, atoms.size, p=[a / total, m / total, c / total])
+            sign[atoms[kind != 1]] *= -1.0
+            stopped[atoms[kind != 0]] = True
+            ends = live[~hit]
+            composite = ends[(t[ends] == 1.0) | (t[ends] == 3.0)]
+            negate = stopped[composite] | (rng.random(composite.size) < mu)
+            sign[composite[negate]] *= -1.0
+            live = live[t[live] < 4.0]
+
+        exact = spinflip_covariance_exact(*rates, mu, p, 1.0)  # one atom
+        x = avg - avg.mean(axis=0)
+        w = (M1_WEIGHTS - M2_WEIGHTS) / math.sqrt(2)
+        # a per-atom product is far from normal: bound each by its own SE
+        estimates = [(x[:, i] * x[:, j], exact[i, j])
+                     for i in range(4) for j in range(i, 4)]
+        estimates.append(((x @ w) ** 2, two_var_diff(exact)))
+        for sample, expected in estimates:
+            se = sample.std(ddof=1) / math.sqrt(n_atoms)
+            assert abs(sample.mean() - expected) <= 4 * se
 
     def test_monte_carlo_covariance_structure(self, couplings):
         # flips only, ideal detector: the sampled 4x4 pulse covariance
-        # matches the analytic structure within sampling error.  Rates
-        # are twice the physical ones: strong enough that the flip terms
-        # stand ~10 sigma above sampling noise.  The analytics are first
-        # order in the flip fractions and not exact at this resolution:
-        # the outer-pulse entries cov[03] and cov[13] sit about 2 SE
-        # above them on average (tests/calibrate_engine.py), which the
-        # 3.5 SE bound absorbs at this seed but not on every seed.
+        # matches the exact one within sampling error.  Rates are twice
+        # the physical ones: strong enough that the flip terms stand ~10
+        # sigma above sampling noise.
         p = 6.4e5
         n = 50_000
         boosted = ScatteringRates(
@@ -256,7 +325,7 @@ class TestSpinFlipCovariance:
             MU_PULSES, couplings,
         )
         # microwave switch is off, so only scattering events act here
-        cov = spinflip_covariance_analytic(
+        cov = spinflip_covariance_exact(
             boosted.p_delta_f, boosted.p_delta_mf, boosted.p_delta_f_delta_mf,
             0.0, p, N0,
         )
@@ -273,7 +342,7 @@ class TestSpinFlipCovariance:
             PulseModel(composite_pi_infidelity=0.02, lock_light_mu=0.0),
             couplings,
         )
-        cov = spinflip_covariance_analytic(0, 0, 0, 0.02, p, N0)
+        cov = spinflip_covariance_exact(0, 0, 0, 0.02, p, N0)
         sample_cov = np.cov(ts.pulses.T, ddof=1)
         se_scale = math.sqrt(2.0 / (n - 1)) * N0 / 4
         assert np.all(np.abs(sample_cov - cov) <= 3.5 * se_scale)
@@ -297,80 +366,51 @@ class TestRunTrials:
         short = run_trials("squeeze-readout", _BLOCK, 123, *args)
         long = run_trials("squeeze-readout", 2 * _BLOCK + 22, 123, *args)
         assert np.array_equal(short.pulses, long.pulses[:_BLOCK])
-        assert np.array_equal(short.flip_counts, long.flip_counts[:_BLOCK])
 
-    def test_flip_average_moments(self):
-        # a trial's n flips shift its pulse average by a sum of n uniforms
-        # minus its up count: mean n/2 - up, variance n/12, exactly -up at n = 0
-        draws = 20_000
-        n = np.repeat([0, 1, 300], draws)
-        up = n // 3
-        x = _flip_average(np.random.Generator(np.random.PCG64DXSM(17)), up, n)
-        assert np.array_equal(x[:draws], -up[:draws])
-        for k in (1, 300):
-            sample = x[n == k]
-            mean, var = k / 2 - k // 3, k / 12
-            assert abs(sample.mean() - mean) < 4 * math.sqrt(var / draws)
-            assert abs(sample.var(ddof=1) - var) < 4 * var_se(var, draws)
-
-    def test_sign_draw_moments(self):
-        # up atoms among k of n atoms of imbalance z: exact where the draw
-        # is certain, else the hypergeometric's mean k q and variance
-        # k q (1 - q) (n - k) / (n - 1), with q = rint(n/2 + z) / n
-        rng = np.random.Generator(np.random.PCG64DXSM(23))
-        n = np.array([40, 33_146, 40, 33_146, 40, 40])
-        z = np.array([3.2, -50.0, 3.2, -50.0, 20.0, -20.0])
-        k = np.array([0, 0, 40, 33_146, 3, 3])
-        x = _draw_up(rng, n, z, k)
-        assert np.array_equal(x, [0, 0, 23, 16_523, 3, 0])
-        draws = 20_000
-        settings = ((33_146, 276, 812.3), (40, 3, -7.0), (1, 1, 0.2))
-        n, k, z = (np.repeat(col, draws) for col in zip(*settings))
-        x = _draw_up(rng, n, z, k)
-        for i, (n_i, k_i, z_i) in enumerate(settings):
-            sample = x[i * draws:(i + 1) * draws]
-            q = np.clip(np.rint(n_i / 2 + z_i), 0, n_i) / n_i
-            mean = k_i * q
-            var = k_i * q * (1 - q) * (n_i - k_i) / max(n_i - 1, 1)
-            assert abs(sample.mean() - mean) <= 4 * math.sqrt(var / draws)
-            assert abs(sample.var(ddof=1) - var) <= 4 * var_se(var, draws)
-
-    def test_flip_count_moments(self, couplings):
-        # each class's events are a Poisson count of its own, so a kind's
-        # four-pulse total is Poisson: mean = variance = 4 N0 (p/2) P_x
+    def test_tiny_ensemble_matches_oracle(self, couplings):
+        # N0 = 20 and 200 at p P_Ram = 0.096: the expected count in a
+        # state is far below 1, yet every second moment stays exact
         p, n = 6.4e5, 20_000
-        boosted = ScatteringRates(
-            p_delta_f=5.2e-8, p_delta_mf=3e-8, p_delta_f_delta_mf=3e-8,
-            p_rayleigh_f1=0.0, p_rayleigh_f2=0.0,
-        )
-        ts = run_trials(
-            "squeeze-readout", n, 83, css_state(),
-            probe_config(p, NoiseSwitches.only("raman")), boosted,
-            MU_PULSES, couplings,
-        )
-        rates = (boosted.p_delta_f, boosted.p_delta_mf,
-                 boosted.p_delta_f_delta_mf)
-        for column, rate in zip(ts.flip_counts.T, rates):
-            lam = 4 * N0 * (p / 2) * rate
-            assert abs(column.mean() - lam) <= 4 * math.sqrt(lam / n)
-            assert abs(column.var(ddof=1) - lam) <= 4 * var_se(lam, n)
-
-    def test_tiny_ensemble_counts_stay_atom_counts(self, couplings):
-        # N0 = 20 at p P_Ram = 0.096, just inside the guard: a class's
-        # mean count is far below 1, and its draws stay non-negative
-        p = 6.4e5
         hot = ScatteringRates(
             p_delta_f=6e-8, p_delta_mf=4.5e-8, p_delta_f_delta_mf=4.5e-8,
             p_rayleigh_f1=0.0, p_rayleigh_f2=0.0,
         )
-        for scenario in ("squeeze-readout", "double-prep"):
-            ts = run_trials(
-                scenario, 4096, 84, css_state(20), probe_config(p, FLIPS_ONLY),
-                hot, MU_PULSES, couplings,
+        for n0 in (20, 200):
+            exact = spinflip_covariance_exact(
+                hot.p_delta_f, hot.p_delta_mf, hot.p_delta_f_delta_mf,
+                MU_PULSES.mu_total, p, n0,
             )
-            assert ts.flip_counts.min() >= 0
-            assert ts.flip_counts.max() <= 4 * 20
-            assert np.all(np.isfinite(ts.pulses))
+            args = (css_state(n0), probe_config(p, FLIPS_ONLY), hot, MU_PULSES,
+                    couplings)
+            ts = run_trials("squeeze-readout", n, 84, *args)
+            assert sample_cov_z(ts, exact) <= 4.0
+            y2 = 2 * np.var(ts.m1 - ts.m2, ddof=1)
+            assert abs(y2 - two_var_diff(exact)) <= 4 * var_se(y2, n)
+            # double-prep reads two independent M1-like measurements
+            ts = run_trials("double-prep", n, 85, *args)
+            y2 = 2 * np.var(ts.m1 - ts.m2, ddof=1)
+            assert abs(y2 - four_var(exact, M1_WEIGHTS)) <= 4 * var_se(y2, n)
+
+    def test_beyond_first_order_budget(self, couplings):
+        # p P_Ram = 0.29, three times the first-order budget's limit: the
+        # engine is exact at any rate, so it still matches the oracle
+        p, n0, n = 6.4e5, 1000, 200_000
+        hot = ScatteringRates(
+            p_delta_f=4 * 5.2e-8, p_delta_mf=4 * 3e-8, p_delta_f_delta_mf=4 * 3e-8,
+            p_rayleigh_f1=0.0, p_rayleigh_f2=0.0,
+        )
+        assert p * hot.p_raman_total == pytest.approx(0.287, abs=1e-3)
+        ts = run_trials(
+            "squeeze-readout", n, 86, css_state(n0), probe_config(p, FLIPS_ONLY),
+            hot, MU_PULSES, couplings,
+        )
+        exact = spinflip_covariance_exact(
+            hot.p_delta_f, hot.p_delta_mf, hot.p_delta_f_delta_mf,
+            MU_PULSES.mu_total, p, n0,
+        )
+        assert sample_cov_z(ts, exact) <= 4.0
+        y2 = 2 * np.var(ts.m1 - ts.m2, ddof=1)
+        assert abs(y2 - two_var_diff(exact)) <= 4 * var_se(y2, n)
 
     def test_block_memory_does_not_grow_with_events(self, couplings):
         # a block draws a fixed number of values per trial, not one per event
@@ -476,7 +516,7 @@ class TestFlipBackReaction:
         )
         assert abs(np.corrcoef(ts.m1, ts.m2)[0, 1]) <= 3.0 / math.sqrt(n)
         # y2 reads two independent M1-like measurements
-        cov = spinflip_covariance_analytic(
+        cov = spinflip_covariance_exact(
             RATES.p_delta_f, RATES.p_delta_mf, RATES.p_delta_f_delta_mf,
             MU_PULSES.mu_total, 6.4e5, N0,
         )
@@ -506,7 +546,7 @@ class TestFlipBackReaction:
         assert abs(ramsey + plain) <= 3 * math.hypot(se_r, se_p)
 
     def test_outer_pulse_variances_agree(self, couplings):
-        # the analytic diagonal is flat: Var(M2-) = Var(M1-).  Atoms that
+        # the exact diagonal is flat: Var(M2-) = Var(M1-).  Atoms that
         # stopped following the composite pulses must flip sign with each
         # one they ignore, and cannot be stopped twice.  Small N0 and the
         # boosted rates of the covariance test keep this fast and sharp.
