@@ -87,6 +87,11 @@ def first_order_covariance(p_delta_f, p_delta_mf, p_delta_f_delta_mf, mu, photon
     return (n0 / 4.0) * (1.0 - 2.0 * d)
 
 
+def reference_flip_rates():
+    """(P_dF, P_dmF, P_dF+dmF) of RATES as an array, for scaling by eps."""
+    return np.array([RATES.p_delta_f, RATES.p_delta_mf, RATES.p_delta_f_delta_mf])
+
+
 def sample_cov_z(ts, exact):
     """Largest |sample - exact| of the 4x4 pulse covariance, in sqrt(2/(n-1)) N0/4."""
     se_scale = math.sqrt(2.0 / (ts.n_trials - 1)) * ts.n0 / 4
@@ -231,29 +236,73 @@ class TestSpinFlipCovariance:
         assert two_var_diff(cov) == 0.0
         assert four_var(cov, M1_WEIGHTS) == pytest.approx(N0)
 
+    def test_mu_only_aggregate(self):
+        # composite-pulse errors alone: the first-order flip term is mu N0,
+        # and the exact one is mu (1 - mu) N0, as an atom ends M2 reversed
+        # against M1 when just one of the two composite pulses misfires
+        mu, p = 0.02, 6e5
+        first = first_order_covariance(0, 0, 0, mu, p, N0)
+        exact = spinflip_covariance_exact(0, 0, 0, mu, p, N0)
+        assert two_var_diff(first) == pytest.approx(mu * N0, rel=1e-12)
+        assert two_var_diff(exact) == pytest.approx(mu * (1 - mu) * N0, rel=1e-12)
+        assert four_var(exact, M1_WEIGHTS) == pytest.approx((1 - mu) * N0, rel=1e-12)
+
+    def test_reference_rate_aggregates(self):
+        # 2 Var(M1 - M2) = b1 p to first order; the exact flip term leaves
+        # it at O(eps) relative when the rates are scaled by eps
+        p = 6e5
+        rates = reference_flip_rates()
+        b1 = (4 / 3 * rates[0] + 0.5 * rates[1] + 1 / 3 * rates[2]) * N0
+        rel_gaps = []
+        for eps in (1.0, 0.1, 0.01):
+            args = (*(eps * rates), 0.0, p, N0)
+            first = first_order_covariance(*args)
+            assert two_var_diff(first) == pytest.approx(eps * b1 * p, rel=1e-9)
+            exact = two_var_diff(spinflip_covariance_exact(*args))
+            rel_gaps.append(exact / (eps * b1 * p) - 1.0)
+        assert 1e-3 < abs(rel_gaps[0]) < 0.1
+        for eps, gap in zip((0.1, 0.01), rel_gaps[1:]):
+            assert 0.5 * eps <= gap / rel_gaps[0] <= 2.0 * eps
+
+    def test_m1_projection_term(self):
+        # 4 Var(M2) = N0 [1 - mu - 4a/3 - 10c/3 - 3m]: readout after the
+        # scrambling accumulated during M1 sees slightly less projection
+        # noise than 4 Var(M1) = N0 [1 - mu - 4a/3 - m - 4c/3].  Both hold
+        # on the first-order polynomial, and the exact oracle leaves them
+        # only at O(eps^2) relative when rates and mu are scaled by eps.
+        p = 6e5
+        rates = reference_flip_rates()
+        rel_gaps = []
+        for eps in (1.0, 0.1, 0.01):
+            mu = eps * 0.02
+            args = (*(eps * rates), mu, p, N0)
+            first = first_order_covariance(*args)
+            exact = spinflip_covariance_exact(*args)
+            a, m, c = 0.5 * p * eps * rates
+            expected_m1 = (1 - mu - 4 * a / 3 - m - 4 * c / 3) * N0
+            expected_m2 = (1 - mu - 4 * a / 3 - 10 * c / 3 - 3 * m) * N0
+            assert four_var(first, M1_WEIGHTS) == pytest.approx(expected_m1, rel=1e-9)
+            assert four_var(first, M2_WEIGHTS) == pytest.approx(expected_m2, rel=1e-9)
+            rel_gaps.append(np.array([four_var(exact, M1_WEIGHTS) / expected_m1,
+                                      four_var(exact, M2_WEIGHTS) / expected_m2]) - 1.0)
+        assert np.all(np.abs(rel_gaps[0]) < 1e-2)
+        for eps, gap in zip((0.1, 0.01), rel_gaps[1:]):
+            ratio = gap / rel_gaps[0]
+            assert np.all((0.5 * eps**2 <= ratio) & (ratio <= 2.0 * eps**2))
+
     def test_first_order_limit(self):
         # rates and mu scaled by eps: the exact matrix leaves the first-order
-        # polynomial at O(eps^2), and the polynomial holds the budget's
-        # aggregates: 2 Var(M1 - M2) = b1 p + mu N0, 4 Var(M1) =
-        # N0 [1 - mu - 4a/3 - m - 4c/3] and, as readout after the
-        # scrambling accumulated during M1 sees slightly less projection
-        # noise, 4 Var(M2) = N0 [1 - mu - 4a/3 - 10c/3 - 3m]
+        # polynomial at O(eps^2), and its flip term tends to the budget's
+        # b1 p + mu N0
         p = 6e5
-        rates = np.array([RATES.p_delta_f, RATES.p_delta_mf,
-                          RATES.p_delta_f_delta_mf])
+        rates = reference_flip_rates()
         gaps = []
         for eps in (1.0, 0.1, 0.01):
             args = (*(eps * rates), eps * 0.02, p, N0)
             exact, first = spinflip_covariance_exact(*args), first_order_covariance(*args)
-            a, m, c = 0.5 * p * eps * rates
-            mu = eps * 0.02
             b1 = (4 / 3 * rates[0] + 0.5 * rates[1] + 1 / 3 * rates[2]) * N0
-            flip_term = eps * b1 * p + mu * N0
+            flip_term = eps * b1 * p + eps * 0.02 * N0
             assert two_var_diff(first) == pytest.approx(flip_term, rel=1e-9)
-            assert four_var(first, M1_WEIGHTS) == pytest.approx(
-                (1 - mu - 4 * a / 3 - m - 4 * c / 3) * N0, rel=1e-9)
-            assert four_var(first, M2_WEIGHTS) == pytest.approx(
-                (1 - mu - 4 * a / 3 - 10 * c / 3 - 3 * m) * N0, rel=1e-9)
             gaps.append(np.max(np.abs(exact - first)))
         assert gaps[0] > 1e-3 * N0 / 4
         for eps, gap in zip((0.1, 0.01), gaps[1:]):
