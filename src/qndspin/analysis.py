@@ -50,8 +50,6 @@ class VarianceReport:
     y1_se: float
     y2: float                  # 2 Var(M1 - M2); the CSS check for double preps
     y2_se: float
-    adjacent_cycle_2var: float  # 2 Var(M1_i - M1_{i-1})
-    adjacent_cycle_2var_se: float
     n_trials: int
     n_excluded_saturated: int
 
@@ -63,16 +61,14 @@ class VarianceReport:
 def variance_stats(trials: TrialSet) -> VarianceReport:
     """Unbiased variance/covariance estimates with chi^2 standard errors.
 
-    Saturated trials are excluded (count reported).  The adjacent-cycle
-    variant differences consecutive M1 records, which cancels slow
-    drifts in the preparation.
+    Saturated trials are excluded (count reported).
     """
     keep = ~trials.saturated
     m1 = trials.m1[keep]
     m2 = trials.m2[keep]
     n = len(m1)
     if n < 3:
-        # the adjacent-cycle variance needs at least two differences
+        # residual_variance's standard error divides by n - 2
         raise ValueError(
             f"variance estimates need at least 3 unsaturated trials; got {n} "
             f"of {trials.n_trials} trials"
@@ -85,9 +81,6 @@ def variance_stats(trials: TrialSet) -> VarianceReport:
     cov = float(np.cov(m1, m2, ddof=1)[0, 1])
     cov_se = math.sqrt((var_m1 * var_m2 + cov**2) / (n - 1))
     var_prep = var_m1 - var_meas
-
-    adj = np.diff(m1)
-    adj_2var = 2.0 * float(np.var(adj, ddof=1))
     return VarianceReport(
         var_m1=var_m1,
         var_m1_se=_var_se(var_m1, n),
@@ -103,8 +96,6 @@ def variance_stats(trials: TrialSet) -> VarianceReport:
         y1_se=4.0 * _var_se(var_m1, n),
         y2=2.0 * diff_var,
         y2_se=2.0 * _var_se(diff_var, n),
-        adjacent_cycle_2var=adj_2var,
-        adjacent_cycle_2var_se=2.0 * _var_se(adj_2var / 2.0, len(adj)),
         n_trials=n,
         n_excluded_saturated=int(np.sum(~keep)),
     )

@@ -15,7 +15,6 @@ and keeps nothing, so --out is rejected too.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import sys
@@ -107,7 +106,7 @@ def _verify(manifest_path: Path, cfg: RunConfig, scenario: str) -> int:
         return EXIT_VERIFY
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            run_scenario(
+            _, manifest = run_scenario(
                 recorded["scenario"], cfg, Path(tmp),
                 n_trials=recorded.get("n_trials") or None,
                 seed=recorded.get("seed"),
@@ -115,18 +114,16 @@ def _verify(manifest_path: Path, cfg: RunConfig, scenario: str) -> int:
         except Exception as err:  # noqa: BLE001 - reported as exit code
             print(f"runtime error during verify: {err}", file=sys.stderr)
             return EXIT_RUNTIME
-        for name, digest in recorded.get("outputs", {}).items():
-            if name == "resolved_config.json":
-                continue
-            candidate = Path(tmp) / name
-            if not candidate.exists():
-                print(f"verify: missing output {name}", file=sys.stderr)
-                return EXIT_VERIFY
-            fresh = hashlib.sha256(candidate.read_bytes()).hexdigest()
-            if fresh != digest:
-                print(f"verify: {name} differs from the manifest",
-                      file=sys.stderr)
-                return EXIT_VERIFY
+        fresh = json.loads(manifest.read_text())["outputs"]
+    for name, digest in recorded.get("outputs", {}).items():
+        if name == "resolved_config.json":
+            continue
+        if name not in fresh:
+            print(f"verify: missing output {name}", file=sys.stderr)
+            return EXIT_VERIFY
+        if fresh[name] != digest:
+            print(f"verify: {name} differs from the manifest", file=sys.stderr)
+            return EXIT_VERIFY
     print("verify: outputs reproduce byte-identically")
     return EXIT_OK
 

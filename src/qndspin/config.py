@@ -1,7 +1,14 @@
-"""Run configuration: JSON schema, validation, and physics assembly.
+"""Run configuration: shipped defaults, validation, and physics assembly.
 
-The shipped default configuration resolves to the reference apparatus
-parameters.  Interfaces use ordinary frequencies (MHz/GHz) and lab units
+The shipped default configuration (data/default_config.json) resolves to
+the reference apparatus parameters, and it is also the shape every
+config must have.  A user's config is merged onto it; a key is allowed
+only where the defaults have one, and a value must have the JSON type of
+its default: a default written without a decimal point makes an integer
+setting, and a list's items take the type of its first item.  BOUNDS holds the range
+of each bounded setting, NULLABLE the settings that may be null, and
+PARTIAL the one block that overrides only some keys of another.
+Interfaces use ordinary frequencies (MHz/GHz) and lab units
 (mm, um, us); everything becomes angular/SI when the physics objects
 are built.
 """
@@ -14,168 +21,109 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
-
 from .cavity import CouplingSummary, EnsembleConfig, ResonatorParams, coupling_summary
 from .constants import TWO_PI, PhysicalConstants, load_constants
 from .measurement import NoiseSwitches, ProbeConfig
 from .scattering import ScatteringRates, raman_noise_coefficient, raman_rates
 from .spinstate import PreparationModel, PulseModel
 
-_number = {"type": "number"}
-_positive = {"type": "number", "exclusiveMinimum": 0}
-_preparation = {
-    "type": "object",
-    "properties": {
-        "prep_noise_factor": {"type": "number", "minimum": 1},
-        "impurity_fraction": {"type": "number", "minimum": 0, "maximum": 0.2},
-        "initial_contrast": {
-            "type": "number", "exclusiveMinimum": 0, "maximum": 1,
-        },
-        "quadratic_noise_a2": {"type": "number", "minimum": 0},
-    },
-    "additionalProperties": False,
+# One entry per bounded setting, keyed by its slash path: (minimum,
+# maximum or None, whether the minimum is exclusive).  The bound of a
+# list setting holds for each of its items.
+BOUNDS = {
+    "resonator/wavelength_nm": (0, None, True),
+    "resonator/mirror_separation_mm": (0, None, True),
+    "resonator/linewidth_mhz": (0, None, True),
+    "resonator/finesse": (0, None, True),
+    "resonator/mode_waist_um": (0, None, True),
+    "ensemble/physical_atom_number": (0, None, False),
+    "ensemble/rms_radius_um": (0, None, False),
+    "probe/photons_per_measurement": (0, None, False),
+    "probe/quantum_efficiency": (0, 1, True),
+    "probe/apd_excess_factor": (1, None, False),
+    "probe/electronic_noise_b2": (0, None, False),
+    "probe/technical_noise_fraction": (0, None, False),
+    "probe/technical_correlation": (-1, 1, False),
+    "pulses/composite_pi_infidelity": (0, 0.1, False),
+    "pulses/lock_light_mu": (0, None, False),
+    "preparation/prep_noise_factor": (1, None, False),
+    "preparation/impurity_fraction": (0, 0.2, False),
+    "preparation/initial_contrast": (0, 1, True),
+    "preparation/quadratic_noise_a2": (0, None, False),
+    "contrast_model/c0": (0, None, True),
+    "contrast_model/alpha": (0, None, False),
+    "contrast_model/beta": (0, None, False),
+    "contrast_model/readout_loss": (0, 0.5, False),
+    "scattering/b1_target_per_atom": (0, None, True),
+    "scenarios/fig2/atom_grid": (0, None, True),
+    "scenarios/fig3/photon_grid": (0, None, True),
+    "scenarios/rotation/photons": (0, None, True),
+    "scenarios/ramsey/phase_noise_rms": (0, None, False),
+    "n_trials": (2, None, False),
+    "master_seed": (0, None, False),
 }
+# settings that may also be null (the packaged constants, no b1 rescaling),
+# with their type otherwise: a null default has none
+NULLABLE = {"constants_file": "string", "scattering/b1_target_per_atom": "number"}
+# a partial block takes the keys and bounds of the top-level block it overrides
+PARTIAL = {"scenarios/fig2/preparation": "preparation"}
 
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["resonator", "ensemble", "probe", "n_trials", "master_seed"],
-    "properties": {
-        "constants_file": {"type": ["string", "null"]},
-        "resonator": {
-            "type": "object",
-            "required": [
-                "wavelength_nm", "mirror_separation_mm", "linewidth_mhz",
-                "finesse", "mode_waist_um",
-            ],
-            "properties": {
-                "wavelength_nm": _positive,
-                "mirror_separation_mm": _positive,
-                "linewidth_mhz": _positive,
-                "finesse": _positive,
-                "mode_waist_um": _positive,
-            },
-            "additionalProperties": False,
-        },
-        "ensemble": {
-            "type": "object",
-            "required": ["physical_atom_number", "rms_radius_um"],
-            "properties": {
-                "physical_atom_number": {"type": "number", "minimum": 0},
-                "rms_radius_um": {"type": "number", "minimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "probe": {
-            "type": "object",
-            "required": ["detuning_f2_f3_ghz", "photons_per_measurement"],
-            "properties": {
-                "detuning_f2_f3_ghz": _number,
-                "compensation_detuning_f2_f3_ghz": _number,
-                "photons_per_measurement": {"type": "number", "minimum": 0},
-                "quantum_efficiency": {
-                    "type": "number", "exclusiveMinimum": 0, "maximum": 1,
-                },
-                "apd_excess_factor": {"type": "number", "minimum": 1},
-                "electronic_noise_b2": {"type": "number", "minimum": 0},
-                "technical_noise_fraction": {"type": "number", "minimum": 0},
-                "technical_correlation": {
-                    "type": "number", "minimum": -1, "maximum": 1,
-                },
-            },
-            "additionalProperties": False,
-        },
-        "pulses": {
-            "type": "object",
-            "properties": {
-                "composite_pi_infidelity": {
-                    "type": "number", "minimum": 0, "maximum": 0.1,
-                },
-                "lock_light_mu": {"type": "number", "minimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "preparation": _preparation,
-        "contrast_model": {
-            "type": "object",
-            "properties": {
-                "c0": _positive,
-                "alpha": {"type": "number", "minimum": 0},
-                "beta": {"type": "number", "minimum": 0},
-                "readout_loss": {"type": "number", "minimum": 0, "maximum": 0.5},
-            },
-            "additionalProperties": False,
-        },
-        "noise": {
-            "type": "object",
-            "properties": {
-                k: {"type": "boolean"}
-                for k in ("shot", "electronic", "technical", "raman", "microwave")
-            },
-            "additionalProperties": False,
-        },
-        "scattering": {
-            "type": "object",
-            "properties": {
-                "b1_target_per_atom": {
-                    "type": ["number", "null"], "exclusiveMinimum": 0,
-                },
-            },
-            "additionalProperties": False,
-        },
-        "scenarios": {
-            "type": "object",
-            "properties": {
-                "fig2": {
-                    "type": "object",
-                    "properties": {
-                        "atom_grid": {
-                            "type": "array", "items": _positive, "minItems": 1,
-                        },
-                        "preparation": _preparation,
-                    },
-                    "additionalProperties": False,
-                },
-                "fig3": {
-                    "type": "object",
-                    "properties": {
-                        "photon_grid": {
-                            "type": "array", "items": _positive, "minItems": 1,
-                        },
-                    },
-                    "additionalProperties": False,
-                },
-                "rotation": {
-                    "type": "object",
-                    "properties": {
-                        "photons": _positive,
-                        "angles_deg": {
-                            "type": "array", "items": _number, "minItems": 1,
-                        },
-                    },
-                    "additionalProperties": False,
-                },
-                "ramsey": {
-                    "type": "object",
-                    "properties": {
-                        "precession_phase": _number,
-                        "phase_noise_rms": {"type": "number", "minimum": 0},
-                    },
-                    "additionalProperties": False,
-                },
-            },
-            "additionalProperties": False,
-        },
-        "n_trials": {"type": "integer", "minimum": 2},
-        "master_seed": {"type": "integer", "minimum": 0},
-        "output_dir": {"type": "string"},
-    },
-}
+_TYPES = {"boolean": bool, "integer": int, "number": (int, float),
+          "string": str, "array": list, "object": dict}
+
+
+def _kind(default) -> str:
+    """The JSON type a setting takes: the type of its shipped default."""
+    # in _TYPES order, so a bool is a boolean and an int an integer
+    return next(kind for kind, types in _TYPES.items() if isinstance(default, types))
+
+
+def _is(value, kind: str) -> bool:
+    # a boolean is not a number, and an integral float is an integer
+    if isinstance(value, bool) != (kind == "boolean"):
+        return False
+    if kind == "integer" and isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, _TYPES[kind])
+
+
+def _violations(value, default, path: tuple, key: str, defaults: dict):
+    """Yield (path, message) for each way value departs from default's shape.
+
+    key is the setting's slash path without list indices, as in BOUNDS,
+    NULLABLE and PARTIAL.
+    """
+    if key in NULLABLE and value is None:
+        return
+    kind = NULLABLE.get(key) or _kind(default)
+    if not _is(value, kind):
+        also = " or null" if key in NULLABLE else ""
+        yield path, f"{value!r} is not of type {kind!r}{also}"
+    elif kind == "object":
+        if key in PARTIAL:
+            key = PARTIAL[key]
+            default = defaults[key]
+        for name in value.keys() - default.keys():
+            yield path, f"unknown setting {name!r}"
+        for name in value.keys() & default.keys():
+            yield from _violations(value[name], default[name], path + (name,),
+                                   f"{key}/{name}" if key else name, defaults)
+    elif kind == "array":
+        if not value:
+            yield path, "[] should be non-empty"
+        for i, item in enumerate(value):
+            yield from _violations(item, default[0], path + (i,), key, defaults)
+    elif key in BOUNDS:
+        low, high, exclusive = BOUNDS[key]
+        if value < low or exclusive and value == low:
+            also = "or equal to " if exclusive else ""
+            yield path, f"{value!r} is less than {also}the minimum of {low}"
+        if high is not None and value > high:
+            yield path, f"{value!r} is greater than the maximum of {high}"
 
 
 class ConfigError(ValueError):
-    """Raised with the full list of schema violations."""
+    """Raised with the full list of config violations."""
 
     def __init__(self, violations):
         self.violations = list(violations)
@@ -235,7 +183,7 @@ class RunConfig:
 
 
 def _build(raw: dict) -> RunConfig:
-    """Assemble the physics objects from a merged, schema-valid config.
+    """Assemble the physics objects from a merged, validated config.
 
     Every key is present because load_and_validate merges onto the
     shipped defaults, so values are read directly.
@@ -301,10 +249,11 @@ def load_and_validate(path: str | Path | None = None,
                       overrides: dict | None = None) -> RunConfig:
     """Load a config file, merge onto the shipped defaults, validate fully.
 
-    Raises ConfigError carrying every schema violation at once.  A
+    Raises ConfigError carrying every violation at once, one sorted
+    "path: message" line each.  A
     resolved-config echo is written next to the outputs by the caller.
     """
-    raw = default_config()
+    defaults = raw = default_config()
     if path is not None:
         p = Path(path)
         if not p.exists():
@@ -313,15 +262,16 @@ def load_and_validate(path: str | Path | None = None,
             user = json.loads(p.read_text(), parse_constant=_reject_constant)
         except json.JSONDecodeError as err:
             raise ConfigError([f"config is not valid JSON: {err}"]) from err
+        if not isinstance(user, dict):
+            raise ConfigError([f"<root>: {user!r} is not of type 'object'"])
         raw = _merge(raw, user)
     if overrides:
         raw = _merge(raw, overrides)
 
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    violations = [
-        f"{'/'.join(str(x) for x in err.absolute_path) or '<root>'}: {err.message}"
-        for err in sorted(validator.iter_errors(raw), key=str)
-    ]
+    violations = sorted(
+        f"{'/'.join(map(str, where)) or '<root>'}: {message}"
+        for where, message in _violations(raw, defaults, (), "", defaults)
+    )
     if violations:
         raise ConfigError(violations)
     cf = raw["constants_file"]
@@ -331,5 +281,5 @@ def load_and_validate(path: str | Path | None = None,
         return _build(raw)
     except ValueError as err:
         raise ConfigError([str(err)]) from err
-    except ArithmeticError as err:  # overflow of extreme, schema-valid values
+    except ArithmeticError as err:  # overflow of extreme, valid values
         raise ConfigError([f"values out of numerical range: {err}"]) from err

@@ -10,9 +10,9 @@ test's standard-error units) with its standard error, the spread of z,
 and the share of seeds that would fail the test's bound.  Where engine
 and oracle agree, the mean z lies within about 2 SE of 0 and the failure
 share is near the nominal rate of the bound.  The covariance entries
-are compared with the exact flip chain (spinflip_covariance_exact); the
-per-source noise terms are the first-order budget's, with the tests'
-own allowance for its higher orders.  The file name keeps pytest from
+and the per-source Raman and microwave terms are compared with the exact
+flip chain (spinflip_covariance_exact); the other per-source noise terms
+are the budget's.  The file name keeps pytest from
 collecting it.
 """
 
@@ -39,6 +39,7 @@ from test_measurement import (  # noqa: E402
     four_var,
     probe_config,
     regression_slope,
+    two_var_diff,
 )
 
 from qndspin.config import load_and_validate  # noqa: E402
@@ -69,11 +70,11 @@ def cov_z(ts, exact):
     return {f"cov[{i}{j}]": (sample[i, j] - exact[i, j]) / se for i, j in PAIRS}
 
 
-def diff_var_z(ts, expected, allowance=0.0):
-    """2 Var(M1 - M2) against its term; z beyond the first-order allowance."""
+def diff_var_z(ts, expected, bound=3.0):
+    """2 Var(M1 - M2) against its term, in standard errors, and the bound."""
     sample = 2.0 * float(np.var(ts.m1 - ts.m2, ddof=1))
     se = sample * math.sqrt(2.0 / (ts.n_trials - 1))
-    return (sample - expected) / se, 3.0 + allowance / se
+    return (sample - expected) / se, bound
 
 
 def covariance_structure(seed):
@@ -93,28 +94,30 @@ def mu_covariance(seed):
     return {k: (z, 3.5) for k, z in cov_z(ts, cov).items()}
 
 
+def flip_term(rates, mu):
+    """The exact flip term of 2 Var(M1 - M2) at P photons."""
+    flips = (0, 0, 0) if rates is None else (
+        rates.p_delta_f, rates.p_delta_mf, rates.p_delta_f_delta_mf)
+    return two_var_diff(spinflip_covariance_exact(*flips, mu, P, N0))
+
+
 def noise_sources(seed):
     dn_du = 1.0 / (2 * COUPLINGS.domega_dn)
-    b1 = (4 / 3 * RATES.p_delta_f + 0.5 * RATES.p_delta_mf
-          + 1 / 3 * RATES.p_delta_f_delta_mf) * N0
-    # name: (expected, trials, bound, rates, pulses, allowance)
+    # name: (expected, trials, bound, rates, pulses)
     terms = {
-        "electronic": (6e13 / P**2, 4000, 3.5, None, NO_PULSE_ERRORS, 0.0),
+        "electronic": (6e13 / P**2, 4000, 3.5, None, NO_PULSE_ERRORS),
         "shot": (2 * (1.9 / 0.43) * dn_du**2 / P, 10_000, 3.5, None,
-                 NO_PULSE_ERRORS, 0.0),
-        "technical": (0.04 * N0, 10_000, 3.5, None, NO_PULSE_ERRORS, 0.0),
-        "microwave": (0.02 * N0, 10_000, 3.0, None, MU_PULSES, 0.02 * 0.02 * N0),
-        "raman": (b1 * P, 10_000, 3.0, RATES, NO_PULSE_ERRORS,
-                  P * RATES.p_raman_total * b1 * P),
+                 NO_PULSE_ERRORS),
+        "technical": (0.04 * N0, 10_000, 3.5, None, NO_PULSE_ERRORS),
+        "microwave": (flip_term(None, 0.02), 10_000, 3.0, None, MU_PULSES),
+        "raman": (flip_term(RATES, 0.0), 10_000, 3.0, RATES, NO_PULSE_ERRORS),
     }
     out = {}
-    for name, (expected, n, bound, rates, pulses, allowance) in terms.items():
+    for name, (expected, n, bound, rates, pulses) in terms.items():
         ts = run_trials("squeeze-readout", n, seed, css_state(),
                         probe_config(P, NoiseSwitches.only(name)), rates, pulses,
                         COUPLINGS)
-        sample = 2.0 * float(np.var(ts.m1 - ts.m2, ddof=1))
-        se = sample * math.sqrt(2.0 / (n - 1))
-        out[name] = ((sample - expected) / se, bound + allowance / se)
+        out[name] = diff_var_z(ts, expected, bound)
     return out
 
 
@@ -123,21 +126,20 @@ def criterion_4(seed):
     state = css_state()
     no_errors = PulseModel(0.0, 0.0)
     mu_pulses = PulseModel(0.02, 0.0)
-    flip_allowance = P * CFG.rates.p_raman_total + 0.02
     terms = {
-        "electronic": (budget.b_minus2 / P**2, no_errors, 0.0),
-        "shot": (budget.b_minus1 / P, no_errors, 0.0),
-        "technical": (budget.b0_tech, no_errors, 0.0),
-        "microwave": (budget.b0_mu, mu_pulses, 0.02),
-        "raman": (budget.b1 * P, no_errors, flip_allowance),
+        "electronic": (budget.b_minus2 / P**2, no_errors),
+        "shot": (budget.b_minus1 / P, no_errors),
+        "technical": (budget.b0_tech, no_errors),
+        "microwave": (flip_term(None, 0.02), mu_pulses),
+        "raman": (flip_term(CFG.rates, 0.0), no_errors),
     }
     base = replace(CFG.probe, photons_per_measurement=P)
     out = {}
-    for name, (expected, pulses, allowance) in terms.items():
+    for name, (expected, pulses) in terms.items():
         probe = replace(base, switches=NoiseSwitches.only(name))
         ts = run_trials("squeeze-readout", 10_000, seed, state, probe, CFG.rates,
                         pulses, COUPLINGS)
-        out[name] = diff_var_z(ts, expected, allowance * expected)
+        out[name] = diff_var_z(ts, expected)
     probe = replace(base, switches=FLIPS_ONLY)
     ts = run_trials("squeeze-readout", 100_000, seed, state, probe, CFG.rates,
                     mu_pulses, COUPLINGS)

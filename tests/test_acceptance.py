@@ -119,20 +119,24 @@ def test_criterion_4_noise_budget_monte_carlo(cfg):
     mu_pulses = PulseModel(composite_pi_infidelity=0.02, lock_light_mu=0.0)
 
     checks = []
-    # (analytic term, pulse model, relative validity allowance of the
-    # first-order expression itself: flip terms carry O(p P_Ram + mu)
-    # second-order corrections in the exact physics)
-    flip_allowance = p * cfg.rates.p_raman_total + 0.02
+    # (analytic term, pulse model, seed); the flip sources read the exact
+    # flip term w C w of w = (1, 1, -1, -1) / sqrt(2), whose first order is
+    # b_0,mu and b1 p
+    w = np.array([1.0, 1.0, -1.0, -1.0]) / math.sqrt(2.0)
+    rates = (cfg.rates.p_delta_f, cfg.rates.p_delta_mf,
+             cfg.rates.p_delta_f_delta_mf)
+    microwave = spinflip_covariance_exact(0, 0, 0, 0.02, p, N0)
+    raman = spinflip_covariance_exact(*rates, 0.0, p, N0)
     source_terms = {
-        "electronic": (budget.b_minus2 / p**2, no_errors, 0.0, 101),
-        "shot": (budget.b_minus1 / p, no_errors, 0.0, 102),
-        "technical": (budget.b0_tech, no_errors, 0.0, 103),
-        "microwave": (budget.b0_mu, mu_pulses, 0.02, 104),
-        "raman": (budget.b1 * p, no_errors, flip_allowance, 105),
+        "electronic": (budget.b_minus2 / p**2, no_errors, 101),
+        "shot": (budget.b_minus1 / p, no_errors, 102),
+        "technical": (budget.b0_tech, no_errors, 103),
+        "microwave": (w @ microwave @ w, mu_pulses, 104),
+        "raman": (w @ raman @ w, no_errors, 105),
     }
     n = 10_000
     probe_base = replace(cfg.probe, photons_per_measurement=p)
-    for name, (expected, pulses, allowance, seed) in source_terms.items():
+    for name, (expected, pulses, seed) in source_terms.items():
         probe = replace(probe_base, switches=NoiseSwitches.only(name))
         ts = run_trials(
             "squeeze-readout", n, seed, state, probe,
@@ -140,7 +144,7 @@ def test_criterion_4_noise_budget_monte_carlo(cfg):
         )
         sample = 2.0 * float(np.var(ts.m1 - ts.m2, ddof=1))
         se = sample * math.sqrt(2.0 / (n - 1))
-        assert abs(sample - expected) <= 3.0 * se + allowance * expected, (
+        assert abs(sample - expected) <= 3.0 * se, (
             f"{name}: {sample:.1f} vs {expected:.1f} (3 SE = {3 * se:.1f})"
         )
         checks.append(f"{name} {sample / expected:.3f}x")
@@ -155,10 +159,7 @@ def test_criterion_4_noise_budget_monte_carlo(cfg):
         "squeeze-readout", n_cov, 2024, state, probe, cfg.rates,
         mu_pulses, cfg.couplings,
     )
-    cov = spinflip_covariance_exact(
-        cfg.rates.p_delta_f, cfg.rates.p_delta_mf,
-        cfg.rates.p_delta_f_delta_mf, 0.02, p, N0,
-    )
+    cov = spinflip_covariance_exact(*rates, 0.02, p, N0)
     sample_cov = np.cov(ts.pulses.T, ddof=1)
     se_scale = math.sqrt(2.0 / (n_cov - 1)) * CSS
     worst = float(np.max(np.abs(sample_cov - cov))) / se_scale

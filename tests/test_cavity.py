@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import j0, j1
 
 from qndspin.cavity import (
     antinode_cooperativity,
@@ -211,6 +212,18 @@ class TestRamseyEnvelope:
         )
         den, _ = quad(lambda t: math.sin(t) ** 2, 0.0, 2 * math.pi)
         assert ramsey_damping_envelope(u) == pytest.approx(num / den, abs=1e-8)
+
+    def test_bessel_form(self):
+        # the closed form the trapezoid rule evaluates, on the whole range
+        # the node count is sized for
+        u = np.linspace(0.0, 200.0, 4001)
+        bessel = j0(u) * np.cos(u) - j1(u) * np.sin(u)
+        assert np.max(np.abs(ramsey_damping_envelope(u) - bessel)) < 1e-13
+
+    @pytest.mark.parametrize("u", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite(self, u):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            ramsey_damping_envelope([0.5, u])
 
     def test_asymptotic_decay(self):
         # envelope amplitude falls as u^(-1/2)

@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 import qndspin
 from qndspin import scenarios
 from qndspin.cli import main
-from qndspin.config import SCHEMA, ConfigError, default_config, load_and_validate
+from qndspin.config import (
+    BOUNDS,
+    NULLABLE,
+    PARTIAL,
+    ConfigError,
+    default_config,
+    load_and_validate,
+)
 from qndspin.scenarios import (
     SCENARIO_NAMES,
     noise_budget_from_config,
@@ -97,20 +104,71 @@ class TestConfig:
             load_and_validate(overrides=_nested({path: value}))
         assert any(path[-1] in v for v in err.value.violations)
 
-    def test_every_schema_property_has_a_default(self):
-        # _build reads raw[...] directly, so a property without a shipped
-        # default would surface as a KeyError; the fig2 preparation block
-        # is a partial override of `preparation` by design
-        partial = {("scenarios", "fig2", "preparation")}
+    @pytest.mark.parametrize("overrides, flagged", [
+        ({"n_trials": True}, "n_trials"),
+        ({"probe": {"photons_per_measurement": False}},
+         "probe/photons_per_measurement"),
+        ({"n_trials": 2.0}, None),
+        ({"constants_file": None}, None),
+        ({"scattering": {"b1_target_per_atom": None}}, None),
+        ({"output_dir": None}, "output_dir"),
+        ({"resonator": {"finesse": None}}, "resonator/finesse"),
+        ({"bogus": 1}, "<root>"),
+        ({"resonator": {"bogus": 1}}, "resonator"),
+        ({"scenarios": {"fig2": {"preparation": {"bogus": 1}}}},
+         "scenarios/fig2/preparation"),
+        ({"scenarios": {"fig2": {"preparation": {"impurity_fraction": 0.1}}}},
+         None),
+        ({"scenarios": {"fig2": {"preparation": {"prep_noise_factor": 0}}}},
+         "scenarios/fig2/preparation/prep_noise_factor"),
+        ({"resonator": {"linewidth_mhz": 0}}, "resonator/linewidth_mhz"),
+        ({"ensemble": {"physical_atom_number": 0}}, None),
+        ({"probe": {"quantum_efficiency": 1}}, None),
+        ({"probe": {"quantum_efficiency": 1.0000001}},
+         "probe/quantum_efficiency"),
+        ({"scenarios": {"fig3": {"photon_grid": []}}},
+         "scenarios/fig3/photon_grid"),
+        ({"scenarios": {"fig3": {"photon_grid": [1, "a"]}}},
+         "scenarios/fig3/photon_grid/1"),
+        ({"probe": 5}, "probe"),
+    ], ids=["bool-not-integer", "bool-not-number", "integral-float",
+            "null-constants-file", "null-b1-target", "null-string",
+            "null-number", "unknown-root", "unknown-in-block",
+            "unknown-in-partial", "partial-takes-block-keys",
+            "partial-takes-block-bounds", "exclusive-minimum",
+            "inclusive-minimum", "at-maximum", "above-maximum",
+            "empty-list", "list-item-type", "block-not-an-object"])
+    def test_validation_rule(self, overrides, flagged):
+        # the shape and types come from the shipped defaults, the ranges
+        # from BOUNDS; each violation is one "path: message" line
+        if flagged is None:
+            load_and_validate(overrides=overrides)
+            return
+        with pytest.raises(ConfigError) as err:
+            load_and_validate(overrides=overrides)
+        assert [v.split(": ")[0] for v in err.value.violations] == [flagged]
 
-        def missing(schema, defaults, path=()):
-            for key, sub in schema.get("properties", {}).items():
-                if key not in defaults:
-                    yield path + (key,)
-                elif path + (key,) not in partial:
-                    yield from missing(sub, defaults[key], path + (key,))
+    def test_every_bound_names_a_setting(self):
+        # a typo in a BOUNDS, NULLABLE or PARTIAL key would silently drop
+        # its rule: each must name a number, a list of numbers or a block
+        # of the shipped defaults
+        defaults = default_config()
 
-        assert list(missing(SCHEMA, default_config())) == []
+        def setting(key):
+            node = defaults
+            for name in key.split("/"):
+                assert isinstance(node, dict) and name in node, key
+                node = node[name]
+            return node
+
+        for key in BOUNDS:
+            value = setting(key)
+            items = value if isinstance(value, list) else [value]
+            assert all(type(x) in (int, float) for x in items), key
+        for key in NULLABLE:
+            assert not isinstance(setting(key), (dict, list)), key
+        for key, block in PARTIAL.items():
+            assert setting(key).keys() <= setting(block).keys(), key
 
 
 class TestParamsReport:
@@ -254,6 +312,19 @@ class TestCli:
         assert rc == 2
         assert "n_trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[1]", "5", "null"])
+    def test_non_object_config_exit_two(self, text, tmp_path, capsys):
+        # a config file is merged key by key onto the defaults
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = main([
+            "run", "--scenario", "limits", "--config", str(bad),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: <root>: ")
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_exit_two(self, tmp_path):
         rc = main([
             "run", "--scenario", "limits",
@@ -281,6 +352,13 @@ class TestCli:
         manifest.write_text(json.dumps(data))
         rc = main(["run", "--scenario", "ramsey", "--verify", str(manifest)])
         assert rc == 4
+        assert "verify: ramsey.csv differs" in capsys.readouterr().err
+        # an output the re-run does not write -> exit 4
+        data["outputs"] = {"ramsey.txt": "0" * 64}
+        manifest.write_text(json.dumps(data))
+        rc = main(["run", "--scenario", "ramsey", "--verify", str(manifest)])
+        assert rc == 4
+        assert "verify: missing output ramsey.txt" in capsys.readouterr().err
 
     @pytest.mark.parametrize("recorded, problem", [
         ([], "is not a JSON object"),
@@ -530,7 +608,7 @@ class TestCli:
 
     @pytest.mark.parametrize("scenario", ["fig2", "fig3", "rotation", "ramsey"])
     def test_schema_minimum_trials_exit_three(self, scenario, tmp_path, capsys):
-        # two trials leave one adjacent-cycle difference: no variance
+        # two trials leave residual_variance n - 2 = 0 degrees of freedom
         rc = main([
             "run", "--scenario", scenario, "--trials", "2",
             "--out", str(tmp_path / "o"),
@@ -552,39 +630,51 @@ def test_golden_manifest_reproduces(scenario, capsys):
     assert rc == 0, capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
-    code = (
-        "import sys, qndspin.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', "
-        "'scipy.special') if m in sys.modules))"
-    )
+def _loaded_after(code, modules):
+    """Which of modules a fresh interpreter has imported after code."""
+    probe = f"import sys; {code}; print(sorted(set({modules!r}) & set(sys.modules)))"
     src = str(Path(qndspin.__file__).parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
         check=True, env={**os.environ, "PYTHONPATH": src},
-    ).stdout
-    assert out.strip() == "[]"
+    ).stdout.strip()
 
 
-def _numeric_leaves(schema, path=()):
-    for key, sub in schema.get("properties", {}).items():
-        if sub.get("type") == "object":
-            yield from _numeric_leaves(sub, path + (key,))
-        elif sub.get("type") in ("number", "integer", ["number", "null"]):
-            yield path + (key,), sub
+def test_cli_import_loads_no_scipy():
+    modules = ("scipy.optimize", "scipy.integrate", "scipy.special")
+    assert _loaded_after("import qndspin.cli", modules) == "[]"
 
 
-def _leaf_values(leaf):
-    """Every finite value the schema accepts for one numeric leaf."""
-    if leaf["type"] == "integer":
-        return st.integers(min_value=leaf.get("minimum"), max_value=2**63 - 1)
-    lo = leaf.get("minimum", leaf.get("exclusiveMinimum"))
+def test_config_load_needs_numpy_only():
+    # numpy is the only runtime dependency: validation reads the shape of
+    # the shipped defaults, not a jsonschema schema
+    code = "import qndspin.cli; qndspin.cli.load_and_validate()"
+    assert _loaded_after(code, ("jsonschema", "scipy.special")) == "[]"
+
+
+def _numeric_leaves(tree, path=(), key=""):
+    """(path, BOUNDS key, default) of every numeric setting in the defaults."""
+    for name, default in tree.items():
+        child = f"{key}/{name}" if key else name
+        if child in PARTIAL:
+            child = PARTIAL[child]
+            default = default_config()[child]
+        if isinstance(default, dict):
+            yield from _numeric_leaves(default, path + (name,), child)
+        elif type(default) in (int, float):
+            yield path + (name,), child, default
+
+
+def _leaf_values(key, default):
+    """Every finite value the config accepts for one numeric setting."""
+    low, high, exclusive = BOUNDS.get(key, (None, None, False))
+    if type(default) is int:
+        return st.integers(min_value=low, max_value=2**63 - 1)
     values = st.floats(
-        min_value=lo, max_value=leaf.get("maximum"),
-        exclude_min="exclusiveMinimum" in leaf,
+        min_value=low, max_value=high, exclude_min=exclusive,
         allow_nan=False, allow_infinity=False,
     )
-    return st.none() | values if "null" in leaf["type"] else values
+    return st.none() | values if key in NULLABLE else values
 
 
 def _nested(flat):
@@ -598,7 +688,8 @@ def _nested(flat):
 
 
 NUMERIC_OVERRIDES = st.fixed_dictionaries({}, optional={
-    path: _leaf_values(leaf) for path, leaf in _numeric_leaves(SCHEMA)
+    path: _leaf_values(key, default)
+    for path, key, default in _numeric_leaves(default_config())
 }).map(_nested)
 
 

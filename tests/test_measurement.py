@@ -197,21 +197,20 @@ class TestNoiseBudgetSources:
         ts = self.run(p, NoiseSwitches.only("microwave"), 10000, 14,
                       pulses=MU_PULSES, couplings=couplings)
         sample = 2 * np.var(ts.m1 - ts.m2, ddof=1)
-        expected = 0.02 * N0  # b_0,mu = mu N0, a first-order expression
-        # exact physics carries an O(mu) correction to the flip term
-        assert abs(sample - expected) <= 3 * var_se(sample, 10000) + 0.02 * expected
+        # the exact flip term mu (1 - mu) N0, whose first order is b_0,mu
+        expected = two_var_diff(spinflip_covariance_exact(0, 0, 0, 0.02, p, N0))
+        assert abs(sample - expected) <= 3 * var_se(sample, 10000)
 
     def test_raman_only(self, couplings):
         p = 6.4e5
         ts = self.run(p, NoiseSwitches.only("raman"), 10000, 15, rates=RATES,
                       couplings=couplings)
         sample = 2 * np.var(ts.m1 - ts.m2, ddof=1)
-        b1 = (4 / 3 * RATES.p_delta_f + 0.5 * RATES.p_delta_mf
-              + 1 / 3 * RATES.p_delta_f_delta_mf) * N0
-        expected = b1 * p
-        # the analytic term is first order; allow its own O(p P_Ram)
-        allowance = p * RATES.p_raman_total * expected
-        assert abs(sample - expected) <= 3 * var_se(sample, 10000) + allowance
+        # the exact flip term, whose first order is b1 p
+        expected = two_var_diff(spinflip_covariance_exact(
+            RATES.p_delta_f, RATES.p_delta_mf, RATES.p_delta_f_delta_mf,
+            0.0, p, N0))
+        assert abs(sample - expected) <= 3 * var_se(sample, 10000)
 
     def test_all_noise_off_is_exact(self, couplings):
         ts = self.run(6.4e5, NoiseSwitches.none(), 50, 16, couplings=couplings)
