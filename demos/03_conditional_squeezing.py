@@ -12,7 +12,6 @@ from dataclasses import replace
 from qndspin import (
     conditional_variance,
     prepare_css,
-    PreparationModel,
     run_trials,
     squeezing_parameters,
     variance_stats,
@@ -23,9 +22,11 @@ from qndspin.config import load_and_validate
 cfg = load_and_validate()
 n0 = cfg.n0
 css = n0 / 4
-state = prepare_css(n0, PreparationModel(prep_noise_factor=1.14))
+state = prepare_css(n0, cfg.preparation)
 trials = 2000
-c_in = 0.71
+# the contrast law and C_in of the shipped config, as the fig3 scenario reads them
+cpars = cfg.contrast_params
+c_in = cpars["c0"] / (1.0 - cpars["readout_loss"])
 
 print(f"effective atom number: {n0:.0f}, CSS variance {css:.0f} atoms^2\n")
 print(f"{'p':>8} {'sigma2_dB':>10} {'C':>6} {'1/zeta_m dB':>12} {'1/zeta_e dB':>12}")
@@ -36,7 +37,7 @@ for i, p in enumerate([1e5, 2e5, 3e5, 4.5e5, 6.4e5, 9e5]):
     rep = variance_stats(ts)
     eps = p * cfg.rates.p_delta_f + cfg.pulses.mu_total
     sigma2 = conditional_variance(rep.var_prep, rep.var_meas, eps) / css
-    c_meas = float(contrast_model(p, 0.69, 7e-7, 9e-13))
+    c_meas = float(contrast_model(p, cpars["c0"], cpars["alpha"], cpars["beta"]))
     sq = squeezing_parameters(sigma2, c_meas, c_in, rep.var_prep,
                               rep.var_meas, n0 / 2, epsilon_p=eps)
     print(f"{p:8.0f} {sq.sigma2_db:10.2f} {c_meas:6.3f} "

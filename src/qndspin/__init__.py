@@ -1,6 +1,6 @@
 """Resonator-aided QND measurement and conditional spin squeezing.
 
-A numpy/scipy library reproducing the full physics and analysis chain of
+A numpy library reproducing the full physics and analysis chain of
 dispersive collective-spin measurement at desk scale: cavity/atom
 coupling constants, stochastic pulse-level measurement records,
 conditional spin noise, squeezing parameters, and fundamental limits.

@@ -213,6 +213,23 @@ class NoiseBudget:
         return self.b_minus2 / p**2 + self.b_minus1 / p + self.b0 + self.b1 * p
 
 
+_SINGULAR = "singular design matrix: coefficients not identifiable"
+
+
+def _weighted_lstsq(design, target, se=None, max_cond=None):
+    """Weighted least squares, weights 1/se^2 (all 1 when se is None).
+
+    Returns the solution and its covariance inv(D^T W D).  Raises if
+    max_cond is given and D^T W D's condition number exceeds it.
+    """
+    w = np.ones(len(target)) if se is None else 1.0 / np.asarray(se) ** 2
+    wd = design * w[:, None]
+    gram = design.T @ wd
+    if max_cond is not None and np.linalg.cond(gram) > max_cond:
+        raise ValueError(_SINGULAR)
+    return np.linalg.solve(gram, wd.T @ target), np.linalg.inv(gram)
+
+
 _BUDGET_TERMS = ("b_minus2", "b_minus1", "b0_tech", "b0_mu", "b1")
 _BUDGET_POWERS = {"b_minus2": -2, "b_minus1": -1, "b0_tech": 0, "b0_mu": 0, "b1": 1}
 
@@ -237,7 +254,6 @@ def fit_noise_model(
     free = [t for t in _BUDGET_TERMS if t not in fixed]
     if len(p) < len(free) + 2 and free:
         raise ValueError("need at least 2 more points than free coefficients")
-    w = np.ones_like(y) if four_var_se is None else 1.0 / np.asarray(four_var_se) ** 2
 
     resid = y - sum(v * p ** _BUDGET_POWERS[k] for k, v in fixed.items())
     values = dict(fixed)
@@ -246,14 +262,11 @@ def fit_noise_model(
         design = np.column_stack([p ** _BUDGET_POWERS[t] for t in free])
         scale = np.linalg.norm(design, axis=0)
         if np.any(scale == 0):
-            raise ValueError("singular design matrix: coefficients not identifiable")
-        design_s = design / scale
-        wd = design_s * w[:, None]
-        gram = design_s.T @ wd
-        if np.linalg.cond(gram) > 1e10:
-            raise ValueError("singular design matrix: coefficients not identifiable")
-        sol = np.linalg.solve(gram, wd.T @ resid) / scale
-        cov = np.linalg.inv(gram) / np.outer(scale, scale)
+            raise ValueError(_SINGULAR)
+        # unit columns put p^-2 ... p^1 on one footing for the condition test
+        sol, cov = _weighted_lstsq(design / scale, resid, four_var_se, max_cond=1e10)
+        sol = sol / scale
+        cov = cov / np.outer(scale, scale)
         for t, v in zip(free, sol):
             values[t] = max(float(v), 0.0)
     provenance = {t: ("fixed" if t in fixed else "fitted") for t in _BUDGET_TERMS}
@@ -281,7 +294,6 @@ def fit_quadratic_scaling(n0, y, y_se=None, constrain_a1: bool = False):
         raise ValueError("need at least 4 points")
     if n0.max() / n0.min() < 3.0:
         raise ValueError("atom-number span must cover at least a factor 3")
-    w = np.ones_like(y) if y_se is None else 1.0 / np.asarray(y_se) ** 2
 
     if constrain_a1:
         design = np.column_stack([np.ones_like(n0), n0**2])
@@ -289,10 +301,7 @@ def fit_quadratic_scaling(n0, y, y_se=None, constrain_a1: bool = False):
     else:
         design = np.column_stack([np.ones_like(n0), n0, n0**2])
         target = y
-    wd = design * w[:, None]
-    gram = design.T @ wd
-    sol = np.linalg.solve(gram, wd.T @ target)
-    cov = np.linalg.inv(gram)
+    sol, cov = _weighted_lstsq(design, target, y_se)
     se = np.sqrt(np.diag(cov))
     if constrain_a1:
         return (float(sol[0]), 1.0, float(sol[1])), (float(se[0]), 0.0, float(se[1]))

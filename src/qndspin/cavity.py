@@ -128,17 +128,12 @@ def strength_weighted_inverse_detuning(
         raise ValueError("clock state must have F=1 or F=2")
     gamma = constants.rb87_d2_linewidth
     total = 0.0
-    for f_exc, offset in constants.rb87_excited_level_offsets.items():
+    for f_exc, delta in constants.line_detunings(f_ground, detuning_f2_f3).items():
         s = constants.strength(f_ground, f_exc)
-        if s == 0.0:
-            continue
         # sigma+ from m_F = 0 reaches m_F' = +1; F'=0 is never reached.
         cg2 = clebsch_gordan(f_exc, 1, 1, -1, f_ground, 0) ** 2
-        if cg2 == 0.0:
+        if s == 0.0 or cg2 == 0.0:
             continue
-        delta = detuning_f2_f3 + (0.0 - offset)
-        if f_ground == 1:
-            delta -= constants.rb87_ground_hyperfine_splitting
         if abs(delta) < MIN_DETUNING_LINEWIDTHS * gamma:
             raise ValueError(
                 f"detuning {delta / TWO_PI:.3g} Hz from F={f_ground}->F'={f_exc} "
@@ -154,12 +149,10 @@ def hyperfine_mode_shift(
     eta_eff: float,
     kappa: float,
     constants: PhysicalConstants = RB87,
-):
+) -> float:
     """Dispersive mode shift per (effective) atom in one clock state.
 
-    Returns (shift, effective_detuning): shift in the same units as kappa
-    per atom of coupling eta_eff, and the single detuning delta_F (angular)
-    that makes shift = eta_eff * Gamma * kappa / (4 delta_F) exact.
+    The shift is in the same units as kappa, per atom of coupling eta_eff.
 
     eta_eff includes the oscillator strength f (e.g. 0.47*eta0 for the
     ensemble, f*eta0 for a maximally coupled atom); the strength-weighted
@@ -168,8 +161,7 @@ def hyperfine_mode_shift(
     f_osc = constants.d2_oscillator_strength
     d_sum = strength_weighted_inverse_detuning(clock_state, detuning_f2_f3, constants)
     gamma = constants.rb87_d2_linewidth
-    shift = (eta_eff / f_osc) * gamma * kappa * d_sum / 4.0
-    return shift, f_osc / d_sum
+    return (eta_eff / f_osc) * gamma * kappa * d_sum / 4.0
 
 
 def lorentzian_transmission(detuning, kappa: float):
@@ -274,10 +266,10 @@ def coupling_summary(
 
     shifts = {}
     for state in CLOCK_STATES:
-        shifts[("probe", state)], _ = hyperfine_mode_shift(
+        shifts[("probe", state)] = hyperfine_mode_shift(
             state, probe_detuning_f2_f3, eta_eff, 1.0, constants
         )
-        shifts[("comp", state)], _ = hyperfine_mode_shift(
+        shifts[("comp", state)] = hyperfine_mode_shift(
             state, compensation_detuning_f2_f3, eta_eff, 1.0, constants
         )
     # d omega/dN for N = N_2 - N_1, in units of kappa per effective atom
@@ -295,9 +287,7 @@ def coupling_summary(
     f_osc = constants.d2_oscillator_strength
     phi0 = phase_per_photon(
         *(
-            hyperfine_mode_shift(
-                s, probe_detuning_f2_f3, f_osc * eta0, 1.0, constants
-            )[0]
+            hyperfine_mode_shift(s, probe_detuning_f2_f3, f_osc * eta0, 1.0, constants)
             for s in CLOCK_STATES
         ),
         kappa=1.0,

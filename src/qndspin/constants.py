@@ -41,9 +41,18 @@ class PhysicalConstants:
         if abs(self.d2_oscillator_strength - 2.0 / 3.0) > 1e-12:
             raise ValueError("D2 oscillator strength must be exactly 2/3")
 
-    def excited_offset(self, f_excited: int) -> float:
-        """Angular frequency of level F' relative to F'=3 (negative below)."""
-        return self.rb87_excited_level_offsets[f_excited]
+    def line_detunings(self, f_ground: int, detuning_f2_f3: float) -> dict:
+        """Laser detuning (angular) from each dipole-allowed F -> F' line.
+
+        `detuning_f2_f3` is the laser offset from F=2 -> F'=3 (angular);
+        the result maps F' to the detuning from F -> F'.
+        """
+        ground = self.rb87_ground_hyperfine_splitting if f_ground == 1 else 0.0
+        return {
+            f_exc: detuning_f2_f3 - offset - ground
+            for f_exc, offset in self.rb87_excited_level_offsets.items()
+            if abs(f_exc - f_ground) <= 1
+        }
 
     def strength(self, f_ground: int, f_excited: int) -> float:
         """Hyperfine strength factor S_FF' (0 if dipole-forbidden)."""

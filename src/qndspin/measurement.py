@@ -352,14 +352,10 @@ def _simulate_block(rng, b, plan, state, probe, steps, couplings):
         x = y[:, :4]
 
     domega_dn = couplings.domega_dn
-    sigma_e = (
-        electronic_count_sigma(probe, domega_dn)
-        if probe.switches.electronic
-        else 0.0
-    )
     omega_hat, sat = simulate_probe_pulse(
         2.0 * domega_dn * _PULSE_SIGNS * avg, probe.photons_per_measurement / 2.0,
-        probe, rng, couplings.probe_signal_share, sigma_e,
+        probe, rng, couplings.probe_signal_share,
+        electronic_count_sigma(probe, domega_dn),
     )
     m = _PULSE_SIGNS * omega_hat / (2.0 * domega_dn)
 
@@ -379,7 +375,7 @@ def run_trials(
     master_seed: int,
     state: GaussianSpinState,
     probe: ProbeConfig,
-    rates: ScatteringRates | None,
+    rates: ScatteringRates,
     pulses: PulseModel,
     couplings: CouplingSummary,
 ) -> TrialSet:
@@ -394,7 +390,7 @@ def run_trials(
     plan = SequencePlan(scenario) if isinstance(scenario, str) else scenario
     flips = (0.5 * probe.photons_per_measurement * np.array(
         [rates.p_delta_f, rates.p_delta_mf, rates.p_delta_f_delta_mf])
-        if probe.switches.raman and rates is not None else np.zeros(3))
+        if probe.switches.raman else np.zeros(3))
     mu = pulses.mu_total if probe.switches.microwave else 0.0
     steps = _pulse_steps(plan, state.n0, flips, mu)
 

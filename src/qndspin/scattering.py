@@ -88,20 +88,6 @@ def _dipole_coeff(f: int, mf2: int, f_exc: int, mf_exc2: int) -> float:
     return 2.0**0.5 * red * cg
 
 
-def _line_detunings(f_ground: int, detuning_f2_f3: float,
-                    constants: PhysicalConstants) -> dict:
-    """Laser detuning (angular) from each dipole-allowed F -> F' line."""
-    out = {}
-    for f_exc in EXCITED_F:
-        if abs(f_exc - f_ground) > 1:
-            continue
-        delta = detuning_f2_f3 - constants.excited_offset(f_exc)
-        if f_ground == 1:
-            delta -= constants.rb87_ground_hyperfine_splitting
-        out[f_exc] = delta
-    return out
-
-
 def raman_rates(
     probe_detuning_f2_f3: float,
     cooperativity: float,
@@ -120,7 +106,7 @@ def raman_rates(
 
     totals = {"rayleigh": {1: 0.0, 2: 0.0}, "dF": 0.0, "dmF": 0.0, "dFdmF": 0.0}
     for f_init in GROUND_F:
-        detunings = _line_detunings(f_init, probe_detuning_f2_f3, constants)
+        detunings = constants.line_detunings(f_init, probe_detuning_f2_f3)
         for q_abs in (+1, -1):
             mf_exc = q_abs  # from m_F = 0
             for f_fin in GROUND_F:

@@ -173,7 +173,15 @@ def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     css = n0 / 4.0
     budget = noise_budget_from_config(cfg)
     cpars = cfg.contrast_params
+    c_in = cpars["c0"] / (1.0 - cpars["readout_loss"])
     state = prepare_css(n0, cfg.preparation)
+
+    def squeezing(var_prep, var_meas, eps, c_meas):
+        # one composition for the Monte Carlo row and the model row
+        sigma2 = conditional_variance(var_prep, var_meas, eps) / css
+        return squeezing_parameters(
+            sigma2, c_meas, c_in, var_prep, var_meas, n0 / 2.0, epsilon_p=eps,
+        )
 
     rows = []
     for i, p in enumerate(grid):
@@ -187,31 +195,22 @@ def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
                 "preparation noise"
             )
         eps = p * cfg.rates.p_delta_f + cfg.pulses.mu_total
-        cond = conditional_variance(rep.var_prep, rep.var_meas, eps)
         dm = rep.var_prep**2 / (rep.var_prep + rep.var_meas) ** 2
         dp = rep.var_meas**2 / (rep.var_prep + rep.var_meas) ** 2
         cond_err = math.hypot(dm * rep.var_meas_se, dp * rep.var_prep_se) / (
             1 - eps
         ) ** 2
-        sigma2 = cond / css
-        c_meas = contrast_model(p, cpars["c0"], cpars["alpha"], cpars["beta"])
-        c_in = cpars["c0"] / (1.0 - cpars["readout_loss"])
-        sq = squeezing_parameters(
-            sigma2, float(c_meas), c_in, rep.var_prep, rep.var_meas,
-            n0 / 2.0, epsilon_p=eps,
-        )
+        c_meas = float(contrast_model(p, cpars["c0"], cpars["alpha"], cpars["beta"]))
+        sq = squeezing(rep.var_prep, rep.var_meas, eps, c_meas)
         # model curves from the analytic budget composition
-        vm_model = budget.evaluate(p) / 4.0
-        vp_model = cfg.preparation.prep_variance(n0)
-        sig_model = conditional_variance(vp_model, vm_model, eps) / css
-        sq_model = squeezing_parameters(
-            sig_model, float(c_meas), c_in, vp_model, vm_model, n0 / 2.0,
-            epsilon_p=eps,
+        sq_model = squeezing(
+            cfg.preparation.prep_variance(n0), budget.evaluate(p) / 4.0, eps, c_meas
         )
         rows.append([
-            p, sigma2, cond_err / css, to_db(sigma2), c_meas,
+            p, sq.sigma2, cond_err / css, sq.sigma2_db, c_meas,
             sq.zeta_m_db, sq.zeta_e_db,
-            sig_model, to_db(sig_model), sq_model.zeta_m_db, sq_model.zeta_e_db,
+            sq_model.sigma2, sq_model.sigma2_db, sq_model.zeta_m_db,
+            sq_model.zeta_e_db,
         ])
 
     header = ["p", "sigma2", "sigma2_err", "sigma2_db", "C",

@@ -60,6 +60,11 @@ class PulseModel:
             raise ValueError("composite_pi_infidelity must lie in [0, 0.1]")
         if self.lock_light_mu < 0:
             raise ValueError("lock_light_mu must be >= 0")
+        if self.mu_total > 1.0:
+            raise ValueError(
+                "composite-pulse mu = composite_pi_infidelity + lock_light_mu "
+                f"= {self.mu_total!r} must lie in [0, 1]"
+            )
 
     @property
     def mu_total(self) -> float:
@@ -120,28 +125,13 @@ def prepare_css(n0: float, prep: PreparationModel) -> GaussianSpinState:
 
 
 def rotate(state: GaussianSpinState, axis: str, angle: float) -> GaussianSpinState:
-    """Rigid Bloch rotation.
+    """Rigid Bloch rotation about the mean-spin direction (axis "mean").
 
-    Supported geometries (all that the protocol uses):
-      * axis "mean": any angle about the mean-spin direction; the
-        (z, transverse) covariance rotates as a 2x2 quadratic form.
-      * axis "z": precession; mean azimuth advances, covariance unchanged.
-      * axis "x"/"y": allowed only when the mean spin lies along that
-        axis, where it coincides with a mean-axis rotation.
+    The (z, transverse) covariance rotates as a 2x2 quadratic form; the
+    mean spin stays on the equator.
     """
     if not math.isfinite(angle):
         raise ValueError("angle must be finite")
-    if axis == "z":
-        return replace(state, azimuth=state.azimuth + angle)
-    if axis in ("x", "y"):
-        target = 0.0 if axis == "x" else math.pi / 2.0
-        if not math.isclose(
-            math.cos(state.azimuth - target), 1.0, abs_tol=1e-9
-        ):
-            raise ValueError(
-                f"rotation about {axis} requires the mean spin along {axis}"
-            )
-        axis = "mean"
     if axis != "mean":
         raise ValueError(f"unsupported rotation axis {axis!r}")
 
@@ -181,23 +171,17 @@ def measurement_backaction(
     transmitted_photons: float,
     phi_eff: float,
     n0: float,
-    contrast_alpha: float = 0.0,
-    contrast_beta: float = 0.0,
 ) -> GaussianSpinState:
     """Probe-light back-action: photon shot noise broadens the phase.
 
     var_y grows by Var_CSS * N0 * p * phi_eff^2 (the Heisenberg-area
-    partner of the measurement's information gain) and the contrast
-    follows the empirical exp(-alpha p - beta p^2 / 2) law.
+    partner of the measurement's information gain).  The contrast decay
+    is analysis.contrast_model, applied where the contrast is read.
     """
     p = transmitted_photons
     if p < 0:
         raise ValueError("photon number must be >= 0")
-    var_y = state.var_y + (n0 / 4.0) * n0 * p * phi_eff**2
-    contrast_factor = math.exp(-contrast_alpha * p - contrast_beta * p**2 / 2.0)
-    return replace(
-        state, var_y=var_y, mean_length=state.mean_length * contrast_factor
-    )
+    return replace(state, var_y=state.var_y + (n0 / 4.0) * n0 * p * phi_eff**2)
 
 
 def condition_on_measurement(

@@ -88,7 +88,7 @@ def covariance_structure(seed):
 
 def mu_covariance(seed):
     ts = run_trials("squeeze-readout", 50_000, seed, css_state(),
-                    probe_config(P, NoiseSwitches.only("microwave")), None,
+                    probe_config(P, NoiseSwitches.only("microwave")), BOOSTED,
                     PulseModel(0.02, 0.0), COUPLINGS)
     cov = spinflip_covariance_exact(0, 0, 0, 0.02, P, N0)
     return {k: (z, 3.5) for k, z in cov_z(ts, cov).items()}

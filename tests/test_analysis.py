@@ -6,6 +6,7 @@ from scipy import stats
 
 from qndspin.analysis import (
     conditional_variance,
+    contrast_model,
     fit_noise_model,
     fit_quadratic_scaling,
     NoiseBudget,
@@ -354,3 +355,12 @@ class TestResidualVariance:
         plain = residual_variance(variance_stats(ts))
         flipped = residual_variance(variance_stats(mirrored))
         assert flipped == pytest.approx(plain, rel=1e-12)
+
+
+class TestContrastModel:
+    def test_contrast_evolution(self):
+        c = contrast_model(3e5, 0.69, 7e-7, 9e-13)
+        assert c == pytest.approx(
+            0.69 * math.exp(-7e-7 * 3e5 - 9e-13 * 9e10 / 2), rel=1e-12
+        )
+        assert c == pytest.approx(0.537, abs=0.002)

@@ -573,6 +573,21 @@ class TestCli:
         assert rc == 2
         assert "b1_target_per_atom" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario", ["fig2", "fig3", "rotation", "ramsey"])
+    def test_composite_pulse_mu_above_one_exit_two(self, scenario, tmp_path,
+                                                   capsys):
+        # each setting is in range, but mu = 0.02 + 2 is no failure fraction:
+        # the engine's sqrt(mu (1 - mu)) would fail at runtime
+        bad = tmp_path / "mu.json"
+        bad.write_text(json.dumps({"pulses": {"lock_light_mu": 2}}))
+        rc = main([
+            "run", "--scenario", scenario, "--trials", "8", "--config", str(bad),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert "composite-pulse mu" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_exit_two(self, tmp_path, capsys):
         rc = main([
             "run", "--scenario", "fig3", "--trials", "8", "--seed", "-1",

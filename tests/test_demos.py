@@ -9,16 +9,32 @@ ROOT = Path(__file__).parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def run_python(args, cwd):
+    # runs as a user would, against the package in src/
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        cwd=cwd, env=env, timeout=120,
+    )
+
+
+def quick_start_block() -> str:
+    """The fenced python block of README's "Library quick start" section."""
+    section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
 def test_demos_found():
     assert DEMOS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # each demo runs as a user would, against the package in src/
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True,
-        cwd=tmp_path, env=env, timeout=120,
-    )
+    proc = run_python([str(demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    proc = run_python(["-c", quick_start_block()], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "dB below projection noise" in proc.stdout

@@ -159,7 +159,7 @@ class TestSimulateProbePulse:
 class TestNoiseBudgetSources:
     """Each source alone must reproduce its analytic term in 2 Var(M1-M2)."""
 
-    def run(self, p, switches, n_trials, seed, rates=None, pulses=NO_PULSE_ERRORS,
+    def run(self, p, switches, n_trials, seed, rates=RATES, pulses=NO_PULSE_ERRORS,
             state=None, couplings=None, scenario="squeeze-readout"):
         state = state or css_state()
         probe = probe_config(p, switches)
@@ -386,7 +386,7 @@ class TestSpinFlipCovariance:
         n = 50_000
         probe = probe_config(p, NoiseSwitches.only("microwave"))
         ts = run_trials(
-            "squeeze-readout", n, 78, css_state(), probe, None,
+            "squeeze-readout", n, 78, css_state(), probe, RATES,
             PulseModel(composite_pi_infidelity=0.02, lock_light_mu=0.0),
             couplings,
         )
@@ -505,7 +505,7 @@ class TestScenarios:
         # twice the preparation variance (noiseless detector)
         ts = run_trials(
             "double-prep", 10000, 19, css_state(),
-            probe_config(6e5, NoiseSwitches.none()), None, NO_PULSE_ERRORS,
+            probe_config(6e5, NoiseSwitches.none()), RATES, NO_PULSE_ERRORS,
             couplings,
         )
         y2 = 2 * np.var(ts.m1 - ts.m2, ddof=1)
@@ -518,7 +518,7 @@ class TestScenarios:
         plan = SequencePlan("rotate-alpha", rotation_angle=math.pi / 2)
         ts = run_trials(
             plan, 6000, 20, state, probe_config(6e5, NoiseSwitches.none()),
-            None, NO_PULSE_ERRORS, couplings,
+            RATES, NO_PULSE_ERRORS, couplings,
         )
         est = np.var(ts.m1 - ts.m2, ddof=1)
         # M2 reads the anti-squeezed quadrature: Var(M1-M2) ~ var_z + var_y
@@ -529,7 +529,7 @@ class TestScenarios:
         plan = SequencePlan("ramsey-clock")
         ts = run_trials(
             plan, 4000, 21, css_state(), probe_config(6e5, NoiseSwitches.none()),
-            None, NO_PULSE_ERRORS, couplings,
+            RATES, NO_PULSE_ERRORS, couplings,
         )
         # with zero precession phase the readout is the inverted squeeze
         # measurement: M1 + M2 = 0 identically
