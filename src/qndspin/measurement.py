@@ -12,23 +12,25 @@ Raman flips act on each atom on its own, as a Markov chain over
 composite pulse leaves a responder's contribution unchanged and negates
 a stopped atom's.  The Van Loan exponential of its per-pulse generator
 (_flip_chain) gives both the exact pulse covariance
-(spinflip_covariance_exact) and what the trial engine draws.
+(spinflip_covariance_exact) and the moments the trial engine draws from.
 
-Trials are simulated in blocks of _BLOCK as an evolution of each
-trial's counts x = (+R, -R, +S, -S).  Each pulse is one draw: x times
-the per-atom means of end state and pulse average, plus one normal of
-the per-atom covariances summed over the expected counts E[x].  By the
-law of total covariance and the Markov property, every mean, variance
-and covariance of the pulse records is exact at any flip rate.
-Detector noise acts on the photocounts of the probe and compensation
-channels and passes through the Lorentzian inversion.
+A trial is linear-Gaussian in its counts x = (+R, -R, +S, -S): the
+initial imbalance is a normal, each pulse maps x linearly and adds a
+normal whose covariance follows from the expected counts, and the
+M_1 -> M_2 manipulation is linear plus a normal.  So a trial's four
+pulse averages and S_z after M_1 are jointly normal.  _record_moments
+propagates their mean and covariance, exact at any flip rate, and a
+block draws them as one (b, rank) @ (rank, 5) product of standard
+normals with a factor of that covariance.  Detector noise acts on the
+photocounts of the probe and compensation channels and passes through
+the Lorentzian inversion.
 
 Block b draws from its own stream, PCG64DXSM seeded with the pair
 (master_seed, b) through SeedSequence (O'Neill 2014), so results are
 bitwise reproducible and a block's trials do not depend on how many
-follow it.  A pulse draws a fixed number of values per trial, so block
-memory does not grow with the flip rate, and 2048-trial blocks spread
-the fixed cost of each library call thinly.
+follow it.  A trial draws a fixed number of values, so block memory
+does not grow with the flip rate, and 2048-trial blocks spread the
+fixed cost of each library call thinly.
 """
 
 from __future__ import annotations
@@ -282,78 +284,70 @@ def spinflip_covariance_exact(
 
 
 # ---------------------------------------------------------------------------
-# block state evolution
+# the records' moments and the block sampler
 # ---------------------------------------------------------------------------
 
-def _pulse_steps(plan: SequencePlan, n0: float, flips, mu: float):
-    """Per pulse, the (move, amp) that map counts x to y = (end counts, average).
+def _record_moments(plan: SequencePlan, state: GaussianSpinState, flips, mu: float):
+    """Mean (5,) and covariance (5, 5) of one trial's (a_0..a_3, S_z after M_1).
 
-    y = x @ move + (standard normals) @ amp.  Row j of move is the mean of
-    one atom that starts in state j, [e^Q_j | (F1 1)_j]; amp stacks
-    sqrt(E[x_j]) L_j^T, with E[x_j] the expected count and L_j L_j^T one
-    atom's 5x5 covariance (eigh, eigenvalues clipped at 0).  Pulses 0 and
-    2 also carry the composite pulse after them; its failures add a row,
-    a normal of variance E[n_R] mu (1 - mu) moving +R atoms to -R.
+    Carries the covariance of v = (x, a_0..a_3, szf), x the counts
+    (+R, -R, +S, -S), through linear maps v -> v a plus independent
+    normals.  Pulse k maps x to x e^Q and sets a_k = x (F1 1), plus a
+    normal with one atom's 5x5 covariance of (end state, pulse average)
+    summed over the expected counts E[x_j].  A composite pulse maps x
+    linearly, and its failures move a normal of variance E[n_R] mu (1 - mu)
+    from +R to -R.  The manipulation only rescales or redraws imbalances,
+    whose mean is zero, so it leaves E[x] alone.  By the law of total
+    covariance and the Markov property every moment is exact at any rate.
     """
     t, f1, f2, composite = _flip_chain(*flips, mu)
     move = np.hstack((t, f1.sum(axis=1, keepdims=True)))
-    factors = []
-    for j in range(4):
-        second = np.diag(np.append(t[j], 2.0 * f2[j].sum()))
-        second[:4, 4] = second[4, :4] = f1[j]
-        w, v = np.linalg.eigh(second - np.outer(move[j], move[j]))
-        factors.append(np.sqrt(np.clip(w, 0.0, None))[:, None] * v.T)
-    css = np.array([0.5 * n0, 0.5 * n0, 0.0, 0.0])
-    steps, counts = [], css
+    atom = np.zeros((4, 5, 5))  # per start state: Cov of (end state, average)
+    atom[:, range(4), range(4)] = t
+    atom[:, :4, 4] = atom[:, 4, :4] = f1
+    atom[:, 4, 4] = 2.0 * f2.sum(axis=1)
+    atom = (atom - move[:, :, None] * move[:, None, :]).reshape(4, 25)
+    css = np.array([0.5, 0.5, 0.0, 0.0]) * state.n0
+    imbalance = np.zeros((9, 9))  # unit variance of the responders' imbalance
+    imbalance[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
+    mean, cov, counts = np.zeros(5), state.var_z * imbalance, css
     for k in range(_PULSES):
-        if k == 2 and plan.scenario == "double-prep":
-            counts = css
-        amp = np.vstack([math.sqrt(max(n, 0.0)) * f for n, f in zip(counts, factors)])
-        counts = counts @ t
-        after, fails = np.eye(5), 0.0
-        if k in (0, 2):
-            after[:4, :4] = composite
-            fails = math.sqrt(counts[:2].sum() * mu * (1.0 - mu))
-            counts = counts @ composite
-        amp = np.vstack((amp @ after, [-fails, fails, 0.0, 0.0, 0.0]))
-        steps.append((move @ after, amp[np.any(amp != 0.0, axis=1)]))
-    return steps
-
-
-def _css_counts(rng: np.random.Generator, b: int, state: GaussianSpinState):
-    """Counts (+R, -R, +S, -S) of b freshly prepared ensembles."""
-    z = rng.normal(0.0, math.sqrt(state.var_z), (b, 1))
-    return 0.5 * state.n0 * np.array([1.0, 1.0, 0.0, 0.0]) + z * [1.0, -1.0, 0.0, 0.0]
-
-
-def _simulate_block(rng, b, plan, state, probe, steps, couplings):
-    """Pulses (b, 4), true S_z after M_1 and saturated flags of b trials."""
-    x = _css_counts(rng, b, state)
-    avg = np.empty((b, _PULSES))
-    for k, (move, amp) in enumerate(steps):
-        if k == 2:  # the M_1 -> M_2 manipulation
-            z = 0.5 * (x[:, 0::2] - x[:, 1::2])  # imbalance of R and of S
-            szf = z.sum(axis=1)
+        if k == 2:  # read S_z, then the M_1 -> M_2 manipulation
+            a, kick = np.eye(9), 0.0
+            a[:4, 8] = [0.5, -0.5, 0.5, -0.5]
+            mean[4] = counts @ a[:4, 8]
             if plan.scenario == "double-prep":
-                x = _css_counts(rng, b, state)
+                a[:4, :4], kick, counts = 0.0, state.var_z, css
             else:
-                dz = (plan.carryover() - 1.0) * z
+                for i in (0, 2):  # each class's imbalance times the carry-over
+                    a[i:i + 2, i:i + 2] += (
+                        0.5 * (plan.carryover() - 1.0) * imbalance[:2, :2])
                 if plan.scenario == "rotate-alpha":
-                    y = rng.normal(0.0, math.sqrt(state.var_y), b)
-                    dz[:, 0] += y * math.sin(plan.rotation_angle)
-                elif plan.scenario == "ramsey-clock" and plan.phase_noise_rms > 0:
-                    dz[:, 0] += state.mean_length * rng.normal(0.0, plan.phase_noise_rms, b)
-                x[:, 0::2] += dz
-                x[:, 1::2] -= dz
-        y = x @ move
-        if len(amp):
-            y += rng.standard_normal((b, len(amp))) @ amp
-        avg[:, k] = y[:, 4]
-        x = y[:, :4]
+                    kick = state.var_y * math.sin(plan.rotation_angle) ** 2
+                elif plan.scenario == "ramsey-clock":
+                    kick = (state.mean_length * plan.phase_noise_rms) ** 2
+            cov = a.T @ cov @ a + kick * imbalance
+        out = [0, 1, 2, 3, 4 + k]
+        a, noise = np.eye(9), np.zeros((9, 9))
+        a[:4, out] = move
+        noise[np.ix_(out, out)] = (counts @ atom).reshape(5, 5)
+        cov = a.T @ cov @ a + noise
+        mean[k] = counts @ move[:, 4]
+        counts = counts @ t
+        if k in (0, 2):  # the composite pulse after it
+            a = np.eye(9)
+            a[:4, :4] = composite
+            cov = a.T @ cov @ a + counts[:2].sum() * mu * (1.0 - mu) * imbalance
+            counts = counts @ composite
+    return mean, cov[4:, 4:]
 
+
+def _simulate_block(rng, b, state, probe, mean, factor, couplings):
+    """Pulses (b, 4), true S_z after M_1 and saturated flags of b trials."""
+    v = mean + rng.standard_normal((b, len(factor))) @ factor
     domega_dn = couplings.domega_dn
     omega_hat, sat = simulate_probe_pulse(
-        2.0 * domega_dn * _PULSE_SIGNS * avg, probe.photons_per_measurement / 2.0,
+        2.0 * domega_dn * _PULSE_SIGNS * v[:, :4], probe.photons_per_measurement / 2.0,
         probe, rng, couplings.probe_signal_share,
         electronic_count_sigma(probe, domega_dn),
     )
@@ -366,7 +360,7 @@ def _simulate_block(rng, b, plan, state, probe, steps, couplings):
         t2 = rho * t1 + math.sqrt(max(1 - rho**2, 0.0)) * rng.normal(0.0, sigma_t, b)
         m[:, :2] += t1[:, None]
         m[:, 2:] += t2[:, None]
-    return m, szf, sat.any(axis=1)
+    return m, v[:, 4], sat.any(axis=1)
 
 
 def run_trials(
@@ -392,14 +386,19 @@ def run_trials(
         [rates.p_delta_f, rates.p_delta_mf, rates.p_delta_f_delta_mf])
         if probe.switches.raman else np.zeros(3))
     mu = pulses.mu_total if probe.switches.microwave else 0.0
-    steps = _pulse_steps(plan, state.n0, flips, mu)
+    mean, cov = _record_moments(plan, state, flips, mu)
+    # a (rank, 5) factor of cov; eigenvalues at rounding level are dropped,
+    # so a rank-deficient record law stays exact
+    w, vec = np.linalg.eigh(cov)
+    keep = w > 5.0 * np.finfo(float).eps * w.max()
+    factor = np.sqrt(w[keep])[:, None] * vec[:, keep].T
 
     out = (np.empty((n_trials, _PULSES)), np.empty(n_trials),
            np.empty(n_trials, dtype=bool))
     for block, lo in enumerate(range(0, n_trials, _BLOCK)):
         rng = np.random.Generator(np.random.PCG64DXSM([master_seed, block]))
         b = min(_BLOCK, n_trials - lo)
-        parts = _simulate_block(rng, b, plan, state, probe, steps, couplings)
+        parts = _simulate_block(rng, b, state, probe, mean, factor, couplings)
         for arr, part in zip(out, parts):
             arr[lo:lo + b] = part
     # out holds pulses, true_szf and saturated, in field order

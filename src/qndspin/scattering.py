@@ -155,15 +155,3 @@ def raman_noise_coefficient(rates: ScatteringRates, n0: float) -> float:
         + 1.0 / 3.0 * rates.p_delta_f_delta_mf
     ) * n0
 
-
-def decay_branching(f_exc: int, mf_exc: float) -> dict:
-    """Branching ratios of |F', m_F'> into all ground sublevels (sums to 1)."""
-    out = {}
-    total = 0.0
-    for f in GROUND_F:
-        for mf2 in range(-2 * f, 2 * f + 1, 2):
-            w = _dipole_coeff(f, mf2, f_exc, round(2 * mf_exc)) ** 2
-            if w > 0:
-                out[(f, mf2 / 2.0)] = w
-                total += w
-    return {k: v / total for k, v in out.items()}

@@ -175,6 +175,14 @@ def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     cpars = cfg.contrast_params
     c_in = cpars["c0"] / (1.0 - cpars["readout_loss"])
     state = prepare_css(n0, cfg.preparation)
+    mu = cfg.pulses.mu_total
+    eps_max = max(grid) * cfg.rates.p_delta_f + mu
+    if eps_max >= 0.5:  # checked before any trial runs
+        raise ValueError(
+            f"fig3 at p={max(grid):g}: epsilon_p = p P_dF + mu = {eps_max:.4g} "
+            "must lie below 0.5; lower mu = composite_pi_infidelity + "
+            f"lock_light_mu = {mu:g} or the largest photon_grid entry"
+        )
 
     def squeezing(var_prep, var_meas, eps, c_meas):
         # one composition for the Monte Carlo row and the model row
@@ -194,7 +202,7 @@ def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
                 f"not positive; {n_trials} trials are too few to resolve the "
                 "preparation noise"
             )
-        eps = p * cfg.rates.p_delta_f + cfg.pulses.mu_total
+        eps = p * cfg.rates.p_delta_f + mu
         dm = rep.var_prep**2 / (rep.var_prep + rep.var_meas) ** 2
         dp = rep.var_meas**2 / (rep.var_prep + rep.var_meas) ** 2
         cond_err = math.hypot(dm * rep.var_meas_se, dp * rep.var_prep_se) / (

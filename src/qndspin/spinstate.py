@@ -75,15 +75,13 @@ class PulseModel:
 class GaussianSpinState:
     """Collective spin: mean vector plus (z, transverse) covariance.
 
-    s0 is the maximum spin N0/2 of the clock ensemble; azimuth is the
-    in-plane angle of the mean spin (0 = +x).  var_z, var_y, cov_yz are
-    the second moments of (S_z, S_perp) where S_perp is the in-plane
-    direction perpendicular to the mean spin.
+    s0 is the maximum spin N0/2 of the clock ensemble.  var_z, var_y,
+    cov_yz are the second moments of (S_z, S_perp) where S_perp is the
+    in-plane direction perpendicular to the mean spin.
     """
 
     s0: float
     mean_length: float     # |<S>|
-    azimuth: float         # rad, in the xy plane
     mean_z: float          # <S_z>, spin units (fluctuation bookkeeping)
     var_z: float
     var_y: float
@@ -116,7 +114,6 @@ def prepare_css(n0: float, prep: PreparationModel) -> GaussianSpinState:
     return GaussianSpinState(
         s0=n0 / 2.0,
         mean_length=prep.initial_contrast * n0 / 2.0,
-        azimuth=0.0,
         mean_z=0.0,
         var_z=var,
         var_y=var,

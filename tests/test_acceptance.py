@@ -288,7 +288,7 @@ def test_criterion_8_property_suites(cfg):
         cov = rng.uniform(-0.9, 0.9) * math.sqrt(vz * vy)
         s = GaussianSpinState(
             s0=N0 / 2, mean_length=rng.uniform(0.3, 1.0) * N0 / 2,
-            azimuth=0.0, mean_z=0.0, var_z=vz, var_y=vy, cov_yz=cov,
+            mean_z=0.0, var_z=vz, var_y=vy, cov_yz=cov,
         )
         for out in (
             composite_pi(s, pulses),

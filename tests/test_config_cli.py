@@ -588,6 +588,24 @@ class TestCli:
         assert "composite-pulse mu" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_fig3_epsilon_at_one_half_rejected_before_trials(
+            self, tmp_path, capsys, monkeypatch):
+        # mu = 0.62 is a valid failure fraction, but fig3's epsilon_p =
+        # p P_dF + mu must stay below 1/2 at every photon number
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("qndspin.scenarios.run_trials", no_trials)
+        bad = tmp_path / "mu.json"
+        bad.write_text(json.dumps({"pulses": {"lock_light_mu": 0.6}}))
+        rc = main([
+            "run", "--scenario", "fig3", "--trials", "2000", "--config", str(bad),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "epsilon_p" in err and "lock_light_mu" in err
+
     def test_negative_seed_exit_two(self, tmp_path, capsys):
         rc = main([
             "run", "--scenario", "fig3", "--trials", "8", "--seed", "-1",
@@ -615,8 +633,10 @@ class TestCli:
         # non-negative int
         big = tmp_path / "big.json"
         big.write_text(json.dumps({"master_seed": 2**64}))
+        # 64 trials resolve fig3's preparation noise on any stream; at 8 a
+        # tenth of the seeds read a non-positive var_prep and exit 3
         rc = main([
-            "run", "--scenario", "fig3", "--trials", "8", "--config", str(big),
+            "run", "--scenario", "fig3", "--trials", "64", "--config", str(big),
             "--out", str(tmp_path / "o"),
         ])
         assert rc == 0

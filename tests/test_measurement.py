@@ -6,6 +6,7 @@ import pytest
 
 from qndspin.measurement import (
     _BLOCK,
+    _record_moments,
     NoiseSwitches,
     ProbeConfig,
     run_trials,
@@ -397,6 +398,16 @@ class TestSpinFlipCovariance:
 
 
 class TestRunTrials:
+    @pytest.mark.parametrize("p, mu", [(3e5, 0.02), (1.5e6, 0.02), (4e6, 0.05)])
+    def test_record_moments_match_oracle(self, p, mu):
+        # the engine's propagated pulse covariance of a CSS (var_z = N0/4)
+        # is the oracle's, chained separately through the same flip chain
+        mean, cov = _record_moments(
+            SequencePlan(), css_state(), 0.5 * p * reference_flip_rates(), mu)
+        exact = spinflip_covariance_exact(*reference_flip_rates(), mu, p, N0)
+        assert np.max(np.abs(cov[:4, :4] - exact)) <= 1e-12 * np.max(np.abs(exact))
+        assert np.max(np.abs(mean)) <= 1e-12 * N0
+
     def test_bitwise_reproducibility(self, couplings):
         state = css_state()
         probe = probe_config(6e5, NoiseSwitches())

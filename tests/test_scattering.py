@@ -1,10 +1,10 @@
-import numpy as np
 import pytest
 
 from qndspin.constants import RB87, TWO_PI
 from qndspin.scattering import (
+    _dipole_coeff,
     EXCITED_F,
-    decay_branching,
+    GROUND_F,
     raman_noise_coefficient,
     raman_rates,
     ScatteringRates,
@@ -20,15 +20,22 @@ def reference_rates(couplings):
 
 
 class TestBranching:
+    """Decay of each excited sublevel through the squared dipole elements."""
+
     def test_sums_to_one(self):
+        # every excited sublevel decays at the same rate, which is the
+        # cycling transition's: its squared elements sum to 1 in those units
         for f_exc in EXCITED_F:
-            for mf in np.arange(-f_exc, f_exc + 1):
-                b = decay_branching(f_exc, float(mf))
-                assert sum(b.values()) == pytest.approx(1.0, abs=1e-12)
+            for mf_exc in range(-f_exc, f_exc + 1):
+                total = sum(_dipole_coeff(f, mf2, f_exc, 2 * mf_exc) ** 2
+                            for f in GROUND_F for mf2 in range(-2 * f, 2 * f + 1, 2))
+                assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_cycling_is_closed(self):
-        b = decay_branching(3, 3.0)
-        assert b[(2, 2.0)] == pytest.approx(1.0, abs=1e-12)
+        # |3, 3> decays only to |2, 2>
+        assert _dipole_coeff(2, 4, 3, 6) ** 2 == pytest.approx(1.0, abs=1e-12)
+        for mf2 in range(-2, 3, 2):
+            assert _dipole_coeff(1, mf2, 3, 6) == 0.0
 
 
 class TestRamanRates:

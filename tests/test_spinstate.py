@@ -65,7 +65,7 @@ class TestRotate:
             vz, vy = rng.uniform(0.5, 5.0, 2)
             cov = rng.uniform(-1, 1) * math.sqrt(vz * vy) * 0.9
             s = GaussianSpinState(
-                s0=N0 / 2, mean_length=N0 / 2, azimuth=0.0,
+                s0=N0 / 2, mean_length=N0 / 2,
                 mean_z=0.0, var_z=vz, var_y=vy, cov_yz=cov,
             )
             a = rng.uniform(-math.pi, math.pi)
@@ -86,7 +86,7 @@ class TestRotate:
     def test_invariants_preserved(self):
         rng = np.random.default_rng(3)
         s = GaussianSpinState(
-            s0=N0 / 2, mean_length=0.7 * N0 / 2, azimuth=0.4,
+            s0=N0 / 2, mean_length=0.7 * N0 / 2,
             mean_z=0.0, var_z=3.0, var_y=11.0, cov_yz=2.5,
         )
         for a in rng.uniform(-10, 10, 25):
@@ -124,7 +124,7 @@ class TestCompositePi:
 
     def test_reference_numbers(self):
         s = GaussianSpinState(
-            s0=N0 / 2, mean_length=N0 / 2, azimuth=0.0,
+            s0=N0 / 2, mean_length=N0 / 2,
             mean_z=0.0, var_z=8250.0, var_y=8250.0,
         )
         r = composite_pi(s, PulseModel(composite_pi_infidelity=0.02, lock_light_mu=0.0))
@@ -144,7 +144,7 @@ class TestCompositePi:
         flips_dn = rng.binomial(n0 - n_up, mu)
         sz1 = -(sz0 - flips_up + flips_dn)
         s = GaussianSpinState(
-            s0=n0 / 2, mean_length=n0 / 2, azimuth=0.0,
+            s0=n0 / 2, mean_length=n0 / 2,
             mean_z=0.0, var_z=n0 / 4.0, var_y=n0 / 4.0,
         )
         r = composite_pi(s, PulseModel(composite_pi_infidelity=mu, lock_light_mu=0.0))
@@ -193,7 +193,7 @@ class TestBackactionAndConditioning:
 
     def test_reference_conditioning_numbers(self):
         s = GaussianSpinState(
-            s0=N0 / 2, mean_length=N0 / 2, azimuth=0.0,
+            s0=N0 / 2, mean_length=N0 / 2,
             mean_z=0.0, var_z=9405.0, var_y=9405.0,
         )
         c = condition_on_measurement(s, 0.0, 1206.0)
@@ -204,7 +204,7 @@ class TestBackactionAndConditioning:
         for _ in range(200):
             vz, vm = rng.uniform(1e-3, 1e5, 2)
             s = GaussianSpinState(
-                s0=N0 / 2, mean_length=N0 / 2, azimuth=0.0,
+                s0=N0 / 2, mean_length=N0 / 2,
                 mean_z=0.0, var_z=vz, var_y=vz,
             )
             c = condition_on_measurement(s, rng.normal(), vm)
@@ -222,7 +222,6 @@ class TestPropertyInvariants:
             s = GaussianSpinState(
                 s0=N0 / 2,
                 mean_length=rng.uniform(0.3, 1.0) * N0 / 2,
-                azimuth=rng.uniform(0, 2 * math.pi),
                 mean_z=rng.normal(0, 20),
                 var_z=vz, var_y=vy, cov_yz=cov,
             )
@@ -240,7 +239,7 @@ class TestPropertyInvariants:
 
     def test_rotated_variance_model_periodicity(self):
         s = GaussianSpinState(
-            s0=N0 / 2, mean_length=N0 / 2, azimuth=0.0,
+            s0=N0 / 2, mean_length=N0 / 2,
             mean_z=0.0, var_z=1000.0, var_y=60000.0, cov_yz=0.0,
         )
         a = np.linspace(0, 2 * math.pi, 101)
