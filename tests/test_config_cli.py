@@ -633,8 +633,9 @@ class TestCli:
         # non-negative int
         big = tmp_path / "big.json"
         big.write_text(json.dumps({"master_seed": 2**64}))
-        # 64 trials resolve fig3's preparation noise on any stream; at 8 a
-        # tenth of the seeds read a non-positive var_prep and exit 3
+        # 64 trials resolve fig3's preparation noise (no seed of 0-299
+        # fails); at 8 about one seed in eight reads a non-positive
+        # var_prep and exits 3
         rc = main([
             "run", "--scenario", "fig3", "--trials", "64", "--config", str(big),
             "--out", str(tmp_path / "o"),
