@@ -39,7 +39,7 @@ for i, p in enumerate([1e5, 2e5, 3e5, 4.5e5, 6.4e5, 9e5]):
     sigma2 = conditional_variance(rep.var_prep, rep.var_meas, eps) / css
     c_meas = float(contrast_model(p, cpars["c0"], cpars["alpha"], cpars["beta"]))
     sq = squeezing_parameters(sigma2, c_meas, c_in, rep.var_prep,
-                              rep.var_meas, n0 / 2, epsilon_p=eps)
+                              rep.var_meas, n0 / 2)
     print(f"{p:8.0f} {sq.sigma2_db:10.2f} {c_meas:6.3f} "
           f"{-sq.zeta_m_db:12.2f} {-sq.zeta_e_db:12.2f}")
 

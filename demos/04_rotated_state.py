@@ -33,7 +33,7 @@ state = measurement_backaction(base, p, cfg.couplings.phase_per_photon_eff, n0)
 
 budget = noise_budget_from_config(cfg)
 var_meas_model = budget.evaluate(p) / 4
-model_state = condition_on_measurement(state, 0.0, var_meas_model)
+model_state = condition_on_measurement(state, var_meas_model)
 print(f"squeezed quadrature (model):      {model_state.var_z:8.0f} atoms^2")
 print(f"anti-squeezed quadrature (model): {model_state.var_y:8.0f} atoms^2")
 print(f"CSS reference:                    {n0 / 4:8.0f} atoms^2\n")
@@ -49,7 +49,7 @@ for i, deg in enumerate([0, 20, 45, 70, 90, 110, 135, 160, 180]):
     ts = run_trials(plan, 2000, 401 + i, state, probe,
                     cfg.rates, cfg.pulses, cfg.couplings)
     est = residual_variance(variance_stats(ts))[0] - var_meas0
-    model = rotate(model_state, "mean", alpha).var_z
+    model = rotate(model_state, alpha).var_z
     print(f"{deg:10.0f} {est:14.0f} {model:10.0f}")
 
 print("\nthe uncertainty area is conserved: squeezing Sz inflates S_perp")

@@ -28,7 +28,6 @@ from .cavity import (
     EnsembleConfig,
     hyperfine_mode_shift,
     inverse_transmission,
-    local_cooperativity,
     lorentzian_transmission,
     phase_per_photon,
     ramsey_damping_envelope,
@@ -55,7 +54,6 @@ from .measurement import (
 )
 from .scattering import raman_noise_coefficient, raman_rates, ScatteringRates
 from .spinstate import (
-    composite_pi,
     condition_on_measurement,
     GaussianSpinState,
     measurement_backaction,

@@ -39,7 +39,6 @@ class VarianceReport:
     var_m1: float
     var_m1_se: float
     var_m2: float
-    var_m2_se: float
     var_meas: float            # Var(M1 - M2)/2
     var_meas_se: float
     cov_m1_m2: float
@@ -85,7 +84,6 @@ def variance_stats(trials: TrialSet) -> VarianceReport:
         var_m1=var_m1,
         var_m1_se=_var_se(var_m1, n),
         var_m2=var_m2,
-        var_m2_se=_var_se(var_m2, n),
         var_meas=var_meas,
         var_meas_se=_var_se(var_meas, n),
         cov_m1_m2=cov,
@@ -134,10 +132,6 @@ class SqueezingReport:
     zeta_e_db: float
     zeta_m: float
     zeta_m_db: float
-    epsilon_p: float
-    kappa_meas: float          # sqrt(var_prep / var_meas)
-    contrast_meas: float
-    contrast_in: float
 
     def __post_init__(self):
         if self.sigma2 <= 0:
@@ -151,7 +145,6 @@ def squeezing_parameters(
     var_prep: float,
     var_meas: float,
     s0: float,
-    epsilon_p: float = 0.0,
 ) -> SqueezingReport:
     """Entanglement and metrological squeezing parameters.
 
@@ -180,10 +173,6 @@ def squeezing_parameters(
         zeta_e_db=to_db(zeta_e),
         zeta_m=zeta_m,
         zeta_m_db=to_db(zeta_m),
-        epsilon_p=epsilon_p,
-        kappa_meas=math.sqrt(var_prep / var_meas),
-        contrast_meas=contrast_meas,
-        contrast_in=contrast_in,
     )
 
 

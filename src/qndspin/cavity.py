@@ -75,15 +75,6 @@ def antinode_cooperativity(finesse: float, wavelength: float, waist: float) -> f
     return 24.0 * finesse / (math.pi * k**2 * waist**2)
 
 
-def local_cooperativity(eta0, radial_offset, axial_position, waist, wavenumber):
-    """eta(rho, z) = eta0 exp(-2 rho^2/w^2) sin^2(k z)."""
-    if waist <= 0:
-        raise ValueError("waist must be > 0")
-    rho = np.asarray(radial_offset, dtype=float)
-    z = np.asarray(axial_position, dtype=float)
-    return eta0 * np.exp(-2.0 * rho**2 / waist**2) * np.sin(wavenumber * z) ** 2
-
-
 def ensemble_coupling(eta0: float, ensemble: EnsembleConfig, waist: float,
                       oscillator_strength: float = 2.0 / 3.0):
     """Ensemble-averaged coupling ratios.
@@ -172,23 +163,17 @@ def lorentzian_transmission(detuning, kappa: float):
     return 1.0 / (1.0 + x * x)
 
 
-def inverse_transmission(fraction, kappa: float, branch: str = "upper-slope"):
-    """Detuning with |T(delta)| = fraction on the requested slope.
+def inverse_transmission(fraction, kappa: float):
+    """The detuning |delta| >= 0 at which T(delta) = fraction.
 
-    branch "upper-slope" returns +|delta| (probe above resonance),
-    "lower-slope" returns -|delta|.
+    Callers give it the sign of the slope each detection channel sits on.
     """
     if kappa <= 0:
         raise ValueError("kappa must be > 0")
     frac = np.asarray(fraction, dtype=float)
     if np.any(frac <= 0.0) or np.any(frac > 1.0):
         raise ValueError("transmission fraction must lie in (0, 1]")
-    mag = 0.5 * kappa * np.sqrt(1.0 / frac - 1.0)
-    if branch == "upper-slope":
-        return mag
-    if branch == "lower-slope":
-        return -mag
-    raise ValueError(f"unknown branch {branch!r}")
+    return 0.5 * kappa * np.sqrt(1.0 / frac - 1.0)
 
 
 def phase_per_photon(shift_f1: float, shift_f2: float, kappa: float) -> float:

@@ -81,7 +81,7 @@ def _entry_problem(recorded: dict) -> str | None:
 def _verify(manifest_path: Path, cfg: RunConfig, scenario: str) -> int:
     try:
         recorded = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         print(f"error: cannot read manifest: {err}", file=sys.stderr)
         return EXIT_CONFIG
     if not isinstance(recorded, dict):

@@ -262,6 +262,8 @@ def load_and_validate(path: str | Path | None = None,
             user = json.loads(p.read_text(), parse_constant=_reject_constant)
         except json.JSONDecodeError as err:
             raise ConfigError([f"config is not valid JSON: {err}"]) from err
+        except (OSError, UnicodeDecodeError) as err:  # a directory, not UTF-8
+            raise ConfigError([f"cannot read config file {p}: {err}"]) from err
         if not isinstance(user, dict):
             raise ConfigError([f"<root>: {user!r} is not of type 'object'"])
         raw = _merge(raw, user)

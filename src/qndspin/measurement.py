@@ -110,24 +110,11 @@ class SequencePlan:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
 
-    def carryover(self) -> float:
-        """Multiplier on M_1-era spin information carried into M_2."""
-        if self.scenario == "squeeze-readout":
-            return 1.0
-        if self.scenario == "double-prep":
-            return 0.0
-        if self.scenario == "rotate-alpha":
-            return math.cos(self.rotation_angle)
-        return -math.cos(self.precession_phase)  # ramsey-clock
-
 
 @dataclass(frozen=True)
 class TrialSet:
-    """Per-trial measurement records plus the run provenance."""
+    """Per-trial measurement records."""
 
-    master_seed: int
-    scenario: str
-    n0: float
     pulses: np.ndarray        # (n, 4): M1-, M1+, M2+, M2-  (time order)
     true_szf: np.ndarray      # (n,)
     saturated: np.ndarray     # (n,) bool
@@ -198,8 +185,8 @@ def simulate_probe_pulse(
     t_hat_p = np.clip(t_hat_p, 1e-12, 1.0)
     t_hat_c = np.clip(t_hat_c, 1e-12, 1.0)
 
-    w_probe = offset - inverse_transmission(t_hat_p, 1.0, "upper-slope")
-    w_comp = inverse_transmission(t_hat_c, 1.0, "upper-slope") + (-offset)
+    w_probe = offset - inverse_transmission(t_hat_p, 1.0)
+    w_comp = inverse_transmission(t_hat_c, 1.0) + (-offset)
     # [()] hands a scalar input back as scalars, an array input as arrays
     return (w_probe - w_comp)[()], saturated[()]
 
@@ -316,16 +303,17 @@ def _record_moments(plan: SequencePlan, state: GaussianSpinState, flips, mu: flo
             a, kick = np.eye(9), 0.0
             a[:4, 8] = [0.5, -0.5, 0.5, -0.5]
             mean[4] = counts @ a[:4, 8]
+            carry = 1.0  # multiplier on the M_1-era imbalance carried into M_2
             if plan.scenario == "double-prep":
                 a[:4, :4], kick, counts = 0.0, state.var_z, css
-            else:
-                for i in (0, 2):  # each class's imbalance times the carry-over
-                    a[i:i + 2, i:i + 2] += (
-                        0.5 * (plan.carryover() - 1.0) * imbalance[:2, :2])
-                if plan.scenario == "rotate-alpha":
-                    kick = state.var_y * math.sin(plan.rotation_angle) ** 2
-                elif plan.scenario == "ramsey-clock":
-                    kick = (state.mean_length * plan.phase_noise_rms) ** 2
+            elif plan.scenario == "rotate-alpha":
+                carry = math.cos(plan.rotation_angle)
+                kick = state.var_y * math.sin(plan.rotation_angle) ** 2
+            elif plan.scenario == "ramsey-clock":
+                carry = -math.cos(plan.precession_phase)
+                kick = (state.mean_length * plan.phase_noise_rms) ** 2
+            for i in (0, 2):  # each class's imbalance times the carry-over
+                a[i:i + 2, i:i + 2] += 0.5 * (carry - 1.0) * imbalance[:2, :2]
             cov = a.T @ cov @ a + kick * imbalance
         out = [0, 1, 2, 3, 4 + k]
         a, noise = np.eye(9), np.zeros((9, 9))
@@ -402,4 +390,4 @@ def run_trials(
         for arr, part in zip(out, parts):
             arr[lo:lo + b] = part
     # out holds pulses, true_szf and saturated, in field order
-    return TrialSet(master_seed, plan.scenario, state.n0, *out)
+    return TrialSet(*out)

@@ -187,9 +187,7 @@ def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     def squeezing(var_prep, var_meas, eps, c_meas):
         # one composition for the Monte Carlo row and the model row
         sigma2 = conditional_variance(var_prep, var_meas, eps) / css
-        return squeezing_parameters(
-            sigma2, c_meas, c_in, var_prep, var_meas, n0 / 2.0, epsilon_p=eps,
-        )
+        return squeezing_parameters(sigma2, c_meas, c_in, var_prep, var_meas, n0 / 2.0)
 
     rows = []
     for i, p in enumerate(grid):
@@ -242,7 +240,7 @@ def scenario_rotation(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     )
 
     vm_model = noise_budget_from_config(cfg).evaluate(p) / 4.0
-    model_state = condition_on_measurement(state, 0.0, vm_model)
+    model_state = condition_on_measurement(state, vm_model)
 
     ts0 = _run(cfg, "squeeze-readout", n_trials, seed, state, probe=probe)
     var_meas0 = variance_stats(ts0).var_meas
@@ -252,7 +250,7 @@ def scenario_rotation(cfg: RunConfig, n_trials: int, seed: int) -> dict:
         plan = SequencePlan("rotate-alpha", rotation_angle=float(alpha))
         ts = _run(cfg, plan, n_trials, seed + 1 + i, state, probe=probe)
         resid, resid_se = residual_variance(variance_stats(ts))
-        model = rotate(model_state, "mean", alpha).var_z
+        model = rotate(model_state, alpha).var_z
         rows.append([alpha, resid - var_meas0, resid_se, model])
 
     return {"rotation.csv": (["alpha_rad", "var_alpha", "var_alpha_err", "model"],

@@ -1,14 +1,12 @@
 """Gaussian (moment-level) model of the collective pseudo-spin.
 
-The state tracks the mean Bloch vector and the 2x2 covariance of the
+The state tracks the mean spin length and the 2x2 covariance of the
 (S_z, in-plane transverse) fluctuations.  With N0 ~ 1e4 this second-moment
 description is essentially exact for every protocol step used here:
-CSS preparation, rotations, composite-pi spin flips, measurement
-back-action and conditional updates.
-
-The mean spin is constrained to the equatorial (xy) plane, which covers
-the full measurement protocol; rotations that would tip the mean out of
-the plane are rejected rather than silently mishandled.
+CSS preparation, rotations about the mean spin, measurement back-action
+and conditional updates.  The mean spin stays on the equator, as the
+only rotation is about its own direction.  Composite pi pulses and their
+failures act on the measurement records, in measurement._flip_chain.
 """
 
 from __future__ import annotations
@@ -73,7 +71,7 @@ class PulseModel:
 
 @dataclass(frozen=True)
 class GaussianSpinState:
-    """Collective spin: mean vector plus (z, transverse) covariance.
+    """Collective spin: mean spin length plus (z, transverse) covariance.
 
     s0 is the maximum spin N0/2 of the clock ensemble.  var_z, var_y,
     cov_yz are the second moments of (S_z, S_perp) where S_perp is the
@@ -82,7 +80,6 @@ class GaussianSpinState:
 
     s0: float
     mean_length: float     # |<S>|
-    mean_z: float          # <S_z>, spin units (fluctuation bookkeeping)
     var_z: float
     var_y: float
     cov_yz: float = 0.0
@@ -114,53 +111,27 @@ def prepare_css(n0: float, prep: PreparationModel) -> GaussianSpinState:
     return GaussianSpinState(
         s0=n0 / 2.0,
         mean_length=prep.initial_contrast * n0 / 2.0,
-        mean_z=0.0,
         var_z=var,
         var_y=var,
         cov_yz=0.0,
     )
 
 
-def rotate(state: GaussianSpinState, axis: str, angle: float) -> GaussianSpinState:
-    """Rigid Bloch rotation about the mean-spin direction (axis "mean").
+def rotate(state: GaussianSpinState, angle: float) -> GaussianSpinState:
+    """Rigid Bloch rotation about the mean-spin direction.
 
     The (z, transverse) covariance rotates as a 2x2 quadratic form; the
     mean spin stays on the equator.
     """
     if not math.isfinite(angle):
         raise ValueError("angle must be finite")
-    if axis != "mean":
-        raise ValueError(f"unsupported rotation axis {axis!r}")
 
     c, s = math.cos(angle), math.sin(angle)
     # (delta_z, delta_perp) rotate into each other about the mean axis
     var_z = state.var_z * c**2 + state.var_y * s**2 + 2 * state.cov_yz * s * c
     var_y = state.var_z * s**2 + state.var_y * c**2 - 2 * state.cov_yz * s * c
     cov = (state.var_y - state.var_z) * s * c + state.cov_yz * (c**2 - s**2)
-    mean_z = state.mean_z * c  # transverse mean fluctuation assumed centered
-    return replace(state, var_z=var_z, var_y=var_y, cov_yz=cov, mean_z=mean_z)
-
-
-def composite_pi(state: GaussianSpinState, pulses: PulseModel) -> GaussianSpinState:
-    """Population-inverting composite pulse with incoherent failures.
-
-    A fraction mu of the spins fails to flip: the mean inverts up to
-    (1 - 2 mu), binomial flip noise is injected, and the failed fraction
-    decoheres (contrast factor 1 - mu).
-    """
-    mu = pulses.mu_total
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError("mu must lie in [0, 1]")
-    n0 = state.n0
-    var_z = (1 - 2 * mu) ** 2 * state.var_z + mu * (1 - mu) * n0
-    # a pi rotation about the mean axis flips both transverse components,
-    # so their covariance is unchanged
-    return replace(
-        state,
-        mean_z=-(1 - 2 * mu) * state.mean_z,
-        var_z=var_z,
-        mean_length=state.mean_length * (1 - mu),
-    )
+    return replace(state, var_z=var_z, var_y=var_y, cov_yz=cov)
 
 
 def measurement_backaction(
@@ -182,7 +153,7 @@ def measurement_backaction(
 
 
 def condition_on_measurement(
-    state: GaussianSpinState, measured_z: float, var_meas: float
+    state: GaussianSpinState, var_meas: float
 ) -> GaussianSpinState:
     """Gaussian conditional update of (S_z, S_perp) given one Sz measurement."""
     if var_meas <= 0:
@@ -190,12 +161,9 @@ def condition_on_measurement(
     if math.isinf(var_meas):
         return state
     total = state.var_z + var_meas
-    gain = state.var_z / total
     return replace(
         state,
-        mean_z=state.mean_z + gain * (measured_z - state.mean_z),
         var_z=state.var_z * var_meas / total,
         var_y=state.var_y - state.cov_yz**2 / total,
         cov_yz=state.cov_yz * var_meas / total,
     )
-

@@ -26,9 +26,6 @@ def synthetic_trialset(rng, n, cov, mean=(0.0, 0.0)):
     m1, m2 = samples[:, 0], samples[:, 1]
     pulses = np.column_stack([m1, m1, m2, m2])
     return TrialSet(
-        master_seed=0,
-        scenario="squeeze-readout",
-        n0=N0,
         pulses=pulses,
         true_szf=m1.copy(),
         saturated=np.zeros(n, dtype=bool),
@@ -52,7 +49,6 @@ class TestVarianceStats:
     def test_constant_records(self):
         pulses = np.ones((10, 4)) * 3.0
         ts = TrialSet(
-            master_seed=0, scenario="squeeze-readout", n0=N0,
             pulses=pulses, true_szf=np.ones(10) * 3.0,
             saturated=np.zeros(10, dtype=bool),
         )
@@ -83,7 +79,6 @@ class TestVarianceStats:
         sat = np.zeros(100, dtype=bool)
         sat[:7] = True
         ts2 = TrialSet(
-            master_seed=0, scenario="squeeze-readout", n0=N0,
             pulses=ts.pulses, true_szf=ts.true_szf,
             saturated=sat,
         )
@@ -153,12 +148,15 @@ class TestSqueezingParameters:
         assert rep.zeta_m == pytest.approx(1.0, rel=1e-6)
 
     def test_zeta_m_independent_of_epsilon(self):
-        # changing eps_p alone leaves zeta_m fixed (it is built from raw
-        # measured variances and the measured contrast)
+        # eps_p enters only sigma2, through conditional_variance; zeta_m is
+        # built from raw measured variances and the measured contrast, so
+        # the sigma2 of eps_p = 0 and of eps_p = 0.05 give the same zeta_m
         kw = dict(contrast_meas=0.5, contrast_in=0.71, var_prep=9000.0,
                   var_meas=1500.0, s0=N0 / 2)
-        a = squeezing_parameters(sigma2=0.15, epsilon_p=0.0, **kw)
-        b = squeezing_parameters(sigma2=0.17, epsilon_p=0.05, **kw)
+        a, b = (squeezing_parameters(
+            sigma2=conditional_variance(9000.0, 1500.0, eps) / (N0 / 4), **kw)
+            for eps in (0.0, 0.05))
+        assert a.sigma2 != b.sigma2
         assert a.zeta_m == b.zeta_m
 
     def test_zeta_ordering(self):
@@ -179,7 +177,8 @@ class TestSqueezingParameters:
             assert rep.zeta_e / rep.zeta_m == pytest.approx(c / c_in, rel=1e-9)
 
     def test_kappa_meas_relation(self):
-        # var_prep = Var_CSS, eps = 0: sigma2 = 1/(1 + kappa^2)
+        # var_prep = Var_CSS, eps = 0, C = 1: sigma2 = zeta_m = 1/(1 + kappa^2)
+        # with kappa^2 = var_prep / var_meas the measurement strength
         for vm in [100.0, 5000.0, 2e4]:
             vp = N0 / 4
             sigma2 = conditional_variance(vp, vm, 0.0) / (N0 / 4)
@@ -187,9 +186,8 @@ class TestSqueezingParameters:
                 sigma2=sigma2, contrast_meas=1.0, contrast_in=1.0,
                 var_prep=vp, var_meas=vm, s0=N0 / 2,
             )
-            assert sigma2 == pytest.approx(
-                1.0 / (1.0 + rep.kappa_meas**2), rel=1e-12
-            )
+            assert rep.sigma2 == pytest.approx(1.0 / (1.0 + vp / vm), rel=1e-12)
+            assert rep.zeta_m == pytest.approx(1.0 / (1.0 + vp / vm), rel=1e-12)
 
     def test_contrast_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -348,7 +346,6 @@ class TestResidualVariance:
         rng = np.random.default_rng(12)
         ts = synthetic_trialset(rng, 500, np.array([[2.0, 1.5], [1.5, 2.0]]))
         mirrored = TrialSet(
-            master_seed=0, scenario="rotate-alpha", n0=N0,
             pulses=ts.pulses * np.array([1.0, 1.0, -1.0, -1.0]),
             true_szf=ts.true_szf, saturated=ts.saturated,
         )

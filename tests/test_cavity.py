@@ -10,7 +10,6 @@ from qndspin.cavity import (
     ensemble_coupling,
     hyperfine_mode_shift,
     inverse_transmission,
-    local_cooperativity,
     lorentzian_transmission,
     phase_per_photon,
     ramsey_damping_envelope,
@@ -42,32 +41,6 @@ class TestAntinodeCooperativity:
             antinode_cooperativity(-1.0, 780e-9, 56.9e-6)
         with pytest.raises(ValueError):
             antinode_cooperativity(5.6e3, 0.0, 56.9e-6)
-
-
-class TestLocalCooperativity:
-    def test_antinode_on_axis(self):
-        k = TWO_PI / 780e-9
-        z = (math.pi / 2) / k
-        assert local_cooperativity(0.2, 0.0, z, 56.9e-6, k) == pytest.approx(0.2)
-
-    def test_node(self):
-        k = TWO_PI / 780e-9
-        assert local_cooperativity(0.2, 0.0, 0.0, 56.9e-6, k) == pytest.approx(0.0)
-
-    def test_one_waist_off_axis(self):
-        k = TWO_PI / 780e-9
-        z = (math.pi / 2) / k
-        w = 56.9e-6
-        assert local_cooperativity(0.2, w, z, w, k) == pytest.approx(
-            0.2 * math.exp(-2), rel=1e-12
-        )
-
-    def test_bounded(self):
-        k = TWO_PI / 780e-9
-        rho = np.linspace(0, 3e-4, 40)
-        z = np.linspace(0, 1e-6, 41)
-        vals = local_cooperativity(0.2, rho[:, None], z[None, :], 56.9e-6, k)
-        assert np.all(vals >= 0) and np.all(vals <= 0.2)
 
 
 class TestEnsembleCoupling:
@@ -143,20 +116,18 @@ class TestLorentzian:
     def test_round_trip(self):
         kappa = TWO_PI * 1.01e6
         for frac in [1e-3, 0.2, 0.5, 0.9, 1.0]:
-            for branch in ("upper-slope", "lower-slope"):
-                delta = inverse_transmission(frac, kappa, branch)
-                assert lorentzian_transmission(delta, kappa) == pytest.approx(
-                    frac, rel=1e-12
-                )
-        assert inverse_transmission(0.5, 1.0, "upper-slope") == pytest.approx(0.5)
+            delta = inverse_transmission(frac, kappa)
+            assert delta >= 0.0
+            assert lorentzian_transmission(delta, kappa) == pytest.approx(
+                frac, rel=1e-12
+            )
+        assert inverse_transmission(0.5, 1.0) == pytest.approx(0.5)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             inverse_transmission(0.0, 1.0)
         with pytest.raises(ValueError):
             inverse_transmission(1.2, 1.0)
-        with pytest.raises(ValueError):
-            inverse_transmission(0.5, 1.0, "sideways")
 
 
 class TestPhasePerPhoton:

@@ -24,6 +24,7 @@ from qndspin.config import (
     default_config,
     load_and_validate,
 )
+from qndspin.constants import load_constants
 from qndspin.scenarios import (
     SCENARIO_NAMES,
     noise_budget_from_config,
@@ -333,6 +334,36 @@ class TestCli:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_exit_two(self, kind, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfe{}")
+        rc = main([
+            "run", "--scenario", "limits", "--config", str(bad),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: cannot read config file {bad}: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_manifest_exit_two(self, kind, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        if kind == "directory":
+            manifest.mkdir()
+        else:
+            manifest.write_bytes(b"\xff\xfe{}")
+        rc = main(["run", "--scenario", "limits", "--verify", str(manifest)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: cannot read manifest: ")
+
     def test_verify_roundtrip_and_mismatch(self, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main([
@@ -467,6 +498,14 @@ class TestCli:
         assert err.count("\n") == 1
         assert str(consts) in err and named in err
         assert not (tmp_path / "o").exists()
+
+    def test_constants_file_extra_entries_ignored(self, tmp_path):
+        # entries no constant reads, like "source" or the D2 wavelength that
+        # older constants files carry, load without complaint
+        consts = tmp_path / "constants.json"
+        consts.write_text(json.dumps(
+            {**PACKAGED_CONSTANTS, "d2_wavelength_m": 780.241209686e-9}))
+        assert load_constants(consts) == load_constants()
 
     @pytest.mark.parametrize("literal, named", [
         ("NaN", "nan is not a finite number"),

@@ -93,9 +93,9 @@ def reference_flip_rates():
     return np.array([RATES.p_delta_f, RATES.p_delta_mf, RATES.p_delta_f_delta_mf])
 
 
-def sample_cov_z(ts, exact):
+def sample_cov_z(ts, exact, n0):
     """Largest |sample - exact| of the 4x4 pulse covariance, in sqrt(2/(n-1)) N0/4."""
-    se_scale = math.sqrt(2.0 / (ts.n_trials - 1)) * ts.n0 / 4
+    se_scale = math.sqrt(2.0 / (ts.n_trials - 1)) * n0 / 4
     return float(np.max(np.abs(np.cov(ts.pulses.T, ddof=1) - exact))) / se_scale
 
 
@@ -442,7 +442,7 @@ class TestRunTrials:
             args = (css_state(n0), probe_config(p, FLIPS_ONLY), hot, MU_PULSES,
                     couplings)
             ts = run_trials("squeeze-readout", n, 84, *args)
-            assert sample_cov_z(ts, exact) <= 4.0
+            assert sample_cov_z(ts, exact, n0) <= 4.0
             y2 = 2 * np.var(ts.m1 - ts.m2, ddof=1)
             assert abs(y2 - two_var_diff(exact)) <= 4 * var_se(y2, n)
             # double-prep reads two independent M1-like measurements
@@ -467,7 +467,7 @@ class TestRunTrials:
             hot.p_delta_f, hot.p_delta_mf, hot.p_delta_f_delta_mf,
             MU_PULSES.mu_total, p, n0,
         )
-        assert sample_cov_z(ts, exact) <= 4.0
+        assert sample_cov_z(ts, exact, n0) <= 4.0
         y2 = 2 * np.var(ts.m1 - ts.m2, ddof=1)
         assert abs(y2 - two_var_diff(exact)) <= 4 * var_se(y2, n)
 
