@@ -167,6 +167,10 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, ArithmeticError) as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
+    except OSError as err:  # an --out (or output_dir) that cannot be written
+        print(f"config error: cannot write outputs to {out_dir}: {err}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote {artifact}")
     print(f"manifest {manifest}")
     return EXIT_OK

@@ -21,9 +21,13 @@ M_1 -> M_2 manipulation is linear plus a normal.  So a trial's four
 pulse averages and S_z after M_1 are jointly normal.  _record_moments
 propagates their mean and covariance, exact at any flip rate, and a
 block draws them as one (b, rank) @ (rank, 5) product of standard
-normals with a factor of that covariance.  Detector noise acts on the
-photocounts of the probe and compensation channels and passes through
-the Lorentzian inversion.
+normals with a factor of that covariance.  Those per-atom maps depend
+only on the flip rates (a, m, c) and mu, so _atom_maps builds them once
+per (a, m, c, mu) and later calls at the same rates reuse them.
+Detector noise acts on the photocounts of the probe and compensation
+channels and passes through the Lorentzian inversion; it and the
+technical noise are drawn as scaled standard normals, loc + scale * z,
+which is Generator.normal's own arithmetic on the same draws.
 
 Block b draws from its own stream, PCG64DXSM seeded with the pair
 (master_seed, b) through SeedSequence (O'Neill 2014), so results are
@@ -35,6 +39,7 @@ fixed cost of each library call thinly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -172,11 +177,13 @@ def simulate_probe_pulse(
     n_p = scale * lorentzian_transmission(offset - probe_share * shift, 1.0)
     n_c = scale * lorentzian_transmission(-offset + (1.0 - probe_share) * shift, 1.0)
     if probe.switches.shot and photons > 0:
-        n_p = rng.normal(n_p, np.sqrt(probe.apd_excess_factor * n_p))
-        n_c = rng.normal(n_c, np.sqrt(probe.apd_excess_factor * n_c))
+        # Generator.normal's loc + scale * z, without its broadcasting path
+        f = probe.apd_excess_factor
+        n_p = n_p + np.sqrt(f * n_p) * rng.standard_normal(shift.shape)
+        n_c = n_c + np.sqrt(f * n_c) * rng.standard_normal(shift.shape)
     if probe.switches.electronic and electronic_sigma > 0:
-        n_p = n_p + rng.normal(0.0, electronic_sigma, shift.shape)
-        n_c = n_c + rng.normal(0.0, electronic_sigma, shift.shape)
+        n_p = n_p + electronic_sigma * rng.standard_normal(shift.shape)
+        n_c = n_c + electronic_sigma * rng.standard_normal(shift.shape)
 
     t_hat_p = np.asarray(n_p) / scale
     t_hat_c = np.asarray(n_c) / scale
@@ -221,12 +228,14 @@ def _flip_chain(a: float, m: float, c: float, mu: float):
     A composite pulse negates a stopped atom, and a responder with
     probability mu.  Returns (T, F1, F2, composite), indexed [start, end].
     """
-    q = np.array([[0.0, a, m, c], [a, 0.0, c, m],
-                  [0.0, 0.0, 0.0, a + c], [0.0, 0.0, a + c, 0.0]])
-    q -= np.diag(q.sum(axis=1))
-    r = np.diag([0.5, -0.5, 0.5, -0.5])
-    zero = np.zeros((4, 4))
-    big = _expm(np.block([[q, r, zero], [zero, q, r], [zero, zero, q]]))
+    big = np.zeros((12, 12))
+    q = big[:4, :4]
+    q[:] = [[0.0, a, m, c], [a, 0.0, c, m],
+            [0.0, 0.0, 0.0, a + c], [0.0, 0.0, a + c, 0.0]]
+    q[range(4), range(4)] = -q.sum(axis=1)
+    big[4:8, 4:8] = big[8:, 8:] = q
+    big[range(8), range(4, 12)] = [0.5, -0.5] * 4  # R on both upper blocks
+    big = _expm(big)
     composite = np.array([[1.0 - mu, mu, 0.0, 0.0], [mu, 1.0 - mu, 0.0, 0.0],
                           [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
     return big[:4, :4], big[:4, 4:8], big[:4, 8:], composite
@@ -274,6 +283,40 @@ def spinflip_covariance_exact(
 # the records' moments and the block sampler
 # ---------------------------------------------------------------------------
 
+# the entries of v = (x, a_0..a_3, szf) that pulse k writes: the counts
+# and a_k; and the (row, column) index pairs of its 5x5 noise in Cov(v)
+_PULSE_OUT = tuple([0, 1, 2, 3, 4 + k] for k in range(_PULSES))
+_PULSE_NOISE_AT = tuple((np.repeat(out, 5), np.tile(out, 5)) for out in _PULSE_OUT)
+
+
+# bounded, because a photon-number scan adds a rate set at every point
+@functools.lru_cache(maxsize=64)
+def _atom_maps(a: float, m: float, c: float, mu: float):
+    """One atom's maps for _record_moments, built once per (a, m, c, mu).
+
+    Returns e^Q, move = [e^Q | F1 1], the (4, 25) table of per-start-state
+    5x5 covariances of (end state, pulse average), the composite matrix,
+    the four 9x9 pulse maps and the 9x9 composite-pulse map, all read-only
+    because every caller shares them.
+    """
+    t, f1, f2, composite = _flip_chain(a, m, c, mu)
+    move = np.hstack((t, f1.sum(axis=1, keepdims=True)))
+    atom = np.zeros((4, 5, 5))  # per start state: Cov of (end state, average)
+    atom[:, range(4), range(4)] = t
+    atom[:, :4, 4] = atom[:, 4, :4] = f1
+    atom[:, 4, 4] = 2.0 * f2.sum(axis=1)
+    atom = (atom - move[:, :, None] * move[:, None, :]).reshape(4, 25)
+    pulse_maps = np.tile(np.eye(9), (_PULSES, 1, 1))
+    for a_k, out in zip(pulse_maps, _PULSE_OUT):
+        a_k[:4, out] = move
+    composite_map = np.eye(9)
+    composite_map[:4, :4] = composite
+    maps = (t, move, atom, composite, pulse_maps, composite_map)
+    for arr in maps:
+        arr.flags.writeable = False
+    return maps
+
+
 def _record_moments(plan: SequencePlan, state: GaussianSpinState, flips, mu: float):
     """Mean (5,) and covariance (5, 5) of one trial's (a_0..a_3, S_z after M_1).
 
@@ -287,13 +330,8 @@ def _record_moments(plan: SequencePlan, state: GaussianSpinState, flips, mu: flo
     whose mean is zero, so it leaves E[x] alone.  By the law of total
     covariance and the Markov property every moment is exact at any rate.
     """
-    t, f1, f2, composite = _flip_chain(*flips, mu)
-    move = np.hstack((t, f1.sum(axis=1, keepdims=True)))
-    atom = np.zeros((4, 5, 5))  # per start state: Cov of (end state, average)
-    atom[:, range(4), range(4)] = t
-    atom[:, :4, 4] = atom[:, 4, :4] = f1
-    atom[:, 4, 4] = 2.0 * f2.sum(axis=1)
-    atom = (atom - move[:, :, None] * move[:, None, :]).reshape(4, 25)
+    t, move, atom, composite, pulse_maps, composite_map = _atom_maps(
+        *(float(x) for x in flips), float(mu))
     css = np.array([0.5, 0.5, 0.0, 0.0]) * state.n0
     imbalance = np.zeros((9, 9))  # unit variance of the responders' imbalance
     imbalance[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
@@ -315,16 +353,13 @@ def _record_moments(plan: SequencePlan, state: GaussianSpinState, flips, mu: flo
             for i in (0, 2):  # each class's imbalance times the carry-over
                 a[i:i + 2, i:i + 2] += 0.5 * (carry - 1.0) * imbalance[:2, :2]
             cov = a.T @ cov @ a + kick * imbalance
-        out = [0, 1, 2, 3, 4 + k]
-        a, noise = np.eye(9), np.zeros((9, 9))
-        a[:4, out] = move
-        noise[np.ix_(out, out)] = (counts @ atom).reshape(5, 5)
+        a, noise = pulse_maps[k], np.zeros((9, 9))
+        noise[_PULSE_NOISE_AT[k]] = counts @ atom
         cov = a.T @ cov @ a + noise
         mean[k] = counts @ move[:, 4]
         counts = counts @ t
         if k in (0, 2):  # the composite pulse after it
-            a = np.eye(9)
-            a[:4, :4] = composite
+            a = composite_map
             cov = a.T @ cov @ a + counts[:2].sum() * mu * (1.0 - mu) * imbalance
             counts = counts @ composite
     return mean, cov[4:, 4:]
@@ -344,8 +379,9 @@ def _simulate_block(rng, b, state, probe, mean, factor, couplings):
     if probe.switches.technical and probe.technical_noise_fraction > 0:
         sigma_t = math.sqrt(probe.technical_noise_fraction * state.n0) / 2.0
         rho = probe.technical_correlation
-        t1 = rng.normal(0.0, sigma_t, b)
-        t2 = rho * t1 + math.sqrt(max(1 - rho**2, 0.0)) * rng.normal(0.0, sigma_t, b)
+        t1 = sigma_t * rng.standard_normal(b)
+        t2 = rho * t1 + math.sqrt(max(1 - rho**2, 0.0)) * (
+            sigma_t * rng.standard_normal(b))
         m[:, :2] += t1[:, None]
         m[:, 2:] += t2[:, None]
     return m, v[:, 4], sat.any(axis=1)

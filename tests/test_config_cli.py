@@ -351,6 +351,19 @@ class TestCli:
         assert err.startswith(f"config error: cannot read config file {bad}: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("below", [False, True])
+    def test_unwritable_out_exit_two(self, below, tmp_path, capsys):
+        # --out names an existing regular file, or a path beneath one
+        blocker = tmp_path / "f"
+        blocker.write_text("keep")
+        out = blocker / "sub" if below else blocker
+        rc = main(["run", "--scenario", "limits", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: cannot write outputs to {out}: ")
+        assert blocker.read_text() == "keep"
+
     @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
     def test_unreadable_manifest_exit_two(self, kind, tmp_path, capsys):
         manifest = tmp_path / "m.json"

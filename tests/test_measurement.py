@@ -6,6 +6,7 @@ import pytest
 
 from qndspin.measurement import (
     _BLOCK,
+    _atom_maps,
     _record_moments,
     NoiseSwitches,
     ProbeConfig,
@@ -155,6 +156,21 @@ class TestSimulateProbePulse:
             for _ in range(200)
         ]
         assert any(flags)
+
+    def test_scaled_standard_normals_are_generator_normal(self):
+        # the detector and technical noise draw loc + scale * z in place of
+        # Generator.normal(loc, scale); the goldens rest on the two being
+        # the same bits from the same stream
+        loc = np.linspace(1.0, 5e4, 4096).reshape(1024, 4)
+        scale = np.sqrt(1.9 * loc)
+
+        def rng():
+            return np.random.Generator(np.random.PCG64DXSM([7, 3]))
+
+        assert (rng().normal(loc, scale).tobytes()
+                == (loc + scale * rng().standard_normal(loc.shape)).tobytes())
+        assert (rng().normal(0.0, 37.5, (1024, 4)).tobytes()
+                == (37.5 * rng().standard_normal((1024, 4))).tobytes())
 
 
 class TestNoiseBudgetSources:
@@ -407,6 +423,27 @@ class TestRunTrials:
         exact = spinflip_covariance_exact(*reference_flip_rates(), mu, p, N0)
         assert np.max(np.abs(cov[:4, :4] - exact)) <= 1e-12 * np.max(np.abs(exact))
         assert np.max(np.abs(mean)) <= 1e-12 * N0
+
+    def test_atom_maps_cached_per_rate(self):
+        # an array of flips and a tuple of the same floats share one entry
+        flips = 0.5 * 6.4e5 * reference_flip_rates()
+        plan = SequencePlan("rotate-alpha", rotation_angle=0.7)
+        _atom_maps.cache_clear()
+        first = _record_moments(plan, css_state(), flips, 0.02)
+        expect = [x.tobytes() for x in first]
+        as_tuple = tuple(map(float, flips))
+        second = _record_moments(plan, css_state(), as_tuple, 0.02)
+        assert _atom_maps.cache_info().misses == 1
+        assert [x.tobytes() for x in second] == expect
+        # the maps are shared, so none of them can be written
+        for arr in _atom_maps(*as_tuple, 0.02):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+        # nor does writing into one call's output reach the next call's
+        for x in (*first, *second):
+            x[...] = np.nan
+        third = _record_moments(plan, css_state(), flips, 0.02)
+        assert [x.tobytes() for x in third] == expect
 
     def test_bitwise_reproducibility(self, couplings):
         state = css_state()
