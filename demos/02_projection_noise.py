@@ -33,8 +33,11 @@ for i, n0 in enumerate(grid):
     ts2 = run_trials("double-prep", trials, 101 + 2 * i, state,
                      cfg.probe, cfg.rates, cfg.pulses, cfg.couplings)
     r1, r2 = variance_stats(ts1), variance_stats(ts2)
-    rows.append((n0, r1.y1, r1.y1_se, r2.y2, r2.y2_se, 4 * r1.var_meas))
-    print(f"{n0:8.0f} {r1.y1:10.0f} {r2.y2:10.0f} {4 * r1.var_meas:12.0f} {n0:8.0f}")
+    # y1 = 4 Var(M1); y2 = 2 Var(M1 - M2) = 4 var_meas of the double preparation
+    rows.append((n0, 4 * r1.var_m1, 4 * r1.var_m1_se, 4 * r2.var_meas,
+                 4 * r2.var_meas_se, 4 * r1.var_meas))
+    print(f"{n0:8.0f} {rows[-1][1]:10.0f} {rows[-1][3]:10.0f} "
+          f"{4 * r1.var_meas:12.0f} {n0:8.0f}")
 
 arr = np.array(rows)
 (a0, a1, a2), (se0, se1, se2) = fit_quadratic_scaling(arr[:, 0], arr[:, 1], arr[:, 2])

@@ -1,6 +1,7 @@
 """Estimators and fits: trial records -> published quantities.
 
-Variances with chi^2 standard errors, conditional spin noise (the
+Variances as quadratic forms of one sample covariance of M1 and M1 - M2,
+with errors by one Gaussian rule, conditional spin noise (the
 Gaussian posterior and the regression residual of the readout),
 squeezing parameters, the four-term noise-budget fit, quadratic
 atom-number scaling fits, and the contrast model.
@@ -29,9 +30,16 @@ def to_db(linear) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def _var_se(sample_var: float, n: int) -> float:
-    """Standard error of an unbiased sample variance (Gaussian records)."""
-    return sample_var * math.sqrt(2.0 / (n - 1))
+# Each estimate is tr(w S) for its quadratic form w in (M1, D = M1 - M2) and
+# S their sample covariance.  Var(D) is an entry of S, so a var_meas far
+# below Var(M1) does not cancel between large entries.
+_FORMS = np.array([
+    [[1.0, 0.0], [0.0, 0.0]],       # var_m1
+    [[1.0, -1.0], [-1.0, 1.0]],     # var_m2 = Var(M1 - D)
+    [[1.0, -0.5], [-0.5, 0.0]],     # cov_m1_m2
+    [[0.0, 0.0], [0.0, 0.5]],       # var_meas = Var(D)/2
+    [[1.0, 0.0], [0.0, -0.5]],      # var_prep = Var(M1) - var_meas
+])
 
 
 @dataclass(frozen=True)
@@ -45,10 +53,7 @@ class VarianceReport:
     cov_m1_m2_se: float
     var_prep: float            # Var(M1) - var_meas
     var_prep_se: float
-    y1: float                  # 4 Var(M1)
-    y1_se: float
-    y2: float                  # 2 Var(M1 - M2); the CSS check for double preps
-    y2_se: float
+    meas_prep_cov: np.ndarray  # (2, 2) covariance of the var_meas, var_prep estimates
     n_trials: int
     n_excluded_saturated: int
 
@@ -58,14 +63,12 @@ class VarianceReport:
 
 
 def variance_stats(trials: TrialSet) -> VarianceReport:
-    """Unbiased variance/covariance estimates with chi^2 standard errors.
+    """Variances of the unsaturated trials (saturated ones are counted).
 
-    Saturated trials are excluded (count reported).
+    Errors: Cov(tr(a S), tr(b S)) = 2 tr(a S b S) / (n - 1) for Gaussian records.
     """
     keep = ~trials.saturated
-    m1 = trials.m1[keep]
-    m2 = trials.m2[keep]
-    n = len(m1)
+    n = int(keep.sum())
     if n < 3:
         # residual_variance's standard error divides by n - 2
         raise ValueError(
@@ -73,29 +76,24 @@ def variance_stats(trials: TrialSet) -> VarianceReport:
             f"of {trials.n_trials} trials"
         )
 
-    var_m1 = float(np.var(m1, ddof=1))
-    var_m2 = float(np.var(m2, ddof=1))
-    diff_var = float(np.var(m1 - m2, ddof=1))
-    var_meas = diff_var / 2.0
-    cov = float(np.cov(m1, m2, ddof=1)[0, 1])
-    cov_se = math.sqrt((var_m1 * var_m2 + cov**2) / (n - 1))
-    var_prep = var_m1 - var_meas
+    m1 = trials.m1[keep]
+    ws = _FORMS @ np.cov(m1, m1 - trials.m2[keep])
+    var_m1, var_m2, cov, var_meas, var_prep = np.einsum("kii->k", ws).tolist()
+    err = 2.0 * np.einsum("aij,bji->ab", ws, ws) / (n - 1)
+    se = np.sqrt(np.diag(err)).tolist()
     return VarianceReport(
         var_m1=var_m1,
-        var_m1_se=_var_se(var_m1, n),
+        var_m1_se=se[0],
         var_m2=var_m2,
         var_meas=var_meas,
-        var_meas_se=_var_se(var_meas, n),
+        var_meas_se=se[3],
         cov_m1_m2=cov,
-        cov_m1_m2_se=cov_se,
+        cov_m1_m2_se=se[2],
         var_prep=var_prep,
-        var_prep_se=math.sqrt(_var_se(var_m1, n) ** 2 + _var_se(var_meas, n) ** 2),
-        y1=4.0 * var_m1,
-        y1_se=4.0 * _var_se(var_m1, n),
-        y2=2.0 * diff_var,
-        y2_se=2.0 * _var_se(diff_var, n),
+        var_prep_se=se[4],
+        meas_prep_cov=err[3:, 3:],
         n_trials=n,
-        n_excluded_saturated=int(np.sum(~keep)),
+        n_excluded_saturated=trials.n_trials - n,
     )
 
 

@@ -75,7 +75,7 @@ def antinode_cooperativity(finesse: float, wavelength: float, waist: float) -> f
     return 24.0 * finesse / (math.pi * k**2 * waist**2)
 
 
-def ensemble_coupling(eta0: float, ensemble: EnsembleConfig, waist: float,
+def ensemble_coupling(ensemble: EnsembleConfig, waist: float,
                       oscillator_strength: float = 2.0 / 3.0):
     """Ensemble-averaged coupling ratios.
 
@@ -244,7 +244,7 @@ def coupling_summary(
         resonator.finesse, resonator.wavelength, resonator.mode_waist
     )
     eta_ratio, n_ratio = ensemble_coupling(
-        eta0, ensemble, resonator.mode_waist, constants.d2_oscillator_strength
+        ensemble, resonator.mode_waist, constants.d2_oscillator_strength
     )
     eta_eff = eta_ratio * eta0
     n0 = n_ratio * ensemble.physical_atom_number

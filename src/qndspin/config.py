@@ -38,7 +38,7 @@ BOUNDS = {
     "resonator/mode_waist_um": (0, None, True),
     "ensemble/physical_atom_number": (0, None, False),
     "ensemble/rms_radius_um": (0, None, False),
-    "probe/photons_per_measurement": (0, None, False),
+    "probe/photons_per_measurement": (0, None, True),
     "probe/quantum_efficiency": (0, 1, True),
     "probe/apd_excess_factor": (1, None, False),
     "probe/electronic_noise_b2": (0, None, False),

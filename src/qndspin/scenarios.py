@@ -143,12 +143,13 @@ def scenario_fig2(cfg: RunConfig, n_trials: int, seed: int) -> dict:
         ts2 = _run(cfg, "double-prep", n_trials, seed + 2 * i + 1, state2)
         rep2 = variance_stats(ts2)
         rows.append([
-            n0, rep1.y1, rep1.y1_se, rep2.y2, rep2.y2_se,
+            n0, 4.0 * rep1.var_m1, 4.0 * rep1.var_m1_se,  # y1 = 4 Var(M1)
+            4.0 * rep2.var_meas, 4.0 * rep2.var_meas_se,  # y2 = 2 Var(M1 - M2)
             4.0 * rep1.var_meas, 4.0 * rep1.var_meas_se,
             n0,
         ])
 
-    arr = np.array([[r[0], r[1], r[2], r[3], r[4]] for r in rows], dtype=float)
+    arr = np.array(rows)
     fits = {}
     if len(grid) >= 4 and max(grid) / min(grid) >= 3:
         for label, col, se_col in (("y1", 1, 2), ("y2", 3, 4)):
@@ -201,11 +202,9 @@ def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
                 "preparation noise"
             )
         eps = p * cfg.rates.p_delta_f + mu
-        dm = rep.var_prep**2 / (rep.var_prep + rep.var_meas) ** 2
-        dp = rep.var_meas**2 / (rep.var_prep + rep.var_meas) ** 2
-        cond_err = math.hypot(dm * rep.var_meas_se, dp * rep.var_prep_se) / (
-            1 - eps
-        ) ** 2
+        # delta method; g = grad of var_meas var_prep / Var(M1) in (var_meas, var_prep)
+        g = (np.array([rep.var_prep, rep.var_meas]) / rep.var_m1) ** 2
+        cond_err = math.sqrt(g @ rep.meas_prep_cov @ g) / (1 - eps) ** 2
         c_meas = float(contrast_model(p, cpars["c0"], cpars["alpha"], cpars["beta"]))
         sq = squeezing(rep.var_prep, rep.var_meas, eps, c_meas)
         # model curves from the analytic budget composition
@@ -243,7 +242,7 @@ def scenario_rotation(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     model_state = condition_on_measurement(state, vm_model)
 
     ts0 = _run(cfg, "squeeze-readout", n_trials, seed, state, probe=probe)
-    var_meas0 = variance_stats(ts0).var_meas
+    rep0 = variance_stats(ts0)
 
     rows = []
     for i, alpha in enumerate(angles):
@@ -251,7 +250,8 @@ def scenario_rotation(cfg: RunConfig, n_trials: int, seed: int) -> dict:
         ts = _run(cfg, plan, n_trials, seed + 1 + i, state, probe=probe)
         resid, resid_se = residual_variance(variance_stats(ts))
         model = rotate(model_state, alpha).var_z
-        rows.append([alpha, resid - var_meas0, resid_se, model])
+        rows.append([alpha, resid - rep0.var_meas,  # from independent runs
+                     math.hypot(resid_se, rep0.var_meas_se), model])
 
     return {"rotation.csv": (["alpha_rad", "var_alpha", "var_alpha_err", "model"],
                              rows)}

@@ -15,6 +15,8 @@ from qndspin.analysis import (
     to_db,
     variance_stats,
 )
+from qndspin import scenarios
+from qndspin.config import load_and_validate
 from qndspin.measurement import TrialSet
 
 N0 = 3.3e4
@@ -55,7 +57,8 @@ class TestVarianceStats:
         rep = variance_stats(ts)
         assert rep.var_m1 == 0.0
         assert rep.var_meas == 0.0
-        assert rep.y1 == 0.0
+        assert rep.var_m1_se == rep.var_prep_se == 0.0
+        assert not rep.meas_prep_cov.any()
 
     def test_known_gaussian(self):
         rng = np.random.default_rng(2)
@@ -71,7 +74,20 @@ class TestVarianceStats:
         assert abs(rep.var_prep - v_prep) <= 3 * rep.var_prep_se
         # the two var_prep estimators agree
         assert rep.var_prep == pytest.approx(rep.cov_m1_m2, rel=0.05)
-        assert rep.y1 == pytest.approx(4 * rep.var_m1, rel=1e-12)
+        # var_prep is Var(M1) less var_meas, and the two are read from M1
+        assert rep.var_prep + rep.var_meas == pytest.approx(rep.var_m1, rel=1e-12)
+        assert rep.meas_prep_cov[0, 1] < 0
+
+    def test_small_var_meas_does_not_cancel(self):
+        # with the detector noise off M1 and M2 agree to rounding: var_meas
+        # is 1e-20 of Var(M1) and must keep its digits and its sign
+        rng = np.random.default_rng(5)
+        m1 = 1e4 + 100.0 * rng.standard_normal(500)
+        m2 = m1 + 1e-8 * rng.standard_normal(500)
+        ts = TrialSet(pulses=np.column_stack([m1, m1, m2, m2]),
+                      true_szf=m1, saturated=np.zeros(500, dtype=bool))
+        rep = variance_stats(ts)
+        assert rep.var_meas == pytest.approx(np.var(m1 - m2, ddof=1) / 2, rel=1e-9)
 
     def test_saturated_excluded(self):
         rng = np.random.default_rng(3)
@@ -352,6 +368,52 @@ class TestResidualVariance:
         plain = residual_variance(variance_stats(ts))
         flipped = residual_variance(variance_stats(mirrored))
         assert flipped == pytest.approx(plain, rel=1e-12)
+
+
+def test_stated_errors_match_spread_across_seeds(monkeypatch):
+    # Each stated standard error, against the spread of its estimate over
+    # K independent 400-trial runs of the default config: the median
+    # stated SE over that spread is 1 within 3/sqrt(2 (K - 1)), three
+    # standard errors of a sample standard deviation.  fig3 covers
+    # var_meas, var_prep and sigma2 at two photon numbers, rotation
+    # var_alpha (a residual less an independent run's var_meas).
+    k = 400
+    cfg = load_and_validate(overrides={"scenarios": {
+        "fig3": {"photon_grid": [1e5, 6.4e5]},
+        "rotation": {"angles_deg": [0.0, 90.0]},
+    }})
+    reports = []
+    real = scenarios.variance_stats
+
+    def recorded(trials):
+        reports.append(real(trials))
+        return reports[-1]
+
+    monkeypatch.setattr(scenarios, "variance_stats", recorded)
+    # (value, stated SE) per seed and point; fig3 seeds 2j + point index,
+    # rotation 3j + 0..2, so no stream is reused within a statistic
+    fig3 = np.array([[row[1:3] for row in scenarios.scenario_fig3(
+        cfg, 400, 2 * j)["fig3.csv"][1]] for j in range(k)])
+    fig3_reps = np.array(
+        [[(r.var_meas, r.var_meas_se, r.var_prep, r.var_prep_se)
+          for r in reports[2 * j:2 * j + 2]] for j in range(k)])
+    rotation = np.array([[row[1:3] for row in scenarios.scenario_rotation(
+        cfg, 400, 3 * j)["rotation.csv"][1]] for j in range(k)])
+
+    ratios = {}
+    for i, p in enumerate(("1e5", "6.4e5")):
+        for name, (val, se) in (
+            ("var_meas", fig3_reps[:, i, :2].T),
+            ("var_prep", fig3_reps[:, i, 2:].T),
+            ("sigma2", fig3[:, i].T),
+        ):
+            ratios[f"{name} at p={p}"] = np.median(se) / np.std(val, ddof=1)
+    for i, angle in enumerate((0, 90)):
+        val, se = rotation[:, i].T
+        ratios[f"var_alpha at {angle} deg"] = np.median(se) / np.std(val, ddof=1)
+    bound = 3.0 / math.sqrt(2 * (k - 1))
+    off = {name: round(float(r), 3) for name, r in ratios.items() if abs(r - 1) > bound}
+    assert not off, f"stated SE / spread outside 1 +- {bound:.3f}: {off}"
 
 
 class TestContrastModel:

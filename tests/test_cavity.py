@@ -45,17 +45,17 @@ class TestAntinodeCooperativity:
 
 class TestEnsembleCoupling:
     def test_reference_geometry(self, cloud):
-        ratio, _ = ensemble_coupling(0.203, cloud, 56.9e-6)
+        ratio, _ = ensemble_coupling(cloud, 56.9e-6)
         assert ratio == pytest.approx(0.47, abs=0.01)
 
     def test_zero_radius(self):
         ens = EnsembleConfig(physical_atom_number=1e4, rms_radius=0.0)
-        ratio, n_ratio = ensemble_coupling(0.2, ens, 56.9e-6)
+        ratio, n_ratio = ensemble_coupling(ens, 56.9e-6)
         assert ratio == pytest.approx(0.5, rel=1e-12)  # f * 3/4
         assert n_ratio == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     def test_effective_atom_fraction(self, cloud):
-        _, n_ratio = ensemble_coupling(0.203, cloud, 56.9e-6)
+        _, n_ratio = ensemble_coupling(cloud, 56.9e-6)
         assert n_ratio == pytest.approx(0.66, abs=0.01)
 
     def test_consistency_with_quadrature(self, cloud):
@@ -76,7 +76,7 @@ class TestEnsembleCoupling:
         ax2 = quad(lambda t: math.sin(t) ** 4, 0, math.pi)[0] / math.pi
         mean_eta = ax1 * radial_avg(1)
         mean_eta2 = ax2 * radial_avg(2)
-        ratio, n_ratio = ensemble_coupling(1.0, cloud, w)
+        ratio, n_ratio = ensemble_coupling(cloud, w)
         assert ratio == pytest.approx((2.0 / 3.0) * mean_eta2 / mean_eta, rel=1e-6)
         assert n_ratio == pytest.approx(mean_eta**2 / mean_eta2, rel=1e-6)
 

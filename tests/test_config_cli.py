@@ -558,6 +558,20 @@ class TestCli:
         assert rc == 3
         assert "P_Ram" in capsys.readouterr().err
 
+    def test_zero_photons_exit_two(self, tmp_path, capsys):
+        # a pulse of no photons measures nothing: rejected before any trial
+        bad = tmp_path / "dark.json"
+        bad.write_text(json.dumps({"probe": {"photons_per_measurement": 0}}))
+        rc = main([
+            "run", "--scenario", "fig2", "--config", str(bad),
+            "--trials", "50", "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "probe/photons_per_measurement" in err
+        assert not (tmp_path / "o").exists()
+
     def test_scenario_option_typo_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "typo.json"
         bad.write_text(json.dumps(
