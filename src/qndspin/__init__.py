@@ -54,11 +54,9 @@ from .measurement import (
 )
 from .scattering import raman_noise_coefficient, raman_rates, ScatteringRates
 from .spinstate import (
-    condition_on_measurement,
     GaussianSpinState,
     measurement_backaction,
     prepare_css,
     PreparationModel,
     PulseModel,
-    rotate,
 )

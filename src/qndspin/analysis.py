@@ -1,10 +1,11 @@
 """Estimators and fits: trial records -> published quantities.
 
-Variances as quadratic forms of one sample covariance of M1 and M1 - M2,
-with errors by one Gaussian rule, conditional spin noise (the
-Gaussian posterior and the regression residual of the readout),
-squeezing parameters, the four-term noise-budget fit, quadratic
-atom-number scaling fits, and the contrast model.
+Variances as quadratic forms of one covariance of M1 and M1 - M2 (the
+sample's, or the law a model reads), with errors by one Gaussian rule,
+conditional spin noise (the Gaussian posterior and the regression
+residual of the readout), squeezing parameters, the four-term
+noise-budget fit, quadratic atom-number scaling fits, and the contrast
+model.
 
 Conventions: "atom number units" means 4*Var(Sz)-style quantities
 (y1 = 4 Var(M1), the CSS reference line is y = N0); squeezing is quoted
@@ -63,10 +64,7 @@ class VarianceReport:
 
 
 def variance_stats(trials: TrialSet) -> VarianceReport:
-    """Variances of the unsaturated trials (saturated ones are counted).
-
-    Errors: Cov(tr(a S), tr(b S)) = 2 tr(a S b S) / (n - 1) for Gaussian records.
-    """
+    """Variances of the unsaturated trials (saturated ones are counted)."""
     keep = ~trials.saturated
     n = int(keep.sum())
     if n < 3:
@@ -77,7 +75,16 @@ def variance_stats(trials: TrialSet) -> VarianceReport:
         )
 
     m1 = trials.m1[keep]
-    ws = _FORMS @ np.cov(m1, m1 - trials.m2[keep])
+    return covariance_stats(np.cov(m1, m1 - trials.m2[keep]), n, trials.n_trials - n)
+
+
+def covariance_stats(s, n: int, n_saturated: int = 0) -> VarianceReport:
+    """The report of a covariance s of (M1, D = M1 - M2) over n trials.
+
+    s is a sample covariance, or the law the trials were drawn from.
+    Errors: Cov(tr(a S), tr(b S)) = 2 tr(a S b S) / (n - 1) for Gaussian records.
+    """
+    ws = _FORMS @ s
     var_m1, var_m2, cov, var_meas, var_prep = np.einsum("kii->k", ws).tolist()
     err = 2.0 * np.einsum("aij,bji->ab", ws, ws) / (n - 1)
     se = np.sqrt(np.diag(err)).tolist()
@@ -93,7 +100,7 @@ def variance_stats(trials: TrialSet) -> VarianceReport:
         var_prep_se=se[4],
         meas_prep_cov=err[3:, 3:],
         n_trials=n,
-        n_excluded_saturated=trials.n_trials - n,
+        n_excluded_saturated=n_saturated,
     )
 
 

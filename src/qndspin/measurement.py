@@ -21,7 +21,9 @@ M_1 -> M_2 manipulation is linear plus a normal.  So a trial's four
 pulse averages and S_z after M_1 are jointly normal.  _record_moments
 propagates their mean and covariance, exact at any flip rate, and a
 block draws them as one (b, rank) @ (rank, 5) product of standard
-normals with a factor of that covariance.  Those per-atom maps depend
+normals with a factor of that covariance.  The TrialSet hands that
+covariance back, so a scenario's model column reads the law its trials
+were drawn from rather than a second model.  Those per-atom maps depend
 only on the flip rates (a, m, c) and mu, so _atom_maps builds them once
 per (a, m, c, mu) and later calls at the same rates reuse them.
 Detector noise acts on the photocounts of the probe and compensation
@@ -123,6 +125,7 @@ class TrialSet:
     pulses: np.ndarray        # (n, 4): M1-, M1+, M2+, M2-  (time order)
     true_szf: np.ndarray      # (n,)
     saturated: np.ndarray     # (n,) bool
+    record_cov: np.ndarray    # (5, 5) Cov of (a_0..a_3, true_szf), before detection
 
     def __post_init__(self):
         if len(self.pulses) < 2:
@@ -426,4 +429,4 @@ def run_trials(
         for arr, part in zip(out, parts):
             arr[lo:lo + b] = part
     # out holds pulses, true_szf and saturated, in field order
-    return TrialSet(*out)
+    return TrialSet(*out, cov)

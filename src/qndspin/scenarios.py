@@ -26,6 +26,7 @@ from .analysis import (
     NoiseBudget,
     conditional_variance,
     contrast_model,
+    covariance_stats,
     fit_quadratic_scaling,
     residual_variance,
     squeezing_parameters,
@@ -36,12 +37,7 @@ from .config import RunConfig
 from .limits import LimitInputs, limits_report
 from .measurement import SequencePlan, run_trials
 from .scattering import raman_noise_coefficient
-from .spinstate import (
-    condition_on_measurement,
-    measurement_backaction,
-    prepare_css,
-    rotate,
-)
+from .spinstate import measurement_backaction, prepare_css
 
 
 def noise_budget_from_config(cfg: RunConfig, n0: float | None = None) -> NoiseBudget:
@@ -58,6 +54,34 @@ def noise_budget_from_config(cfg: RunConfig, n0: float | None = None) -> NoiseBu
         provenance={k: "fixed" for k in
                     ("b_minus2", "b_minus1", "b0_tech", "b0_mu", "b1")},
     )
+
+
+# rows M1 and D = M1 - M2 over a record law's (a_0..a_3, S_z after M_1)
+_M1_D = np.array([[0.5, 0.5, 0.0, 0.0, 0.0], [0.5, 0.5, -0.5, -0.5, 0.0]])
+
+
+def _detection(cfg: RunConfig, probe) -> np.ndarray:
+    """run_trials' detection noise on (a_0..a_3, S_z after M_1), to first order.
+
+    Each pulse gets (b_-1/p + b_-2/p^2)/2, each measurement b0_tech/4
+    with correlation rho between M1 and M2; a source switched off adds
+    nothing.
+    """
+    budget, on = noise_budget_from_config(cfg), probe.switches
+    p, rho = probe.photons_per_measurement, probe.technical_correlation
+    pulse = ((budget.b_minus1 / p if on.shot else 0.0)
+             + (budget.b_minus2 / p**2 if on.electronic else 0.0)) / 2.0
+    tech = budget.b0_tech / 4.0 if on.technical else 0.0
+    noise = np.zeros((5, 5))
+    noise[:4, :4] = pulse * np.eye(4) + tech * np.kron(
+        [[1.0, rho], [rho, 1.0]], np.ones((2, 2)))
+    return noise
+
+
+def _model_stats(trials, detection):
+    """variance_stats' report of the law the trials were drawn from."""
+    return covariance_stats(
+        _M1_D @ (trials.record_cov + detection) @ _M1_D.T, trials.n_trials)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -238,18 +262,19 @@ def scenario_rotation(cfg: RunConfig, n_trials: int, seed: int) -> dict:
         base, p, cfg.couplings.phase_per_photon_eff, n0,
     )
 
-    vm_model = noise_budget_from_config(cfg).evaluate(p) / 4.0
-    model_state = condition_on_measurement(state, vm_model)
-
     ts0 = _run(cfg, "squeeze-readout", n_trials, seed, state, probe=probe)
     rep0 = variance_stats(ts0)
+    # the model reads the same statistics from each run's own law; built after
+    # variance_stats, so a run with no usable trial fails before 1/p is taken
+    detection = _detection(cfg, probe)
+    vm_model = _model_stats(ts0, detection).var_meas
 
     rows = []
     for i, alpha in enumerate(angles):
         plan = SequencePlan("rotate-alpha", rotation_angle=float(alpha))
         ts = _run(cfg, plan, n_trials, seed + 1 + i, state, probe=probe)
         resid, resid_se = residual_variance(variance_stats(ts))
-        model = rotate(model_state, alpha).var_z
+        model = residual_variance(_model_stats(ts, detection))[0] - vm_model
         rows.append([alpha, resid - rep0.var_meas,  # from independent runs
                      math.hypot(resid_se, rep0.var_meas_se), model])
 
@@ -270,13 +295,13 @@ def scenario_ramsey(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     )
     css = cfg.n0 / 4.0
     state = prepare_css(cfg.n0, cfg.preparation)
-    budget = noise_budget_from_config(cfg)
-    vm_model = budget.evaluate(cfg.probe.photons_per_measurement) / 4.0
 
     rows = []
     for i, plan in enumerate(plans):
-        resid, _ = residual_variance(
-            variance_stats(_run(cfg, plan, n_trials, seed + i, state)))
+        ts = _run(cfg, plan, n_trials, seed + i, state)
+        resid, _ = residual_variance(variance_stats(ts))
+        if i == 0:  # the squeeze-readout law's imprecision
+            vm_model = _model_stats(ts, _detection(cfg, cfg.probe)).var_meas
         sigma2 = max(resid - vm_model, 1e-12) / css
         rows.append([plan.scenario, sigma2, to_db(sigma2)])
     return {"ramsey.csv": (["sequence", "sigma2", "sigma2_db"], rows)}

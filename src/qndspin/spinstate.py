@@ -1,17 +1,15 @@
 """Gaussian (moment-level) model of the collective pseudo-spin.
 
-The state tracks the mean spin length and the 2x2 covariance of the
-(S_z, in-plane transverse) fluctuations.  With N0 ~ 1e4 this second-moment
-description is essentially exact for every protocol step used here:
-CSS preparation, rotations about the mean spin, measurement back-action
-and conditional updates.  The mean spin stays on the equator, as the
-only rotation is about its own direction.  Composite pi pulses and their
-failures act on the measurement records, in measurement._flip_chain.
+The state tracks the mean spin length and the variances of the (S_z,
+in-plane transverse) fluctuations.  With N0 ~ 1e4 this second-moment
+description is essentially exact for the two steps made here, CSS
+preparation and measurement back-action.  Everything after them, the
+measurements, the composite pi pulses and the M_1 -> M_2 manipulation,
+acts on the records' law in measurement._record_moments.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 
@@ -71,18 +69,17 @@ class PulseModel:
 
 @dataclass(frozen=True)
 class GaussianSpinState:
-    """Collective spin: mean spin length plus (z, transverse) covariance.
+    """Collective spin: mean spin length plus (z, transverse) variances.
 
-    s0 is the maximum spin N0/2 of the clock ensemble.  var_z, var_y,
-    cov_yz are the second moments of (S_z, S_perp) where S_perp is the
-    in-plane direction perpendicular to the mean spin.
+    s0 is the maximum spin N0/2 of the clock ensemble.  var_z and var_y
+    are the variances of S_z and S_perp, the in-plane direction
+    perpendicular to the mean spin; the two are uncorrelated.
     """
 
     s0: float
     mean_length: float     # |<S>|
     var_z: float
     var_y: float
-    cov_yz: float = 0.0
 
     def __post_init__(self):
         if self.s0 <= 0:
@@ -91,16 +88,10 @@ class GaussianSpinState:
             raise ValueError("|<S>| cannot exceed S0")
         if self.var_z <= 0 or self.var_y <= 0:
             raise ValueError("variances must be > 0")
-        if self.var_z * self.var_y < self.cov_yz**2 * (1 - 1e-12):
-            raise ValueError("covariance matrix must be positive semidefinite")
 
     @property
     def n0(self) -> float:
         return 2.0 * self.s0
-
-    @property
-    def contrast(self) -> float:
-        return self.mean_length / self.s0
 
 
 def prepare_css(n0: float, prep: PreparationModel) -> GaussianSpinState:
@@ -113,25 +104,7 @@ def prepare_css(n0: float, prep: PreparationModel) -> GaussianSpinState:
         mean_length=prep.initial_contrast * n0 / 2.0,
         var_z=var,
         var_y=var,
-        cov_yz=0.0,
     )
-
-
-def rotate(state: GaussianSpinState, angle: float) -> GaussianSpinState:
-    """Rigid Bloch rotation about the mean-spin direction.
-
-    The (z, transverse) covariance rotates as a 2x2 quadratic form; the
-    mean spin stays on the equator.
-    """
-    if not math.isfinite(angle):
-        raise ValueError("angle must be finite")
-
-    c, s = math.cos(angle), math.sin(angle)
-    # (delta_z, delta_perp) rotate into each other about the mean axis
-    var_z = state.var_z * c**2 + state.var_y * s**2 + 2 * state.cov_yz * s * c
-    var_y = state.var_z * s**2 + state.var_y * c**2 - 2 * state.cov_yz * s * c
-    cov = (state.var_y - state.var_z) * s * c + state.cov_yz * (c**2 - s**2)
-    return replace(state, var_z=var_z, var_y=var_y, cov_yz=cov)
 
 
 def measurement_backaction(
@@ -151,19 +124,3 @@ def measurement_backaction(
         raise ValueError("photon number must be >= 0")
     return replace(state, var_y=state.var_y + (n0 / 4.0) * n0 * p * phi_eff**2)
 
-
-def condition_on_measurement(
-    state: GaussianSpinState, var_meas: float
-) -> GaussianSpinState:
-    """Gaussian conditional update of (S_z, S_perp) given one Sz measurement."""
-    if var_meas <= 0:
-        raise ValueError("var_meas must be > 0")
-    if math.isinf(var_meas):
-        return state
-    total = state.var_z + var_meas
-    return replace(
-        state,
-        var_z=state.var_z * var_meas / total,
-        var_y=state.var_y - state.cov_yz**2 / total,
-        cov_yz=state.cov_yz * var_meas / total,
-    )

@@ -4,7 +4,8 @@
 
 Re-runs the statistics that the covariance, noise-source and flip
 back-reaction tests gate on (test_measurement.py, criterion 4 of
-test_acceptance.py) over N_SEEDS fresh seeds, never the tests' own, and
+test_acceptance.py) and the rotation model test (test_config_cli.py)
+over N_SEEDS fresh seeds, never the tests' own, and
 prints for each gated entry the mean z (sample minus oracle, in the
 test's standard-error units) with its standard error, the spread of z,
 and the share of seeds that would fail the test's bound.  Where engine
@@ -50,7 +51,10 @@ from qndspin.measurement import (  # noqa: E402
     spinflip_covariance_exact,
 )
 from qndspin.scattering import ScatteringRates  # noqa: E402
-from qndspin.scenarios import noise_budget_from_config  # noqa: E402
+from qndspin.scenarios import (  # noqa: E402
+    noise_budget_from_config,
+    scenario_rotation,
+)
 from qndspin.spinstate import PulseModel  # noqa: E402
 
 CFG = load_and_validate()
@@ -61,6 +65,8 @@ BOOSTED = ScatteringRates(
     p_rayleigh_f1=0.0, p_rayleigh_f2=0.0,
 )
 PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]
+ROTATION = load_and_validate(overrides={
+    "scenarios": {"rotation": {"angles_deg": [0.0, 90.0, 180.0]}}})
 
 
 def cov_z(ts, exact):
@@ -175,12 +181,21 @@ def back_reaction(seed):
     return out
 
 
+def rotation_model(seed):
+    """rotation's var_alpha minus its model column, in var_alpha_err."""
+    # the scenario seeds its four runs seed..seed + 3: 4 seed keeps seeds apart
+    (_, rows), = scenario_rotation(ROTATION, 200_000, 4 * seed).values()
+    return {f"{math.degrees(alpha):.0f} deg": ((var - model) / err, 3.0)
+            for alpha, var, err, model in rows}
+
+
 CHECKS = {
     "test_monte_carlo_covariance_structure": covariance_structure,
     "test_monte_carlo_mu_covariance": mu_covariance,
     "TestNoiseBudgetSources": noise_sources,
     "test_criterion_4_noise_budget_monte_carlo": criterion_4,
     "TestFlipBackReaction": back_reaction,
+    "test_rotation_model_is_the_run_statistic": rotation_model,
 }
 
 

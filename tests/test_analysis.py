@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import stats
 from qndspin.analysis import (
     conditional_variance,
     contrast_model,
+    covariance_stats,
     fit_noise_model,
     fit_quadratic_scaling,
     NoiseBudget,
@@ -22,6 +24,10 @@ from qndspin.measurement import TrialSet
 N0 = 3.3e4
 
 
+# pulses (M1, M1, M2, M2) and S_z = M1 as rows over (M1, M2)
+PULSES_OF_M = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+
+
 def synthetic_trialset(rng, n, cov, mean=(0.0, 0.0)):
     """TrialSet with (M1, M2) drawn from a known bivariate Gaussian."""
     samples = rng.multivariate_normal(mean, cov, size=n)
@@ -31,6 +37,7 @@ def synthetic_trialset(rng, n, cov, mean=(0.0, 0.0)):
         pulses=pulses,
         true_szf=m1.copy(),
         saturated=np.zeros(n, dtype=bool),
+        record_cov=PULSES_OF_M @ np.asarray(cov) @ PULSES_OF_M.T,
     )
 
 
@@ -52,7 +59,7 @@ class TestVarianceStats:
         pulses = np.ones((10, 4)) * 3.0
         ts = TrialSet(
             pulses=pulses, true_szf=np.ones(10) * 3.0,
-            saturated=np.zeros(10, dtype=bool),
+            saturated=np.zeros(10, dtype=bool), record_cov=np.zeros((5, 5)),
         )
         rep = variance_stats(ts)
         assert rep.var_m1 == 0.0
@@ -78,14 +85,31 @@ class TestVarianceStats:
         assert rep.var_prep + rep.var_meas == pytest.approx(rep.var_m1, rel=1e-12)
         assert rep.meas_prep_cov[0, 1] < 0
 
+    def test_law_reads_through_the_same_forms(self):
+        # the report of the law a set is drawn from holds the exact values
+        # that variance_stats estimates from its sample
+        v_prep, v_meas = 9405.0, 1206.0
+        law = np.array([[v_prep + v_meas, v_prep], [v_prep, v_prep + v_meas]])
+        to_m1_d = np.array([[1.0, 0.0], [1.0, -1.0]])
+        exact = covariance_stats(to_m1_d @ law @ to_m1_d.T, 10_000)
+        assert exact.var_meas == pytest.approx(v_meas, rel=1e-12)
+        assert exact.var_prep == pytest.approx(v_prep, rel=1e-12)
+        assert residual_variance(exact)[0] == pytest.approx(
+            v_meas + conditional_variance(v_prep, v_meas), rel=1e-12)
+        rep = variance_stats(synthetic_trialset(np.random.default_rng(8), 10_000, law))
+        assert abs(rep.var_meas - exact.var_meas) <= 3 * exact.var_meas_se
+        assert abs(rep.var_prep - exact.var_prep) <= 3 * exact.var_prep_se
+
     def test_small_var_meas_does_not_cancel(self):
         # with the detector noise off M1 and M2 agree to rounding: var_meas
         # is 1e-20 of Var(M1) and must keep its digits and its sign
         rng = np.random.default_rng(5)
         m1 = 1e4 + 100.0 * rng.standard_normal(500)
         m2 = m1 + 1e-8 * rng.standard_normal(500)
+        law = np.array([[1e4, 1e4], [1e4, 1e4 + 1e-16]])
         ts = TrialSet(pulses=np.column_stack([m1, m1, m2, m2]),
-                      true_szf=m1, saturated=np.zeros(500, dtype=bool))
+                      true_szf=m1, saturated=np.zeros(500, dtype=bool),
+                      record_cov=PULSES_OF_M @ law @ PULSES_OF_M.T)
         rep = variance_stats(ts)
         assert rep.var_meas == pytest.approx(np.var(m1 - m2, ddof=1) / 2, rel=1e-9)
 
@@ -94,11 +118,7 @@ class TestVarianceStats:
         ts = synthetic_trialset(rng, 100, np.eye(2))
         sat = np.zeros(100, dtype=bool)
         sat[:7] = True
-        ts2 = TrialSet(
-            pulses=ts.pulses, true_szf=ts.true_szf,
-            saturated=sat,
-        )
-        rep = variance_stats(ts2)
+        rep = variance_stats(replace(ts, saturated=sat))
         assert rep.n_excluded_saturated == 7
         assert rep.n_trials == 93
 
@@ -361,10 +381,9 @@ class TestResidualVariance:
         # a rotation by pi reads -S_z: the regression weight absorbs the sign
         rng = np.random.default_rng(12)
         ts = synthetic_trialset(rng, 500, np.array([[2.0, 1.5], [1.5, 2.0]]))
-        mirrored = TrialSet(
-            pulses=ts.pulses * np.array([1.0, 1.0, -1.0, -1.0]),
-            true_szf=ts.true_szf, saturated=ts.saturated,
-        )
+        sign = np.array([1.0, 1.0, -1.0, -1.0, 1.0])
+        mirrored = replace(ts, pulses=ts.pulses * sign[:4],
+                           record_cov=np.outer(sign, sign) * ts.record_cov)
         plain = residual_variance(variance_stats(ts))
         flipped = residual_variance(variance_stats(mirrored))
         assert flipped == pytest.approx(plain, rel=1e-12)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -32,6 +33,7 @@ from qndspin.scenarios import (
     scenario_params_report,
     scenario_rotation,
 )
+from qndspin.spinstate import measurement_backaction, prepare_css
 
 
 PACKAGED_CONSTANTS = json.loads(
@@ -235,6 +237,32 @@ class TestScenarioArtifacts:
         (_, rows), = scenario_rotation(cfg, 4000, 11).values()
         (_, var_0, err_0, _), (_, var_180, err_180, _) = rows
         assert abs(var_180 - var_0) <= 4 * math.hypot(err_0, err_180)
+
+    def test_rotation_model_is_the_run_statistic(self):
+        # the model column is the MC statistic read from the law each run
+        # draws from, with detection to first order
+        cfg = load_and_validate(overrides={
+            "scenarios": {"rotation": {"angles_deg": [0.0, 90.0, 180.0]}}})
+        (_, rows), = scenario_rotation(cfg, 200_000, 11).values()
+        for alpha, var_alpha, err, model in rows:
+            assert abs(var_alpha - model) <= 3 * err, math.degrees(alpha)
+
+    def test_rotation_model_exact_with_every_noise_off(self):
+        # no detection, flips or pulse failures: M_1 reads S_z exactly, and
+        # the rotated readout's residual is the back-acted S_perp's share
+        cfg = load_and_validate(overrides={
+            "noise": dict.fromkeys(
+                ("shot", "electronic", "technical", "raman", "microwave"), False),
+            "scenarios": {"rotation": {
+                "angles_deg": [0.0, 30.0, 90.0, 150.0, 180.0]}}})
+        p = cfg.scenario_options("rotation")["photons"]
+        var_y = measurement_backaction(
+            prepare_css(cfg.n0, cfg.preparation), p,
+            cfg.couplings.phase_per_photon_eff, cfg.n0).var_y
+        (_, rows), = scenario_rotation(cfg, 64, 3).values()
+        for alpha, _, _, model in rows:
+            assert model == pytest.approx(
+                var_y * math.sin(alpha) ** 2, abs=1e-9 * cfg.n0 / 4)
 
     def test_unknown_scenario(self, cfg, tmp_path):
         with pytest.raises(ValueError):
@@ -557,6 +585,27 @@ class TestCli:
         ])
         assert rc == 3
         assert "P_Ram" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, override", [
+        ("rotation", {"scenarios": {"rotation": {"photons": 1e-200}}}),
+        ("ramsey", {"probe": {"photons_per_measurement": 1e-200}}),
+    ])
+    def test_dark_pulses_exit_three_without_warning(self, scenario, override,
+                                                    tmp_path, capsys):
+        # every trial saturates: the run reports that before any model
+        # column divides by the photon number
+        bad = tmp_path / "dark.json"
+        bad.write_text(json.dumps(override))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([
+                "run", "--scenario", scenario, "--config", str(bad),
+                "--trials", "8", "--out", str(tmp_path / "o"),
+            ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("runtime error:") and "0 of 8 trials" in err
 
     def test_zero_photons_exit_two(self, tmp_path, capsys):
         # a pulse of no photons measures nothing: rejected before any trial
