@@ -154,9 +154,9 @@ def electronic_count_sigma(probe: ProbeConfig, domega_dn: float) -> float:
 
 def simulate_probe_pulse(
     true_shift,
-    photons: float,
+    photons,
     probe: ProbeConfig,
-    rng: np.random.Generator,
+    normals,
     probe_share: float = 1.0,
     electronic_sigma: float = 0.0,
 ):
@@ -164,29 +164,33 @@ def simulate_probe_pulse(
 
     `true_shift` is the atom-induced differential shift of each pulse in
     kappa units, a scalar or an array of any shape.  `photons` is the
-    transmitted photon number per pulse at the operating point.  Returns
-    (inferred shifts in kappa units, saturated flags), shaped like
-    `true_shift`.
+    transmitted photon number per pulse at the operating point, a scalar
+    or an array that broadcasts against `true_shift` (one per row of a
+    scan's pass).  `normals` holds standard normals shaped (4, *shape):
+    the shot noise of the probe and compensation channels, then their
+    electronic noise; a switched-off source reads none of its rows.
+    Returns (inferred shifts in kappa units, saturated flags), shaped
+    like `true_shift`.
     """
-    if photons < 0:
+    if np.any(np.asarray(photons) < 0):
         raise ValueError("photon number must be >= 0")
     offset = _PROBE_OFFSET
     # detected counts per unit transmission: Q_e times the input flux
-    scale = probe.quantum_efficiency * photons / float(
+    scale = probe.quantum_efficiency * np.asarray(photons, dtype=float) / float(
         lorentzian_transmission(offset, 1.0)
     )
     shift = np.asarray(true_shift, dtype=float)
 
     n_p = scale * lorentzian_transmission(offset - probe_share * shift, 1.0)
     n_c = scale * lorentzian_transmission(-offset + (1.0 - probe_share) * shift, 1.0)
-    if probe.switches.shot and photons > 0:
+    if probe.switches.shot:
         # Generator.normal's loc + scale * z, without its broadcasting path
         f = probe.apd_excess_factor
-        n_p = n_p + np.sqrt(f * n_p) * rng.standard_normal(shift.shape)
-        n_c = n_c + np.sqrt(f * n_c) * rng.standard_normal(shift.shape)
-    if probe.switches.electronic and electronic_sigma > 0:
-        n_p = n_p + electronic_sigma * rng.standard_normal(shift.shape)
-        n_c = n_c + electronic_sigma * rng.standard_normal(shift.shape)
+        n_p = n_p + np.sqrt(f * n_p) * normals[0]
+        n_c = n_c + np.sqrt(f * n_c) * normals[1]
+    if probe.switches.electronic:
+        n_p = n_p + electronic_sigma * normals[2]
+        n_c = n_c + electronic_sigma * normals[3]
 
     t_hat_p = np.asarray(n_p) / scale
     t_hat_c = np.asarray(n_c) / scale
@@ -320,74 +324,160 @@ def _atom_maps(a: float, m: float, c: float, mu: float):
     return maps
 
 
-def _record_moments(plan: SequencePlan, state: GaussianSpinState, flips, mu: float):
-    """Mean (5,) and covariance (5, 5) of one trial's (a_0..a_3, S_z after M_1).
+def _record_moments(plans, states, flips, mus):
+    """Means (G, 5) and covariances (G, 5, 5) of (a_0..a_3, S_z after M_1).
 
-    Carries the covariance of v = (x, a_0..a_3, szf), x the counts
-    (+R, -R, +S, -S), through linear maps v -> v a plus independent
-    normals.  Pulse k maps x to x e^Q and sets a_k = x (F1 1), plus a
-    normal with one atom's 5x5 covariance of (end state, pulse average)
-    summed over the expected counts E[x_j].  A composite pulse maps x
-    linearly, and its failures move a normal of variance E[n_R] mu (1 - mu)
-    from +R to -R.  The manipulation only rescales or redraws imbalances,
-    whose mean is zero, so it leaves E[x] alone.  By the law of total
-    covariance and the Markov property every moment is exact at any rate.
+    plans, states, flips and mus hold one entry per point of a scan; a
+    lone plan, state, flips and mu give mean (5,) and covariance (5, 5).
+    Carries the covariance of
+    v = (x, a_0..a_3, szf), x the counts (+R, -R, +S, -S), through
+    linear maps v -> v a plus independent normals.  Pulse k maps x to
+    x e^Q and sets a_k = x (F1 1), plus a normal with one atom's 5x5
+    covariance of (end state, pulse average) summed over the expected
+    counts E[x_j].  A composite pulse maps x linearly, and its failures
+    move a normal of variance E[n_R] mu (1 - mu) from +R to -R.  The
+    manipulation only rescales or redraws imbalances, whose mean is
+    zero, so it leaves E[x] alone.  By the law of total covariance and
+    the Markov property every moment is exact at any rate.  Vectors are
+    (G, 1, k) rows of stacked matmuls, which give each point the bits it
+    gets alone; a 1-D product or einsum would not.
     """
-    t, move, atom, composite, pulse_maps, composite_map = _atom_maps(
-        *(float(x) for x in flips), float(mu))
-    css = np.array([0.5, 0.5, 0.0, 0.0]) * state.n0
+    if isinstance(plans, SequencePlan):
+        mean, cov = _record_moments([plans], [states], [flips], [mus])
+        return mean[0], cov[0]
+    t, move, atom, composite, pulse_maps, composite_map = map(np.stack, zip(*(
+        _atom_maps(*(float(x) for x in f), float(mu)) for f, mu in zip(flips, mus))))
+    g, mus = len(plans), np.asarray(mus, dtype=float)
+    css = np.array([0.5, 0.5, 0.0, 0.0]) * np.array([[s.n0] for s in states])
     imbalance = np.zeros((9, 9))  # unit variance of the responders' imbalance
     imbalance[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
-    mean, cov, counts = np.zeros(5), state.var_z * imbalance, css
+    mean = np.zeros((g, 5))
+    cov = np.array([s.var_z for s in states])[:, None, None] * imbalance
+    counts = css[:, None, :]  # (G, 1, 4) rows
     for k in range(_PULSES):
         if k == 2:  # read S_z, then the M_1 -> M_2 manipulation
-            a, kick = np.eye(9), 0.0
-            a[:4, 8] = [0.5, -0.5, 0.5, -0.5]
-            mean[4] = counts @ a[:4, 8]
-            carry = 1.0  # multiplier on the M_1-era imbalance carried into M_2
-            if plan.scenario == "double-prep":
-                a[:4, :4], kick, counts = 0.0, state.var_z, css
-            elif plan.scenario == "rotate-alpha":
-                carry = math.cos(plan.rotation_angle)
-                kick = state.var_y * math.sin(plan.rotation_angle) ** 2
-            elif plan.scenario == "ramsey-clock":
-                carry = -math.cos(plan.precession_phase)
-                kick = (state.mean_length * plan.phase_noise_rms) ** 2
+            a, kick, carry = np.tile(np.eye(9), (g, 1, 1)), np.zeros(g), np.ones(g)
+            a[:, :4, 8] = [0.5, -0.5, 0.5, -0.5]
+            mean[:, 4] = (counts @ a[:, :4, 8:])[:, 0, 0]
+            counts = counts.copy()
+            # carry: multiplier on the M_1-era imbalance carried into M_2
+            for i, (plan, state) in enumerate(zip(plans, states)):
+                if plan.scenario == "double-prep":
+                    a[i, :4, :4], kick[i], counts[i] = 0.0, state.var_z, css[i]
+                elif plan.scenario == "rotate-alpha":
+                    carry[i] = math.cos(plan.rotation_angle)
+                    kick[i] = state.var_y * math.sin(plan.rotation_angle) ** 2
+                elif plan.scenario == "ramsey-clock":
+                    carry[i] = -math.cos(plan.precession_phase)
+                    kick[i] = (state.mean_length * plan.phase_noise_rms) ** 2
             for i in (0, 2):  # each class's imbalance times the carry-over
-                a[i:i + 2, i:i + 2] += 0.5 * (carry - 1.0) * imbalance[:2, :2]
-            cov = a.T @ cov @ a + kick * imbalance
-        a, noise = pulse_maps[k], np.zeros((9, 9))
-        noise[_PULSE_NOISE_AT[k]] = counts @ atom
-        cov = a.T @ cov @ a + noise
-        mean[k] = counts @ move[:, 4]
+                a[:, i:i + 2, i:i + 2] += (
+                    0.5 * (carry - 1.0))[:, None, None] * imbalance[:2, :2]
+            cov = a.transpose(0, 2, 1) @ cov @ a + kick[:, None, None] * imbalance
+        a, noise = pulse_maps[:, k], np.zeros((g, 9, 9))
+        noise[(slice(None), *_PULSE_NOISE_AT[k])] = (counts @ atom)[:, 0]
+        cov = a.transpose(0, 2, 1) @ cov @ a + noise
+        mean[:, k] = (counts @ move[:, :, 4:])[:, 0, 0]
         counts = counts @ t
         if k in (0, 2):  # the composite pulse after it
             a = composite_map
-            cov = a.T @ cov @ a + counts[:2].sum() * mu * (1.0 - mu) * imbalance
+            fail = counts[:, 0, :2].sum(axis=1) * mus * (1.0 - mus)
+            cov = a.transpose(0, 2, 1) @ cov @ a + fail[:, None, None] * imbalance
             counts = counts @ composite
-    return mean, cov[4:, 4:]
+    return mean, cov[:, 4:, 4:]
 
 
-def _simulate_block(rng, b, state, probe, mean, factor, couplings):
-    """Pulses (b, 4), true S_z after M_1 and saturated flags of b trials."""
-    v = mean + rng.standard_normal((b, len(factor))) @ factor
+def run_scan(points, n_trials, rates, pulses, couplings) -> list[TrialSet]:
+    """Run n_trials trials at each point (plan, state, probe, seed) of a scan.
+
+    Returns one TrialSet per point, bitwise equal to that point run
+    alone.  The record laws of all points are propagated together and
+    factored by one batched eigh.  Block b of a point (its trials
+    b*_BLOCK onwards) always draws from the stream PCG64DXSM seeded with
+    (seed, b), in one standard_normal call, whatever the trial count and
+    whatever else the scan holds; seed is any non-negative int.  Whole
+    blocks are packed in (point, block) order into passes of at most
+    _BLOCK rows, and each pass runs detection and technical noise once.
+    """
+    if n_trials < 2:
+        raise ValueError("need at least 2 trials for any variance estimate")
+    plans = [SequencePlan(p) if isinstance(p, str) else p for p, _, _, _ in points]
+    states = [s for _, s, _, _ in points]
+    probes = [pr for _, _, pr, _ in points]
+    flips = [0.5 * pr.photons_per_measurement * np.array(
+        [rates.p_delta_f, rates.p_delta_mf, rates.p_delta_f_delta_mf])
+        if pr.switches.raman else np.zeros(3) for pr in probes]
+    mus = [pulses.mu_total if pr.switches.microwave else 0.0 for pr in probes]
+    means, covs = _record_moments(plans, states, flips, mus)
+    # a (rank, 5) factor of each cov; eigenvalues at rounding level are
+    # dropped, so a rank-deficient record law stays exact
+    w, vec = np.linalg.eigh(covs)
+    factors = []
+    for w_i, vec_i in zip(w, vec):
+        keep = w_i > 5.0 * np.finfo(float).eps * w_i.max()
+        factors.append(np.sqrt(w_i[keep])[:, None] * vec_i[:, keep].T)
+
     domega_dn = couplings.domega_dn
-    omega_hat, sat = simulate_probe_pulse(
-        2.0 * domega_dn * _PULSE_SIGNS * v[:, :4], probe.photons_per_measurement / 2.0,
-        probe, rng, couplings.probe_signal_share,
-        electronic_count_sigma(probe, domega_dn),
-    )
-    m = _PULSE_SIGNS * omega_hat / (2.0 * domega_dn)
-
-    if probe.switches.technical and probe.technical_noise_fraction > 0:
-        sigma_t = math.sqrt(probe.technical_noise_fraction * state.n0) / 2.0
-        rho = probe.technical_correlation
-        t1 = sigma_t * rng.standard_normal(b)
-        t2 = rho * t1 + math.sqrt(max(1 - rho**2, 0.0)) * (
-            sigma_t * rng.standard_normal(b))
-        m[:, :2] += t1[:, None]
-        m[:, 2:] += t2[:, None]
-    return m, v[:, 4], sat.any(axis=1)
+    sigma_e = [electronic_count_sigma(pr, domega_dn) for pr in probes]
+    # normals per trial: the record factor's rank, then 4 per pulse
+    # channel for shot and electronic noise, then 2 technical
+    widths = [(len(f), 8 * (pr.switches.shot and pr.photons_per_measurement > 0),
+               8 * (pr.switches.electronic and s > 0),
+               2 * (pr.switches.technical and pr.technical_noise_fraction > 0))
+              for f, pr, s in zip(factors, probes, sigma_e)]
+    out = [(np.empty((n_trials, _PULSES)), np.empty(n_trials),
+            np.empty(n_trials, dtype=bool)) for _ in points]
+    blocks = [(i, block, lo, min(_BLOCK, n_trials - lo)) for i in range(len(points))
+              for block, lo in enumerate(range(0, n_trials, _BLOCK))]
+    # a pass: whole blocks in order, at most _BLOCK rows, of one detector
+    keys = [replace(pr, photons_per_measurement=0.0) for pr in probes]
+    passes, rows = [], _BLOCK
+    for blk in blocks:
+        if rows + blk[3] > _BLOCK or keys[blk[0]] != keys[passes[-1][0][0]]:
+            passes.append([])
+            rows = 0
+        passes[-1].append(blk)
+        rows += blk[3]
+    for batch in passes:
+        rows = sum(blk[3] for blk in batch)
+        v, photons = np.empty((rows, 5)), np.empty((rows, 1))
+        normals, tech = np.zeros((4, rows, _PULSES)), np.zeros((2, rows))
+        sigma_t = np.empty(rows)
+        r = 0
+        for i, block, lo, b in batch:
+            rng = np.random.Generator(np.random.PCG64DXSM([points[i][3], block]))
+            rank, shot, elec, n_tech = widths[i]
+            z = rng.standard_normal(b * (rank + shot + elec + n_tech))
+            v[r:r + b] = means[i] + z[:b * rank].reshape(b, rank) @ factors[i]
+            at = b * rank
+            for part, n in ((normals[:2], shot), (normals[2:], elec), (tech, n_tech)):
+                if n:  # a source that is off draws nothing and reads zeros
+                    part[:, r:r + b] = z[at:at + b * n].reshape(
+                        len(part), b, *part.shape[2:])
+                    at += b * n
+            photons[r:r + b] = probes[i].photons_per_measurement / 2.0
+            sigma_t[r:r + b] = math.sqrt(
+                probes[i].technical_noise_fraction * states[i].n0) / 2.0
+            r += b
+        probe = probes[batch[0][0]]
+        omega_hat, sat = simulate_probe_pulse(
+            2.0 * domega_dn * _PULSE_SIGNS * v[:, :4], photons, probe, normals,
+            couplings.probe_signal_share, sigma_e[batch[0][0]],
+        )
+        m = _PULSE_SIGNS * omega_hat / (2.0 * domega_dn)
+        if widths[batch[0][0]][3]:
+            rho = probe.technical_correlation
+            t1 = sigma_t * tech[0]
+            t2 = rho * t1 + math.sqrt(max(1 - rho**2, 0.0)) * (sigma_t * tech[1])
+            m[:, :2] += t1[:, None]
+            m[:, 2:] += t2[:, None]
+        r, parts = 0, (m, v[:, 4], sat.any(axis=1))
+        for i, _, lo, b in batch:
+            for arr, part in zip(out[i], parts):
+                arr[lo:lo + b] = part[r:r + b]
+            r += b
+    # out holds pulses, true_szf and saturated, in field order
+    return [TrialSet(*arrs, cov) for arrs, cov in zip(out, covs)]
 
 
 def run_trials(
@@ -400,33 +490,6 @@ def run_trials(
     pulses: PulseModel,
     couplings: CouplingSummary,
 ) -> TrialSet:
-    """Run independent trials, _BLOCK at a time, one PCG64DXSM stream per block.
-
-    Results are bitwise reproducible: block b (trials b*_BLOCK onwards)
-    always consumes the stream seeded with (master_seed, b), whatever
-    the trial count.  master_seed is any non-negative int.
-    """
-    if n_trials < 2:
-        raise ValueError("need at least 2 trials for any variance estimate")
-    plan = SequencePlan(scenario) if isinstance(scenario, str) else scenario
-    flips = (0.5 * probe.photons_per_measurement * np.array(
-        [rates.p_delta_f, rates.p_delta_mf, rates.p_delta_f_delta_mf])
-        if probe.switches.raman else np.zeros(3))
-    mu = pulses.mu_total if probe.switches.microwave else 0.0
-    mean, cov = _record_moments(plan, state, flips, mu)
-    # a (rank, 5) factor of cov; eigenvalues at rounding level are dropped,
-    # so a rank-deficient record law stays exact
-    w, vec = np.linalg.eigh(cov)
-    keep = w > 5.0 * np.finfo(float).eps * w.max()
-    factor = np.sqrt(w[keep])[:, None] * vec[:, keep].T
-
-    out = (np.empty((n_trials, _PULSES)), np.empty(n_trials),
-           np.empty(n_trials, dtype=bool))
-    for block, lo in enumerate(range(0, n_trials, _BLOCK)):
-        rng = np.random.Generator(np.random.PCG64DXSM([master_seed, block]))
-        b = min(_BLOCK, n_trials - lo)
-        parts = _simulate_block(rng, b, state, probe, mean, factor, couplings)
-        for arr, part in zip(out, parts):
-            arr[lo:lo + b] = part
-    # out holds pulses, true_szf and saturated, in field order
-    return TrialSet(*out, cov)
+    """Run independent trials at one point: run_scan of that point alone."""
+    return run_scan([(scenario, state, probe, master_seed)], n_trials, rates,
+                    pulses, couplings)[0]

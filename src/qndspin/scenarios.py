@@ -35,7 +35,7 @@ from .analysis import (
 )
 from .config import RunConfig
 from .limits import LimitInputs, limits_report
-from .measurement import SequencePlan, run_trials
+from .measurement import SequencePlan, run_scan
 from .scattering import raman_noise_coefficient
 from .spinstate import measurement_backaction, prepare_css
 
@@ -139,16 +139,15 @@ def _params_report_artifacts(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     return {"params_report.json": scenario_params_report(cfg)}
 
 
-def _run(cfg: RunConfig, plan, n_trials, seed, state, probe=None):
-    probe = probe or cfg.probe
-    if probe.photons_per_measurement * cfg.rates.p_raman_total > 0.1:
-        raise ValueError(
-            "p * P_Ram > 0.1: outside the first-order noise budget that "
-            "every scenario reports against"
-        )
-    return run_trials(
-        plan, n_trials, seed, state, probe, cfg.rates, cfg.pulses, cfg.couplings,
-    )
+def _run(cfg: RunConfig, points, n_trials):
+    """One TrialSet per scan point (plan, state, probe, seed), all in one run_scan."""
+    for _, _, probe, _ in points:  # every point, before any trial runs
+        if probe.photons_per_measurement * cfg.rates.p_raman_total > 0.1:
+            raise ValueError(
+                "p * P_Ram > 0.1: outside the first-order noise budget that "
+                "every scenario reports against"
+            )
+    return run_scan(points, n_trials, cfg.rates, cfg.pulses, cfg.couplings)
 
 
 def scenario_fig2(cfg: RunConfig, n_trials: int, seed: int) -> dict:
@@ -157,15 +156,16 @@ def scenario_fig2(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     grid = opts["atom_grid"]
     prep = replace(cfg.preparation, **opts["preparation"])
 
-    rows = []
+    points = []
     for i, n0 in enumerate(grid):
-        state = prepare_css(n0, prep)
-        ts1 = _run(cfg, "squeeze-readout", n_trials, seed + 2 * i, state)
-        rep1 = variance_stats(ts1)
         n0_pair = n0 * (1.0 - prep.impurity_fraction)
-        state2 = prepare_css(n0_pair, prep)
-        ts2 = _run(cfg, "double-prep", n_trials, seed + 2 * i + 1, state2)
-        rep2 = variance_stats(ts2)
+        points += [
+            ("squeeze-readout", prepare_css(n0, prep), cfg.probe, seed + 2 * i),
+            ("double-prep", prepare_css(n0_pair, prep), cfg.probe, seed + 2 * i + 1)]
+    runs = iter(_run(cfg, points, n_trials))
+    rows = []
+    for n0, ts1, ts2 in zip(grid, runs, runs):
+        rep1, rep2 = variance_stats(ts1), variance_stats(ts2)
         rows.append([
             n0, 4.0 * rep1.var_m1, 4.0 * rep1.var_m1_se,  # y1 = 4 Var(M1)
             4.0 * rep2.var_meas, 4.0 * rep2.var_meas_se,  # y2 = 2 Var(M1 - M2)
@@ -214,10 +214,11 @@ def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
         sigma2 = conditional_variance(var_prep, var_meas, eps) / css
         return squeezing_parameters(sigma2, c_meas, c_in, var_prep, var_meas, n0 / 2.0)
 
+    probes = [replace(cfg.probe, photons_per_measurement=p) for p in grid]
+    runs = _run(cfg, [("squeeze-readout", state, probe, seed + i)
+                      for i, probe in enumerate(probes)], n_trials)
     rows = []
-    for i, p in enumerate(grid):
-        probe = replace(cfg.probe, photons_per_measurement=p)
-        ts = _run(cfg, "squeeze-readout", n_trials, seed + i, state, probe=probe)
+    for p, ts in zip(grid, runs):
         rep = variance_stats(ts)
         if rep.var_prep <= 0:
             raise ValueError(
@@ -262,7 +263,10 @@ def scenario_rotation(cfg: RunConfig, n_trials: int, seed: int) -> dict:
         base, p, cfg.couplings.phase_per_photon_eff, n0,
     )
 
-    ts0 = _run(cfg, "squeeze-readout", n_trials, seed, state, probe=probe)
+    plans = ["squeeze-readout"] + [
+        SequencePlan("rotate-alpha", rotation_angle=float(alpha)) for alpha in angles]
+    ts0, *runs = _run(cfg, [(plan, state, probe, seed + i)
+                            for i, plan in enumerate(plans)], n_trials)
     rep0 = variance_stats(ts0)
     # the model reads the same statistics from each run's own law; built after
     # variance_stats, so a run with no usable trial fails before 1/p is taken
@@ -270,9 +274,7 @@ def scenario_rotation(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     vm_model = _model_stats(ts0, detection).var_meas
 
     rows = []
-    for i, alpha in enumerate(angles):
-        plan = SequencePlan("rotate-alpha", rotation_angle=float(alpha))
-        ts = _run(cfg, plan, n_trials, seed + 1 + i, state, probe=probe)
+    for alpha, ts in zip(angles, runs):
         resid, resid_se = residual_variance(variance_stats(ts))
         model = residual_variance(_model_stats(ts, detection))[0] - vm_model
         rows.append([alpha, resid - rep0.var_meas,  # from independent runs
@@ -296,9 +298,10 @@ def scenario_ramsey(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     css = cfg.n0 / 4.0
     state = prepare_css(cfg.n0, cfg.preparation)
 
+    runs = _run(cfg, [(plan, state, cfg.probe, seed + i)
+                      for i, plan in enumerate(plans)], n_trials)
     rows = []
-    for i, plan in enumerate(plans):
-        ts = _run(cfg, plan, n_trials, seed + i, state)
+    for i, (plan, ts) in enumerate(zip(plans, runs)):
         resid, _ = residual_variance(variance_stats(ts))
         if i == 0:  # the squeeze-readout law's imprecision
             vm_model = _model_stats(ts, _detection(cfg, cfg.probe)).var_meas

@@ -710,7 +710,7 @@ class TestCli:
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr("qndspin.scenarios.run_trials", no_trials)
+        monkeypatch.setattr("qndspin.scenarios.run_scan", no_trials)
         bad = tmp_path / "mu.json"
         bad.write_text(json.dumps({"pulses": {"lock_light_mu": 0.6}}))
         rc = main([

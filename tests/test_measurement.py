@@ -10,6 +10,7 @@ from qndspin.measurement import (
     _record_moments,
     NoiseSwitches,
     ProbeConfig,
+    run_scan,
     run_trials,
     SequencePlan,
     simulate_probe_pulse,
@@ -100,13 +101,18 @@ def sample_cov_z(ts, exact, n0):
     return float(np.max(np.abs(np.cov(ts.pulses.T, ddof=1) - exact))) / se_scale
 
 
+def normals(rng, shape=()):
+    """Standard normals for simulate_probe_pulse's detection channels."""
+    return rng.standard_normal((4, *shape))
+
+
 class TestSimulateProbePulse:
     def test_noiseless_recovers_shift(self, couplings):
         probe = probe_config(6e5, NoiseSwitches.none())
         rng = np.random.default_rng(0)
         for w_true in [0.0, 0.004, -0.01, 0.02]:
             w_hat, sat = simulate_probe_pulse(
-                w_true, 3e5, probe, rng, couplings.probe_signal_share, 0.0
+                w_true, 3e5, probe, normals(rng), couplings.probe_signal_share, 0.0
             )
             assert not sat
             assert w_hat == pytest.approx(w_true, abs=1e-9)
@@ -115,7 +121,7 @@ class TestSimulateProbePulse:
         probe = probe_config(6e5, NoiseSwitches.none())
         shifts = np.array([[0.0, 0.004], [-0.01, 0.02]])
         w_hat, sat = simulate_probe_pulse(
-            shifts, 3e5, probe, np.random.default_rng(0),
+            shifts, 3e5, probe, normals(np.random.default_rng(0), shifts.shape),
             couplings.probe_signal_share, 0.0,
         )
         assert w_hat.shape == sat.shape == shifts.shape
@@ -130,7 +136,8 @@ class TestSimulateProbePulse:
         vals = np.array(
             [
                 simulate_probe_pulse(
-                    0.0, p_half, probe, rng, couplings.probe_signal_share, 0.0
+                    0.0, p_half, probe, normals(rng), couplings.probe_signal_share,
+                    0.0,
                 )[0]
                 for _ in range(4000)
             ]
@@ -141,10 +148,10 @@ class TestSimulateProbePulse:
     def test_determinism(self, couplings):
         probe = probe_config(6e5, NoiseSwitches())
         a = simulate_probe_pulse(
-            0.001, 3e5, probe, np.random.default_rng(42), 0.98, 150.0
+            0.001, 3e5, probe, normals(np.random.default_rng(42)), 0.98, 150.0
         )
         b = simulate_probe_pulse(
-            0.001, 3e5, probe, np.random.default_rng(42), 0.98, 150.0
+            0.001, 3e5, probe, normals(np.random.default_rng(42)), 0.98, 150.0
         )
         assert a == b
 
@@ -152,7 +159,7 @@ class TestSimulateProbePulse:
         probe = probe_config(40, NoiseSwitches.only("electronic"))
         rng = np.random.default_rng(3)
         flags = [
-            simulate_probe_pulse(0.0, 20, probe, rng, 1.0, 500.0)[1]
+            simulate_probe_pulse(0.0, 20, probe, normals(rng), 1.0, 500.0)[1]
             for _ in range(200)
         ]
         assert any(flags)
@@ -523,6 +530,51 @@ class TestRunTrials:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
+
+    @pytest.mark.parametrize("n", [400, 2 * _BLOCK + 22])
+    def test_scan_equals_its_points_run_alone(self, couplings, n):
+        # a point's records do not depend on the scan that holds it: mixed
+        # plans and N0 (fig2), mixed p (fig3), rotate-alpha and ramsey-clock,
+        # and every switch off, whose record law is rank-deficient
+        on, off = probe_config(6.4e5, NoiseSwitches()), NoiseSwitches.none()
+        points = [("squeeze-readout", css_state(6e3), on, 10),
+                  ("double-prep", css_state(6e3), on, 11),
+                  ("squeeze-readout", css_state(5e4), on, 12),
+                  ("double-prep", css_state(5e4), on, 13),
+                  ("squeeze-readout", css_state(), probe_config(1e5, on.switches), 20),
+                  ("squeeze-readout", css_state(), probe_config(9e5, on.switches), 21),
+                  ("squeeze-readout", css_state(), probe_config(6.4e5, off), 30),
+                  (SequencePlan("rotate-alpha", rotation_angle=0.7), css_state(), on,
+                   40),
+                  (SequencePlan("ramsey-clock", precession_phase=0.3,
+                                phase_noise_rms=0.01), css_state(), on, 41)]
+        args = (RATES, MU_PULSES, couplings)
+        scan = run_scan(points, n, *args)
+        assert len(scan) == len(points)
+        for (plan, state, probe, seed), ts in zip(points, scan):
+            alone = run_trials(plan, n, seed, state, probe, *args)
+            for field in ("pulses", "true_szf", "saturated", "record_cov"):
+                assert np.array_equal(getattr(ts, field), getattr(alone, field))
+
+    def test_pass_memory_does_not_grow_with_the_grid(self, couplings):
+        # a pass holds at most _BLOCK rows, so a 12-point scan of 400 trials
+        # peaks near one point of _BLOCK trials
+        args = (RATES, MU_PULSES, couplings)
+        probe = probe_config(6.4e5, NoiseSwitches())
+        points = [(plan, css_state(n0), probe, i)
+                  for i, (plan, n0) in enumerate(
+                      (plan, n0) for n0 in np.linspace(6e3, 5e4, 6)
+                      for plan in ("squeeze-readout", "double-prep"))]
+        run_scan(points, 2, *args)  # first-call caches
+        peaks = []
+        for scan, n in ((points[:1], _BLOCK), (points, 400)):
+            tracemalloc.start()
+            try:
+                run_scan(scan, n, *args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
     def test_single_trial_rejected(self, couplings):
         with pytest.raises(ValueError):
