@@ -60,18 +60,28 @@ def noise_budget_from_config(cfg: RunConfig, n0: float | None = None) -> NoiseBu
 _M1_D = np.array([[0.5, 0.5, 0.0, 0.0, 0.0], [0.5, 0.5, -0.5, -0.5, 0.0]])
 
 
+# each budget term and the noise switch of its source
+_TERM_SOURCE = (("b_minus2", "electronic"), ("b_minus1", "shot"),
+                ("b0_tech", "technical"), ("b0_mu", "microwave"), ("b1", "raman"))
+
+
+def _switched_budget(cfg: RunConfig, on) -> NoiseBudget:
+    """The analytic budget with the term of each source `on` switches off at zero."""
+    return replace(noise_budget_from_config(cfg), **{
+        term: 0.0 for term, source in _TERM_SOURCE if not getattr(on, source)})
+
+
 def _detection(cfg: RunConfig, probe) -> np.ndarray:
-    """run_trials' detection noise on (a_0..a_3, S_z after M_1), to first order.
+    """run_scan's detection noise on (a_0..a_3, S_z after M_1), to first order.
 
     Each pulse gets (b_-1/p + b_-2/p^2)/2, each measurement b0_tech/4
     with correlation rho between M1 and M2; a source switched off adds
     nothing.
     """
-    budget, on = noise_budget_from_config(cfg), probe.switches
+    budget = _switched_budget(cfg, probe.switches)
     p, rho = probe.photons_per_measurement, probe.technical_correlation
-    pulse = ((budget.b_minus1 / p if on.shot else 0.0)
-             + (budget.b_minus2 / p**2 if on.electronic else 0.0)) / 2.0
-    tech = budget.b0_tech / 4.0 if on.technical else 0.0
+    pulse = (budget.b_minus1 / p + budget.b_minus2 / p**2) / 2.0
+    tech = budget.b0_tech / 4.0
     noise = np.zeros((5, 5))
     noise[:4, :4] = pulse * np.eye(4) + tech * np.kron(
         [[1.0, rho], [rho, 1.0]], np.ones((2, 2)))
@@ -196,12 +206,15 @@ def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     grid = cfg.scenario_options("fig3")["photon_grid"]
     n0 = cfg.n0
     css = n0 / 4.0
-    budget = noise_budget_from_config(cfg)
+    on = cfg.probe.switches
+    budget = _switched_budget(cfg, on)
     cpars = cfg.contrast_params
     c_in = cpars["c0"] / (1.0 - cpars["readout_loss"])
     state = prepare_css(n0, cfg.preparation)
-    mu = cfg.pulses.mu_total
-    eps_max = max(grid) * cfg.rates.p_delta_f + mu
+    # epsilon_p = p P_dF + mu, each term only where its source is on
+    p_df = cfg.rates.p_delta_f if on.raman else 0.0
+    mu = cfg.pulses.mu_total if on.microwave else 0.0
+    eps_max = max(grid) * p_df + mu
     if eps_max >= 0.5:  # checked before any trial runs
         raise ValueError(
             f"fig3 at p={max(grid):g}: epsilon_p = p P_dF + mu = {eps_max:.4g} "
@@ -226,7 +239,7 @@ def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
                 f"not positive; {n_trials} trials are too few to resolve the "
                 "preparation noise"
             )
-        eps = p * cfg.rates.p_delta_f + mu
+        eps = p * p_df + mu
         # delta method; g = grad of var_meas var_prep / Var(M1) in (var_meas, var_prep)
         g = (np.array([rep.var_prep, rep.var_meas]) / rep.var_m1) ** 2
         cond_err = math.sqrt(g @ rep.meas_prep_cov @ g) / (1 - eps) ** 2

@@ -30,6 +30,7 @@ from qndspin.scenarios import (
     SCENARIO_NAMES,
     noise_budget_from_config,
     run_scenario,
+    scenario_fig3,
     scenario_params_report,
     scenario_rotation,
 )
@@ -263,6 +264,16 @@ class TestScenarioArtifacts:
         for alpha, _, _, model in rows:
             assert model == pytest.approx(
                 var_y * math.sin(alpha) ** 2, abs=1e-9 * cfg.n0 / 4)
+
+    def test_fig3_model_honours_noise_switches(self):
+        # with technical noise and composite-pulse failures off, the model
+        # row drops b0_tech and b0_mu and epsilon drops mu; the full budget
+        # read 1.7 to 32 SE above the Monte Carlo row
+        cfg = load_and_validate(
+            overrides={"noise": {"technical": False, "microwave": False}})
+        (_, rows), = scenario_fig3(cfg, 4000, 11).values()
+        for p, sigma2, err, *_, sigma2_model, _, _, _ in rows:
+            assert abs(sigma2 - sigma2_model) <= 4 * err, p
 
     def test_unknown_scenario(self, cfg, tmp_path):
         with pytest.raises(ValueError):
