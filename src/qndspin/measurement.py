@@ -166,9 +166,8 @@ def simulate_probe_pulse(
     kappa units, a scalar or an array of any shape.  `photons` is the
     transmitted photon number per pulse at the operating point, a scalar
     or an array that broadcasts against `true_shift` (one per row of a
-    scan's pass).  `normals` holds standard normals shaped (4, *shape):
-    the shot noise of the probe and compensation channels, then their
-    electronic noise; a switched-off source reads none of its rows.
+    scan's pass).  `normals` holds one standard normal per detection
+    channel and pulse, shaped (2, *shape): probe, then compensation.
     Returns (inferred shifts in kappa units, saturated flags), shaped
     like `true_shift`.
     """
@@ -183,14 +182,12 @@ def simulate_probe_pulse(
 
     n_p = scale * lorentzian_transmission(offset - probe_share * shift, 1.0)
     n_c = scale * lorentzian_transmission(-offset + (1.0 - probe_share) * shift, 1.0)
-    if probe.switches.shot:
-        # Generator.normal's loc + scale * z, without its broadcasting path
-        f = probe.apd_excess_factor
-        n_p = n_p + np.sqrt(f * n_p) * normals[0]
-        n_c = n_c + np.sqrt(f * n_c) * normals[1]
-    if probe.switches.electronic:
-        n_p = n_p + electronic_sigma * normals[2]
-        n_c = n_c + electronic_sigma * normals[3]
+    # shot and electronic noise are independent normals, so their sum is
+    # one normal of variance f n + sigma_e^2 on each channel
+    f = probe.apd_excess_factor if probe.switches.shot else 0.0
+    e2 = electronic_sigma**2 if probe.switches.electronic else 0.0
+    n_p = n_p + np.sqrt(f * n_p + e2) * normals[0]
+    n_c = n_c + np.sqrt(f * n_c + e2) * normals[1]
 
     t_hat_p = np.asarray(n_p) / scale
     t_hat_c = np.asarray(n_c) / scale
@@ -419,10 +416,10 @@ def run_scan(points, n_trials, rates, pulses, couplings) -> list[TrialSet]:
 
     domega_dn = couplings.domega_dn
     sigma_e = [electronic_count_sigma(pr, domega_dn) for pr in probes]
-    # normals per trial: the record factor's rank, then 4 per pulse
-    # channel for shot and electronic noise, then 2 technical
-    widths = [(len(f), 8 * (pr.switches.shot and pr.photons_per_measurement > 0),
-               8 * (pr.switches.electronic and s > 0),
+    # normals per trial: the record factor's rank, one per detection
+    # channel and pulse, then 2 technical
+    widths = [(len(f), 8 * ((pr.switches.shot and pr.photons_per_measurement > 0)
+                            or (pr.switches.electronic and s > 0)),
                2 * (pr.switches.technical and pr.technical_noise_fraction > 0))
               for f, pr, s in zip(factors, probes, sigma_e)]
     out = [(np.empty((n_trials, _PULSES)), np.empty(n_trials),
@@ -441,16 +438,16 @@ def run_scan(points, n_trials, rates, pulses, couplings) -> list[TrialSet]:
     for batch in passes:
         rows = sum(blk[3] for blk in batch)
         v, photons = np.empty((rows, 5)), np.empty((rows, 1))
-        normals, tech = np.zeros((4, rows, _PULSES)), np.zeros((2, rows))
+        normals, tech = np.zeros((2, rows, _PULSES)), np.zeros((2, rows))
         sigma_t = np.empty(rows)
         r = 0
         for i, block, lo, b in batch:
             rng = np.random.Generator(np.random.PCG64DXSM([points[i][3], block]))
-            rank, shot, elec, n_tech = widths[i]
-            z = rng.standard_normal(b * (rank + shot + elec + n_tech))
+            rank, n_det, n_tech = widths[i]
+            z = rng.standard_normal(b * (rank + n_det + n_tech))
             v[r:r + b] = means[i] + z[:b * rank].reshape(b, rank) @ factors[i]
             at = b * rank
-            for part, n in ((normals[:2], shot), (normals[2:], elec), (tech, n_tech)):
+            for part, n in ((normals, n_det), (tech, n_tech)):
                 if n:  # a source that is off draws nothing and reads zeros
                     part[:, r:r + b] = z[at:at + b * n].reshape(
                         len(part), b, *part.shape[2:])
@@ -465,7 +462,7 @@ def run_scan(points, n_trials, rates, pulses, couplings) -> list[TrialSet]:
             couplings.probe_signal_share, sigma_e[batch[0][0]],
         )
         m = _PULSE_SIGNS * omega_hat / (2.0 * domega_dn)
-        if widths[batch[0][0]][3]:
+        if widths[batch[0][0]][2]:
             rho = probe.technical_correlation
             t1 = sigma_t * tech[0]
             t2 = rho * t1 + math.sqrt(max(1 - rho**2, 0.0)) * (sigma_t * tech[1])

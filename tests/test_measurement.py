@@ -103,7 +103,7 @@ def sample_cov_z(ts, exact, n0):
 
 def normals(rng, shape=()):
     """Standard normals for simulate_probe_pulse's detection channels."""
-    return rng.standard_normal((4, *shape))
+    return rng.standard_normal((2, *shape))
 
 
 class TestSimulateProbePulse:
