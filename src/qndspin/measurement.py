@@ -19,24 +19,25 @@ initial imbalance is a normal, each pulse maps x linearly and adds a
 normal whose covariance follows from the expected counts, and the
 M_1 -> M_2 manipulation is linear plus a normal.  So a trial's four
 pulse averages and S_z after M_1 are jointly normal.  _record_moments
-propagates their mean and covariance, exact at any flip rate, and a
-block draws them as one (b, rank) @ (rank, 5) product of standard
-normals with a factor of that covariance.  The TrialSet hands that
-covariance back, so a scenario's model column reads the law its trials
-were drawn from rather than a second model.  Those per-atom maps depend
-only on the flip rates (a, m, c) and mu, so _atom_maps builds them once
-per (a, m, c, mu) and later calls at the same rates reuse them.
-Detector noise acts on the photocounts of the probe and compensation
-channels and passes through the Lorentzian inversion; it and the
-technical noise are drawn as scaled standard normals, loc + scale * z,
-which is Generator.normal's own arithmetic on the same draws.
+propagates their mean and covariance, exact at any flip rate, for every
+point of a scan at once, and a block draws them as one (b, rank) @
+(rank, 5) product of standard normals with a factor of that covariance.
+The TrialSet hands that covariance back, so a scenario's model column
+reads the law its trials were drawn from rather than a second model.
+The per-atom maps depend only on the flip rates (a, m, c) and mu, so
+_atom_maps builds them once per (a, m, c, mu).  Detector noise acts on
+the photocounts of the probe and compensation channels and passes
+through the Lorentzian inversion; shot and electronic noise are
+independent normals, so each channel draws one normal of their summed
+variance.  Noise is drawn as loc + scale * z on standard normals.
 
-Block b draws from its own stream, PCG64DXSM seeded with the pair
-(master_seed, b) through SeedSequence (O'Neill 2014), so results are
-bitwise reproducible and a block's trials do not depend on how many
-follow it.  A trial draws a fixed number of values, so block memory
-does not grow with the flip rate, and 2048-trial blocks spread the
-fixed cost of each library call thinly.
+run_scan runs a scan's points (plan, state, probe, seed) together;
+run_trials is one point.  Block b of a point draws from its own stream,
+PCG64DXSM seeded with (seed, b) through SeedSequence (O'Neill 2014), in
+one call, so results are bitwise reproducible and do not depend on the
+trial count or on the rest of the scan.  Whole blocks are packed into
+passes of at most _BLOCK = 2048 rows, each detected in one call, so
+memory grows neither with the flip rate nor with the grid.
 """
 
 from __future__ import annotations
@@ -142,14 +143,6 @@ class TrialSet:
     @property
     def m2(self):
         return 0.5 * (self.pulses[:, 2] + self.pulses[:, 3])
-
-
-def electronic_count_sigma(probe: ProbeConfig, domega_dn: float) -> float:
-    """Per-channel, per-pulse count noise that yields the configured b_-2."""
-    return (
-        probe.quantum_efficiency * abs(domega_dn)
-        * math.sqrt(probe.electronic_noise_b2)
-    )
 
 
 def simulate_probe_pulse(
@@ -324,9 +317,8 @@ def _atom_maps(a: float, m: float, c: float, mu: float):
 def _record_moments(plans, states, flips, mus):
     """Means (G, 5) and covariances (G, 5, 5) of (a_0..a_3, S_z after M_1).
 
-    plans, states, flips and mus hold one entry per point of a scan; a
-    lone plan, state, flips and mu give mean (5,) and covariance (5, 5).
-    Carries the covariance of
+    One entry of plans, states, flips and mus per point of a scan; a lone
+    plan, state, flips and mu give (5,) and (5, 5).  Carries the covariance of
     v = (x, a_0..a_3, szf), x the counts (+R, -R, +S, -S), through
     linear maps v -> v a plus independent normals.  Pulse k maps x to
     x e^Q and sets a_k = x (F1 1), plus a normal with one atom's 5x5
@@ -337,7 +329,7 @@ def _record_moments(plans, states, flips, mus):
     zero, so it leaves E[x] alone.  By the law of total covariance and
     the Markov property every moment is exact at any rate.  Vectors are
     (G, 1, k) rows of stacked matmuls, which give each point the bits it
-    gets alone; a 1-D product or einsum would not.
+    gets alone; a (G, k) @ (k,) product or an einsum would not.
     """
     if isinstance(plans, SequencePlan):
         mean, cov = _record_moments([plans], [states], [flips], [mus])
@@ -356,7 +348,6 @@ def _record_moments(plans, states, flips, mus):
             a, kick, carry = np.tile(np.eye(9), (g, 1, 1)), np.zeros(g), np.ones(g)
             a[:, :4, 8] = [0.5, -0.5, 0.5, -0.5]
             mean[:, 4] = (counts @ a[:, :4, 8:])[:, 0, 0]
-            counts = counts.copy()
             # carry: multiplier on the M_1-era imbalance carried into M_2
             for i, (plan, state) in enumerate(zip(plans, states)):
                 if plan.scenario == "double-prep":
@@ -367,9 +358,9 @@ def _record_moments(plans, states, flips, mus):
                 elif plan.scenario == "ramsey-clock":
                     carry[i] = -math.cos(plan.precession_phase)
                     kick[i] = (state.mean_length * plan.phase_noise_rms) ** 2
+            step = (0.5 * (carry - 1.0))[:, None, None] * imbalance[:2, :2]
             for i in (0, 2):  # each class's imbalance times the carry-over
-                a[:, i:i + 2, i:i + 2] += (
-                    0.5 * (carry - 1.0))[:, None, None] * imbalance[:2, :2]
+                a[:, i:i + 2, i:i + 2] += step
             cov = a.transpose(0, 2, 1) @ cov @ a + kick[:, None, None] * imbalance
         a, noise = pulse_maps[:, k], np.zeros((g, 9, 9))
         noise[(slice(None), *_PULSE_NOISE_AT[k])] = (counts @ atom)[:, 0]
@@ -388,19 +379,15 @@ def run_scan(points, n_trials, rates, pulses, couplings) -> list[TrialSet]:
     """Run n_trials trials at each point (plan, state, probe, seed) of a scan.
 
     Returns one TrialSet per point, bitwise equal to that point run
-    alone.  The record laws of all points are propagated together and
-    factored by one batched eigh.  Block b of a point (its trials
-    b*_BLOCK onwards) always draws from the stream PCG64DXSM seeded with
-    (seed, b), in one standard_normal call, whatever the trial count and
-    whatever else the scan holds; seed is any non-negative int.  Whole
-    blocks are packed in (point, block) order into passes of at most
-    _BLOCK rows, and each pass runs detection and technical noise once.
+    alone: block b (trials b*_BLOCK onwards) of a point always draws from
+    the stream seeded (seed, b), seed any non-negative int.  One batched
+    eigh factors all record laws; each pass of at most _BLOCK rows runs
+    detection and technical noise once.
     """
     if n_trials < 2:
         raise ValueError("need at least 2 trials for any variance estimate")
     plans = [SequencePlan(p) if isinstance(p, str) else p for p, _, _, _ in points]
-    states = [s for _, s, _, _ in points]
-    probes = [pr for _, _, pr, _ in points]
+    _, states, probes, seeds = zip(*points)
     flips = [0.5 * pr.photons_per_measurement * np.array(
         [rates.p_delta_f, rates.p_delta_mf, rates.p_delta_f_delta_mf])
         if pr.switches.raman else np.zeros(3) for pr in probes]
@@ -409,84 +396,67 @@ def run_scan(points, n_trials, rates, pulses, couplings) -> list[TrialSet]:
     # a (rank, 5) factor of each cov; eigenvalues at rounding level are
     # dropped, so a rank-deficient record law stays exact
     w, vec = np.linalg.eigh(covs)
-    factors = []
-    for w_i, vec_i in zip(w, vec):
-        keep = w_i > 5.0 * np.finfo(float).eps * w_i.max()
-        factors.append(np.sqrt(w_i[keep])[:, None] * vec_i[:, keep].T)
+    keep = w > 5.0 * np.finfo(float).eps * w.max(axis=1, keepdims=True)
+    factors = [np.sqrt(w_i[k])[:, None] * vec_i[:, k].T
+               for w_i, vec_i, k in zip(w, vec, keep)]
 
-    domega_dn = couplings.domega_dn
-    sigma_e = [electronic_count_sigma(pr, domega_dn) for pr in probes]
-    # normals per trial: the record factor's rank, one per detection
-    # channel and pulse, then 2 technical
-    widths = [(len(f), 8 * ((pr.switches.shot and pr.photons_per_measurement > 0)
-                            or (pr.switches.electronic and s > 0)),
-               2 * (pr.switches.technical and pr.technical_noise_fraction > 0))
-              for f, pr, s in zip(factors, probes, sigma_e)]
-    out = [(np.empty((n_trials, _PULSES)), np.empty(n_trials),
-            np.empty(n_trials, dtype=bool)) for _ in points]
-    blocks = [(i, block, lo, min(_BLOCK, n_trials - lo)) for i in range(len(points))
-              for block, lo in enumerate(range(0, n_trials, _BLOCK))]
-    # a pass: whole blocks in order, at most _BLOCK rows, of one detector
+    # the scan's trials as rows, point i's at i * n_trials onwards
+    n_rows = len(points) * n_trials
+    pulses_out, szf, saturated = (np.empty((n_rows, _PULSES)), np.empty(n_rows),
+                                  np.empty(n_rows, dtype=bool))
+    p_half = np.array([pr.photons_per_measurement for pr in probes]) / 2.0
+    n0 = np.array([s.n0 for s in states])
+    # a pass: whole blocks (point, block, first row, size) in order, at
+    # most _BLOCK rows, all of one detector
     keys = [replace(pr, photons_per_measurement=0.0) for pr in probes]
     passes, rows = [], _BLOCK
-    for blk in blocks:
-        if rows + blk[3] > _BLOCK or keys[blk[0]] != keys[passes[-1][0][0]]:
-            passes.append([])
-            rows = 0
-        passes[-1].append(blk)
-        rows += blk[3]
+    for i in range(len(points)):
+        for block, lo in enumerate(range(0, n_trials, _BLOCK)):
+            b = min(_BLOCK, n_trials - lo)
+            if rows + b > _BLOCK or keys[i] != keys[passes[-1][0][0]]:
+                passes.append([])
+                rows = 0
+            passes[-1].append((i, block, i * n_trials + lo, b))
+            rows += b
+
+    domega_dn = couplings.domega_dn
     for batch in passes:
-        rows = sum(blk[3] for blk in batch)
-        v, photons = np.empty((rows, 5)), np.empty((rows, 1))
-        normals, tech = np.zeros((2, rows, _PULSES)), np.zeros((2, rows))
-        sigma_t = np.empty(rows)
-        r = 0
-        for i, block, lo, b in batch:
-            rng = np.random.Generator(np.random.PCG64DXSM([points[i][3], block]))
-            rank, n_det, n_tech = widths[i]
-            z = rng.standard_normal(b * (rank + n_det + n_tech))
+        probe, lo, hi = probes[batch[0][0]], batch[0][2], batch[-1][2] + batch[-1][3]
+        v, normals, tech = (np.empty((hi - lo, 5)), np.empty((2, hi - lo, _PULSES)),
+                            np.empty((2, hi - lo)))
+        for i, block, row, b in batch:
+            # a trial draws its record's rank, one normal per detection
+            # channel and pulse, and two technical
+            rank, r = len(factors[i]), row - lo
+            z = np.random.Generator(np.random.PCG64DXSM([seeds[i], block])
+                                    ).standard_normal(b * (rank + 10))
             v[r:r + b] = means[i] + z[:b * rank].reshape(b, rank) @ factors[i]
-            at = b * rank
-            for part, n in ((normals, n_det), (tech, n_tech)):
-                if n:  # a source that is off draws nothing and reads zeros
-                    part[:, r:r + b] = z[at:at + b * n].reshape(
-                        len(part), b, *part.shape[2:])
-                    at += b * n
-            photons[r:r + b] = probes[i].photons_per_measurement / 2.0
-            sigma_t[r:r + b] = math.sqrt(
-                probes[i].technical_noise_fraction * states[i].n0) / 2.0
-            r += b
-        probe = probes[batch[0][0]]
+            normals[:, r:r + b] = z[b * rank:b * (rank + 8)].reshape(2, b, _PULSES)
+            tech[:, r:r + b] = z[b * (rank + 8):].reshape(2, b)
+        point = np.arange(lo, hi) // n_trials  # each row's
+        # per-channel, per-pulse count noise that yields the configured b_-2
+        sigma_e = (probe.quantum_efficiency * abs(domega_dn)
+                   * math.sqrt(probe.electronic_noise_b2))
         omega_hat, sat = simulate_probe_pulse(
-            2.0 * domega_dn * _PULSE_SIGNS * v[:, :4], photons, probe, normals,
-            couplings.probe_signal_share, sigma_e[batch[0][0]],
-        )
+            2.0 * domega_dn * _PULSE_SIGNS * v[:, :4], p_half[point, None], probe,
+            normals, couplings.probe_signal_share, sigma_e)
         m = _PULSE_SIGNS * omega_hat / (2.0 * domega_dn)
-        if widths[batch[0][0]][2]:
+        if probe.switches.technical:
+            sigma_t = np.sqrt(probe.technical_noise_fraction * n0[point]) / 2.0
             rho = probe.technical_correlation
             t1 = sigma_t * tech[0]
             t2 = rho * t1 + math.sqrt(max(1 - rho**2, 0.0)) * (sigma_t * tech[1])
             m[:, :2] += t1[:, None]
             m[:, 2:] += t2[:, None]
-        r, parts = 0, (m, v[:, 4], sat.any(axis=1))
-        for i, _, lo, b in batch:
-            for arr, part in zip(out[i], parts):
-                arr[lo:lo + b] = part[r:r + b]
-            r += b
-    # out holds pulses, true_szf and saturated, in field order
-    return [TrialSet(*arrs, cov) for arrs, cov in zip(out, covs)]
+        pulses_out[lo:hi], szf[lo:hi], saturated[lo:hi] = m, v[:, 4], sat.any(axis=1)
+    return [TrialSet(pulses_out[k:k + n_trials], szf[k:k + n_trials],
+                     saturated[k:k + n_trials], cov)
+            for k, cov in zip(range(0, n_rows, n_trials), covs)]
 
 
-def run_trials(
-    scenario: SequencePlan | str,
-    n_trials: int,
-    master_seed: int,
-    state: GaussianSpinState,
-    probe: ProbeConfig,
-    rates: ScatteringRates,
-    pulses: PulseModel,
-    couplings: CouplingSummary,
-) -> TrialSet:
+def run_trials(scenario: SequencePlan | str, n_trials: int, master_seed: int,
+               state: GaussianSpinState, probe: ProbeConfig, rates: ScatteringRates,
+               pulses: PulseModel, couplings: CouplingSummary) -> TrialSet:
     """Run independent trials at one point: run_scan of that point alone."""
     return run_scan([(scenario, state, probe, master_seed)], n_trials, rates,
                     pulses, couplings)[0]

@@ -60,15 +60,12 @@ def noise_budget_from_config(cfg: RunConfig, n0: float | None = None) -> NoiseBu
 _M1_D = np.array([[0.5, 0.5, 0.0, 0.0, 0.0], [0.5, 0.5, -0.5, -0.5, 0.0]])
 
 
-# each budget term and the noise switch of its source
-_TERM_SOURCE = (("b_minus2", "electronic"), ("b_minus1", "shot"),
-                ("b0_tech", "technical"), ("b0_mu", "microwave"), ("b1", "raman"))
-
-
 def _switched_budget(cfg: RunConfig, on) -> NoiseBudget:
     """The analytic budget with the term of each source `on` switches off at zero."""
-    return replace(noise_budget_from_config(cfg), **{
-        term: 0.0 for term, source in _TERM_SOURCE if not getattr(on, source)})
+    source = {"b_minus2": on.electronic, "b_minus1": on.shot, "b0_tech": on.technical,
+              "b0_mu": on.microwave, "b1": on.raman}
+    return replace(noise_budget_from_config(cfg),
+                   **{term: 0.0 for term, kept in source.items() if not kept})
 
 
 def _detection(cfg: RunConfig, probe) -> np.ndarray:
@@ -81,9 +78,8 @@ def _detection(cfg: RunConfig, probe) -> np.ndarray:
     budget = _switched_budget(cfg, probe.switches)
     p, rho = probe.photons_per_measurement, probe.technical_correlation
     pulse = (budget.b_minus1 / p + budget.b_minus2 / p**2) / 2.0
-    tech = budget.b0_tech / 4.0
     noise = np.zeros((5, 5))
-    noise[:4, :4] = pulse * np.eye(4) + tech * np.kron(
+    noise[:4, :4] = pulse * np.eye(4) + budget.b0_tech / 4.0 * np.kron(
         [[1.0, rho], [rho, 1.0]], np.ones((2, 2)))
     return noise
 
@@ -149,15 +145,17 @@ def _params_report_artifacts(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     return {"params_report.json": scenario_params_report(cfg)}
 
 
-def _run(cfg: RunConfig, points, n_trials):
-    """One TrialSet per scan point (plan, state, probe, seed), all in one run_scan."""
-    for _, _, probe, _ in points:  # every point, before any trial runs
-        if probe.photons_per_measurement * cfg.rates.p_raman_total > 0.1:
-            raise ValueError(
-                "p * P_Ram > 0.1: outside the first-order noise budget that "
-                "every scenario reports against"
-            )
-    return run_scan(points, n_trials, cfg.rates, cfg.pulses, cfg.couplings)
+def _run(cfg: RunConfig, points, n_trials, seed):
+    """One run_scan over points (plan, state, probe), point i seeded seed + i."""
+    # every point, before any trial runs
+    if any(pr.photons_per_measurement * cfg.rates.p_raman_total > 0.1
+           for _, _, pr in points):
+        raise ValueError(
+            "p * P_Ram > 0.1: outside the first-order noise budget that "
+            "every scenario reports against"
+        )
+    return run_scan([(*point, seed + i) for i, point in enumerate(points)],
+                    n_trials, cfg.rates, cfg.pulses, cfg.couplings)
 
 
 def scenario_fig2(cfg: RunConfig, n_trials: int, seed: int) -> dict:
@@ -166,13 +164,10 @@ def scenario_fig2(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     grid = opts["atom_grid"]
     prep = replace(cfg.preparation, **opts["preparation"])
 
-    points = []
-    for i, n0 in enumerate(grid):
-        n0_pair = n0 * (1.0 - prep.impurity_fraction)
-        points += [
-            ("squeeze-readout", prepare_css(n0, prep), cfg.probe, seed + 2 * i),
-            ("double-prep", prepare_css(n0_pair, prep), cfg.probe, seed + 2 * i + 1)]
-    runs = iter(_run(cfg, points, n_trials))
+    pair = 1.0 - prep.impurity_fraction  # double-prep excludes impurity atoms
+    runs = iter(_run(cfg, [point for n0 in grid for point in (
+        ("squeeze-readout", prepare_css(n0, prep), cfg.probe),
+        ("double-prep", prepare_css(n0 * pair, prep), cfg.probe))], n_trials, seed))
     rows = []
     for n0, ts1, ts2 in zip(grid, runs, runs):
         rep1, rep2 = variance_stats(ts1), variance_stats(ts2)
@@ -227,9 +222,8 @@ def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
         sigma2 = conditional_variance(var_prep, var_meas, eps) / css
         return squeezing_parameters(sigma2, c_meas, c_in, var_prep, var_meas, n0 / 2.0)
 
-    probes = [replace(cfg.probe, photons_per_measurement=p) for p in grid]
-    runs = _run(cfg, [("squeeze-readout", state, probe, seed + i)
-                      for i, probe in enumerate(probes)], n_trials)
+    runs = _run(cfg, [("squeeze-readout", state, replace(
+        cfg.probe, photons_per_measurement=p)) for p in grid], n_trials, seed)
     rows = []
     for p, ts in zip(grid, runs):
         rep = variance_stats(ts)
@@ -278,8 +272,7 @@ def scenario_rotation(cfg: RunConfig, n_trials: int, seed: int) -> dict:
 
     plans = ["squeeze-readout"] + [
         SequencePlan("rotate-alpha", rotation_angle=float(alpha)) for alpha in angles]
-    ts0, *runs = _run(cfg, [(plan, state, probe, seed + i)
-                            for i, plan in enumerate(plans)], n_trials)
+    ts0, *runs = _run(cfg, [(plan, state, probe) for plan in plans], n_trials, seed)
     rep0 = variance_stats(ts0)
     # the model reads the same statistics from each run's own law; built after
     # variance_stats, so a run with no usable trial fails before 1/p is taken
@@ -311,8 +304,7 @@ def scenario_ramsey(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     css = cfg.n0 / 4.0
     state = prepare_css(cfg.n0, cfg.preparation)
 
-    runs = _run(cfg, [(plan, state, cfg.probe, seed + i)
-                      for i, plan in enumerate(plans)], n_trials)
+    runs = _run(cfg, [(plan, state, cfg.probe) for plan in plans], n_trials, seed)
     rows = []
     for i, (plan, ts) in enumerate(zip(plans, runs)):
         resid, _ = residual_variance(variance_stats(ts))
