@@ -36,8 +36,8 @@ run_trials is one point.  Block b of a point draws from its own stream,
 PCG64DXSM seeded with (seed, b) through SeedSequence (O'Neill 2014), in
 one call, so results are bitwise reproducible and do not depend on the
 trial count or on the rest of the scan.  Whole blocks are packed into
-passes of at most _BLOCK = 2048 rows, each detected in one call, so
-memory grows neither with the flip rate nor with the grid.
+passes of at most _BLOCK = 2048 rows, each detected in one call, so a
+pass's memory grows neither with the flip rate nor with the grid.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def simulate_probe_pulse(
         raise ValueError("photon number must be >= 0")
     offset = _PROBE_OFFSET
     # detected counts per unit transmission: Q_e times the input flux
-    scale = probe.quantum_efficiency * np.asarray(photons, dtype=float) / float(
+    scale = probe.quantum_efficiency * photons / float(
         lorentzian_transmission(offset, 1.0)
     )
     shift = np.asarray(true_shift, dtype=float)
@@ -433,7 +433,7 @@ def run_scan(points, n_trials, rates, pulses, couplings) -> list[TrialSet]:
             v[r:r + b] = means[i] + z[:b * rank].reshape(b, rank) @ factors[i]
             normals[:, r:r + b] = z[b * rank:b * (rank + 8)].reshape(2, b, _PULSES)
             tech[:, r:r + b] = z[b * (rank + 8):].reshape(2, b)
-        point = np.arange(lo, hi) // n_trials  # each row's
+        point = np.arange(lo, hi) // n_trials  # the point of each row
         # per-channel, per-pulse count noise that yields the configured b_-2
         sigma_e = (probe.quantum_efficiency * abs(domega_dn)
                    * math.sqrt(probe.electronic_noise_b2))
