@@ -334,7 +334,7 @@ def _record_moments(plans, states, flips, mus):
     if isinstance(plans, SequencePlan):
         mean, cov = _record_moments([plans], [states], [flips], [mus])
         return mean[0], cov[0]
-    t, move, atom, composite, pulse_maps, composite_map = map(np.stack, zip(*(
+    t, move, atom, composite, pulse_maps, composite_map = map(np.array, zip(*(
         _atom_maps(*(float(x) for x in f), float(mu)) for f, mu in zip(flips, mus))))
     g, mus = len(plans), np.asarray(mus, dtype=float)
     css = np.array([0.5, 0.5, 0.0, 0.0]) * np.array([[s.n0] for s in states])
