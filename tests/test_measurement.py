@@ -561,10 +561,9 @@ class TestRunTrials:
         # peaks near one point of _BLOCK trials
         args = (RATES, MU_PULSES, couplings)
         probe = probe_config(6.4e5, NoiseSwitches())
-        points = [(plan, css_state(n0), probe, i)
-                  for i, (plan, n0) in enumerate(
-                      (plan, n0) for n0 in np.linspace(6e3, 5e4, 6)
-                      for plan in ("squeeze-readout", "double-prep"))]
+        grid = [(plan, n0) for n0 in np.linspace(6e3, 5e4, 6)
+                for plan in ("squeeze-readout", "double-prep")]
+        points = [(plan, css_state(n0), probe, i) for i, (plan, n0) in enumerate(grid)]
         run_scan(points, 2, *args)  # first-call caches
         peaks = []
         for scan, n in ((points[:1], _BLOCK), (points, 400)):
