@@ -15,6 +15,7 @@ and keeps nothing, so --out is rejected too.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -30,6 +31,7 @@ EXIT_RUNTIME = 3
 EXIT_VERIFY = 4
 
 
+@functools.cache  # the same parser serves every main() call in a process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qndspin",

@@ -15,6 +15,7 @@ are built.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 
 from .cavity import CouplingSummary, EnsembleConfig, ResonatorParams, coupling_summary
-from .constants import TWO_PI, PhysicalConstants, load_constants
+from .constants import RB87, TWO_PI, PhysicalConstants, load_constants
 from .measurement import NoiseSwitches, ProbeConfig
 from .scattering import ScatteringRates, raman_noise_coefficient, raman_rates
 from .spinstate import PreparationModel, PulseModel
@@ -135,9 +136,13 @@ def _reject_constant(name: str):
     raise ConfigError([f"config is not valid JSON: {name} is not a number"])
 
 
+@functools.cache  # the text only: each default_config() call parses a fresh dict
+def _default_text() -> str:
+    return resources.files("qndspin").joinpath("data/default_config.json").read_text()
+
+
 def default_config() -> dict:
-    text = resources.files("qndspin").joinpath("data/default_config.json").read_text()
-    return json.loads(text, parse_constant=_reject_constant)
+    return json.loads(_default_text(), parse_constant=_reject_constant)
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -190,7 +195,7 @@ def _build(raw: dict) -> RunConfig:
     """
     cf = raw["constants_file"]
     try:
-        constants = load_constants(cf)
+        constants = RB87 if cf is None else load_constants(cf)
     except (OSError, ValueError) as err:
         raise ConfigError([f"constants_file {cf!r}: {err}"]) from err
     res = raw["resonator"]

@@ -8,7 +8,8 @@ for ``.json`` files; the first entry is the primary artifact.
 run_scenario is the only writer: it writes the artifacts, a
 resolved-config echo and a run manifest (seed, config hash, scenario,
 code version, output hashes) so that reruns are byte-identical and
-verifiable.
+verifiable.  Each file is serialized once and written in one call, and
+its manifest hash is taken from the very bytes written, not read back.
 """
 
 from __future__ import annotations
@@ -90,20 +91,14 @@ def _model_stats(trials, detection):
         _M1_D @ (trials.record_cov + detection) @ _M1_D.T, trials.n_trials)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                repr(float(v)) if isinstance(v, (int, float, np.floating)) else str(v)
-                for v in row
-            ) + "\n")
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    return "".join(",".join(
+        repr(float(v)) if isinstance(v, (int, float, np.floating)) else str(v)
+        for v in row) + "\n" for row in (header, *rows))
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 def scenario_params_report(cfg: RunConfig) -> dict:
@@ -358,25 +353,23 @@ def run_scenario(name: str, cfg: RunConfig, out_dir: Path,
     n_trials = (n_trials or cfg.n_trials) if monte_carlo else 0
     seed = cfg.master_seed if seed is None else seed
 
-    files = []
-    for filename, payload in compute(cfg, n_trials, seed).items():
-        path = out_dir / filename
-        if path.suffix == ".csv":
-            _write_csv(path, *payload)
-        else:
-            _write_json(path, payload)
-        files.append(path)
-    echo = out_dir / "resolved_config.json"
-    _write_json(echo, cfg.raw)
+    texts = {filename: _csv_text(*payload) if filename.endswith(".csv")
+             else _json_text(payload)
+             for filename, payload in compute(cfg, n_trials, seed).items()}
+    texts["resolved_config.json"] = _json_text(cfg.raw)
+    outputs = {}
+    for filename, text in texts.items():
+        data = text.encode()
+        (out_dir / filename).write_bytes(data)
+        outputs[filename] = hashlib.sha256(data).hexdigest()
 
     manifest = out_dir / f"{name}_manifest.json"
-    _write_json(manifest, {
+    manifest.write_bytes(_json_text({
         "scenario": name,
         "seed": int(seed),
         "n_trials": int(n_trials),
         "config_hash": cfg.config_hash(),
         "version": __version__,
-        "outputs": {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-                    for f in (*files, echo)},
-    })
-    return files[0], manifest
+        "outputs": outputs,
+    }).encode())
+    return out_dir / next(iter(texts)), manifest

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from qndspin.config import (
     default_config,
     load_and_validate,
 )
-from qndspin.constants import load_constants
+from qndspin.constants import RB87, load_constants
 from qndspin.scenarios import (
     SCENARIO_NAMES,
     noise_budget_from_config,
@@ -790,6 +791,60 @@ def test_golden_manifest_reproduces(scenario, capsys):
     manifest = GOLDEN / f"{scenario}_manifest.json"
     rc = main(["run", "--scenario", scenario, "--verify", str(manifest)])
     assert rc == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_manifest_hashes_the_bytes_on_disk(scenario, cfg, tmp_path):
+    """Each listed hash is that of the file as written, resolved_config.json too.
+
+    run_scenario hashes from memory and --verify compares manifests only,
+    so the files themselves are read back here; a re-run at the golden's
+    seed and trials writes the golden manifest byte for byte.
+    """
+    golden = GOLDEN / f"{scenario}_manifest.json"
+    recorded = json.loads(golden.read_text())
+    _, manifest = run_scenario(scenario, cfg, tmp_path,
+                               n_trials=recorded["n_trials"] or None,
+                               seed=recorded["seed"])
+    outputs = json.loads(manifest.read_text())["outputs"]
+    assert set(outputs) == {f.name for f in tmp_path.iterdir()} - {manifest.name}
+    for name, digest in outputs.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    assert manifest.read_bytes() == golden.read_bytes()
+
+
+class TestNothingCachedLeaks:
+    """What is read once per process is never handed out to be mutated."""
+
+    def test_default_config_is_a_fresh_dict(self):
+        first = default_config()
+        first["probe"]["quantum_efficiency"] = 0.99
+        first["n_trials"] = 3
+        again = default_config()
+        assert again["probe"]["quantum_efficiency"] == 0.43
+        assert again["n_trials"] == 400
+
+    def test_packaged_constants_are_the_loaded_ones(self):
+        assert load_and_validate().constants is RB87
+
+    def test_user_files_read_on_every_call(self, tmp_path):
+        consts = tmp_path / "constants.json"
+        path = tmp_path / "config.json"
+        for trials, version in ((50, "first"), (60, "second")):
+            consts.write_text(json.dumps({**PACKAGED_CONSTANTS, "version": version}))
+            path.write_text(json.dumps({"n_trials": trials,
+                                        "constants_file": str(consts)}))
+            cfg = load_and_validate(path)
+            assert (cfg.n_trials, cfg.constants.version) == (trials, version)
+
+    def test_cli_calls_keep_their_own_arguments(self, cfg, tmp_path):
+        assert main(["run", "--scenario", "ramsey", "--trials", "5", "--seed", "3",
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main(["run", "--scenario", "ramsey",
+                     "--out", str(tmp_path / "b")]) == 0
+        for out, expected in (("a", (5, 3)), ("b", (cfg.n_trials, cfg.master_seed))):
+            manifest = json.loads((tmp_path / out / "ramsey_manifest.json").read_text())
+            assert (manifest["n_trials"], manifest["seed"]) == expected
 
 
 def _loaded_after(code, modules):
