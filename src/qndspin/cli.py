@@ -31,7 +31,7 @@ EXIT_RUNTIME = 3
 EXIT_VERIFY = 4
 
 
-@functools.cache  # the same parser serves every main() call in a process
+@functools.cache  # parse_args leaves a parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qndspin",

@@ -9,7 +9,7 @@ run_scenario is the only writer: it writes the artifacts, a
 resolved-config echo and a run manifest (seed, config hash, scenario,
 code version, output hashes) so that reruns are byte-identical and
 verifiable.  Each file is serialized once and written in one call, and
-its manifest hash is taken from the very bytes written, not read back.
+its manifest hash is taken from the same bytes.
 """
 
 from __future__ import annotations
