@@ -169,6 +169,9 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, ArithmeticError) as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as err:  # e.g. a --trials too large to allocate
+        print(f"runtime error: out of memory. {err}".rstrip(), file=sys.stderr)
+        return EXIT_RUNTIME
     except OSError as err:  # an --out (or output_dir) that cannot be written
         print(f"config error: cannot write outputs to {out_dir}: {err}",
               file=sys.stderr)

@@ -21,9 +21,10 @@ M_1 -> M_2 manipulation is linear plus a normal.  So a trial's four
 pulse averages and S_z after M_1 are jointly normal.  _record_moments
 propagates their mean and covariance, exact at any flip rate, for every
 point of a scan at once, and a block draws them as one (b, rank) @
-(rank, 5) product of standard normals with a factor of that covariance.
-The TrialSet hands that covariance back, so a scenario's model column
-reads the law its trials were drawn from rather than a second model.
+(rank, 5) product of standard normals with a factor of that covariance;
+_record_law builds both once per distinct scan, since no seed enters.
+The TrialSet hands the covariance back, read-only, so a scenario's model
+column reads the law its trials were drawn from, not a second model.
 The per-atom maps depend only on the flip rates (a, m, c) and mu, so
 _atom_maps builds them once per (a, m, c, mu).  Detector noise acts on
 the photocounts of the probe and compensation channels and passes
@@ -36,8 +37,10 @@ run_trials is one point.  Block b of a point draws from its own stream,
 PCG64DXSM seeded with (seed, b) through SeedSequence (O'Neill 2014), in
 one call, so results are bitwise reproducible and do not depend on the
 trial count or on the rest of the scan.  Whole blocks are packed into
-passes of at most _BLOCK = 2048 rows, each detected in one call, so a
-pass's memory grows neither with the flip rate nor with the grid.
+passes of at most _BLOCK = 2048 rows, each detected in one call on
+pulse-major (pulse, trial) arrays, so that elementwise steps run over
+contiguous trials; a pass's memory grows neither with the flip rate
+nor with the grid.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ _BLOCK = 2048
 # channel sits at -_PROBE_OFFSET, on the opposite slope of its mode
 _PROBE_OFFSET = 0.5
 # measurement-frame sign of each pulse: M_k = s_k * omega_k / (2 domega/dN)
-_PULSE_SIGNS = np.array([-1.0, +1.0, +1.0, -1.0])
+_PULSE_SIGNS = np.array([[-1.0], [+1.0], [+1.0], [-1.0]])
 
 SCENARIOS = ("squeeze-readout", "double-prep", "rotate-alpha", "ramsey-clock")
 
@@ -375,34 +378,47 @@ def _record_moments(plans, states, flips, mus):
     return mean, cov[:, 4:, 4:]
 
 
-def run_scan(points, n_trials, rates, pulses, couplings) -> list[TrialSet]:
-    """Run n_trials trials at each point (plan, state, probe, seed) of a scan.
+@functools.lru_cache(maxsize=64)
+def _record_law(plans, states, flips, mus):
+    """Each point's record mean, covariance and (rank, 5) factor, read-only.
 
-    Returns one TrialSet per point, bitwise equal to that point run
-    alone: block b (trials b*_BLOCK onwards) of a point always draws from
-    the stream seeded (seed, b), seed any non-negative int.  One batched
-    eigh factors all record laws; each pass of at most _BLOCK rows runs
-    detection and technical noise once.
-    """
-    if n_trials < 2:
-        raise ValueError("need at least 2 trials for any variance estimate")
-    plans = [SequencePlan(p) if isinstance(p, str) else p for p, _, _, _ in points]
-    _, states, probes, seeds = zip(*points)
-    flips = [0.5 * pr.photons_per_measurement * np.array(
-        [rates.p_delta_f, rates.p_delta_mf, rates.p_delta_f_delta_mf])
-        if pr.switches.raman else np.zeros(3) for pr in probes]
-    mus = [pulses.mu_total if pr.switches.microwave else 0.0 for pr in probes]
+    run_scan's seed-free part, built once per distinct scan and shared by
+    every run of it; bounded, since every scan a process runs adds one."""
     means, covs = _record_moments(plans, states, flips, mus)
     # a (rank, 5) factor of each cov; eigenvalues at rounding level are
     # dropped, so a rank-deficient record law stays exact
     w, vec = np.linalg.eigh(covs)
     keep = w > 5.0 * np.finfo(float).eps * w.max(axis=1, keepdims=True)
-    factors = [np.sqrt(w_i[k])[:, None] * vec_i[:, k].T
-               for w_i, vec_i, k in zip(w, vec, keep)]
+    factors = tuple(np.sqrt(w_i[k])[:, None] * vec_i[:, k].T
+                    for w_i, vec_i, k in zip(w, vec, keep))
+    for arr in (means, covs, *factors):
+        arr.flags.writeable = False
+    return means, covs, factors
 
-    # the scan's trials as rows, point i's at i * n_trials onwards
+
+def run_scan(points, n_trials, rates, pulses, couplings) -> list[TrialSet]:
+    """Run n_trials trials at each point (plan, state, probe, seed) of a scan.
+
+    Returns one TrialSet per point, bitwise equal to that point run
+    alone: block b (trials b*_BLOCK onwards) of a point always draws from
+    the stream seeded (seed, b), seed any non-negative int.  A scan run
+    again only draws and detects, its law cached in _record_law; each
+    pass of at most _BLOCK rows runs detection and technical noise once.
+    """
+    if n_trials < 2:
+        raise ValueError("need at least 2 trials for any variance estimate")
+    plans = tuple(SequencePlan(p) if isinstance(p, str) else p for p, *_ in points)
+    _, states, probes, seeds = zip(*points)
+    flips = tuple(tuple(0.5 * pr.photons_per_measurement * x for x in (
+        rates.p_delta_f, rates.p_delta_mf, rates.p_delta_f_delta_mf))
+        if pr.switches.raman else (0.0, 0.0, 0.0) for pr in probes)
+    mus = tuple(pulses.mu_total if pr.switches.microwave else 0.0 for pr in probes)
+    means, covs, factors = _record_law(plans, states, flips, mus)
+
+    # the scan's trials as columns, point i's at i * n_trials onwards, so
+    # every elementwise step of a pass runs over contiguous trials
     n_rows = len(points) * n_trials
-    pulses_out, szf, saturated = (np.empty((n_rows, _PULSES)), np.empty(n_rows),
+    pulses_out, szf, saturated = (np.empty((_PULSES, n_rows)), np.empty(n_rows),
                                   np.empty(n_rows, dtype=bool))
     p_half = np.array([pr.photons_per_measurement for pr in probes]) / 2.0
     n0 = np.array([s.n0 for s in states])
@@ -422,23 +438,24 @@ def run_scan(points, n_trials, rates, pulses, couplings) -> list[TrialSet]:
     domega_dn = couplings.domega_dn
     for batch in passes:
         probe, lo, hi = probes[batch[0][0]], batch[0][2], batch[-1][2] + batch[-1][3]
-        v, normals, tech = (np.empty((hi - lo, 5)), np.empty((2, hi - lo, _PULSES)),
+        v, normals, tech = (np.empty((hi - lo, 5)), np.empty((2, _PULSES, hi - lo)),
                             np.empty((2, hi - lo)))
         for i, block, row, b in batch:
             # a trial draws its record's rank, one normal per detection
-            # channel and pulse, and two technical
+            # channel and pulse (its own, copied transposed), and two technical
             rank, r = len(factors[i]), row - lo
             z = np.random.Generator(np.random.PCG64DXSM([seeds[i], block])
                                     ).standard_normal(b * (rank + 10))
             v[r:r + b] = means[i] + z[:b * rank].reshape(b, rank) @ factors[i]
-            normals[:, r:r + b] = z[b * rank:b * (rank + 8)].reshape(2, b, _PULSES)
+            normals[:, :, r:r + b] = z[b * rank:b * (rank + 8)].reshape(
+                2, b, _PULSES).transpose(0, 2, 1)
             tech[:, r:r + b] = z[b * (rank + 8):].reshape(2, b)
         point = np.arange(lo, hi) // n_trials  # the point of each row
         # per-channel, per-pulse count noise that yields the configured b_-2
         sigma_e = (probe.quantum_efficiency * abs(domega_dn)
                    * math.sqrt(probe.electronic_noise_b2))
         omega_hat, sat = simulate_probe_pulse(
-            2.0 * domega_dn * _PULSE_SIGNS * v[:, :4], p_half[point, None], probe,
+            2.0 * domega_dn * _PULSE_SIGNS * v[:, :4].T, p_half[point], probe,
             normals, couplings.probe_signal_share, sigma_e)
         m = _PULSE_SIGNS * omega_hat / (2.0 * domega_dn)
         if probe.switches.technical:
@@ -446,10 +463,10 @@ def run_scan(points, n_trials, rates, pulses, couplings) -> list[TrialSet]:
             rho = probe.technical_correlation
             t1 = sigma_t * tech[0]
             t2 = rho * t1 + math.sqrt(max(1 - rho**2, 0.0)) * (sigma_t * tech[1])
-            m[:, :2] += t1[:, None]
-            m[:, 2:] += t2[:, None]
-        pulses_out[lo:hi], szf[lo:hi], saturated[lo:hi] = m, v[:, 4], sat.any(axis=1)
-    return [TrialSet(pulses_out[k:k + n_trials], szf[k:k + n_trials],
+            m[:2] += t1
+            m[2:] += t2
+        pulses_out[:, lo:hi], szf[lo:hi], saturated[lo:hi] = m, v[:, 4], sat.any(axis=0)
+    return [TrialSet(pulses_out[:, k:k + n_trials].T, szf[k:k + n_trials],
                      saturated[k:k + n_trials], cov)
             for k, cov in zip(range(0, n_rows, n_trials), covs)]
 

@@ -733,6 +733,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "epsilon_p" in err and "lock_light_mu" in err
 
+    def test_out_of_memory_exit_three(self, tmp_path, capsys, monkeypatch):
+        # a trial count too large to allocate ends in one line and exit 3;
+        # the engine raises here instead of allocating, because a machine
+        # may overcommit memory
+        def too_big(*args):
+            raise MemoryError("Unable to allocate 179. GiB for an array")
+
+        monkeypatch.setattr("qndspin.scenarios.run_scan", too_big)
+        rc = main([
+            "run", "--scenario", "fig3", "--trials", "1000000000",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("runtime error: out of memory.")
+        assert "179. GiB" in err
+
     def test_negative_seed_exit_two(self, tmp_path, capsys):
         rc = main([
             "run", "--scenario", "fig3", "--trials", "8", "--seed", "-1",

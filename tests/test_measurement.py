@@ -7,6 +7,7 @@ import pytest
 from qndspin.measurement import (
     _BLOCK,
     _atom_maps,
+    _record_law,
     _record_moments,
     NoiseSwitches,
     ProbeConfig,
@@ -127,6 +128,22 @@ class TestSimulateProbePulse:
         assert w_hat.shape == sat.shape == shifts.shape
         assert not sat.any()
         assert np.allclose(w_hat, shifts, atol=1e-9)
+        # run_scan's pulse-major pass: (4, n) shifts, (n,) photons and
+        # (2, 4, n) normals give the bits of the (n, 4) call, transposed
+        probe = probe_config(6e5, NoiseSwitches())
+        rng = np.random.default_rng(1)
+        shifts = rng.normal(0.0, 0.005, (64, 4))
+        photons = np.geomspace(20.0, 5e5, 64)  # the dimmest saturate
+        z = normals(rng, shifts.shape)
+        by_trial = simulate_probe_pulse(shifts, photons[:, None], probe, z,
+                                        couplings.probe_signal_share, 150.0)
+        by_pulse = simulate_probe_pulse(
+            shifts.T.copy(), photons, probe, z.transpose(0, 2, 1).copy(),
+            couplings.probe_signal_share, 150.0)
+        assert by_trial[1].any() and not by_trial[1].all()
+        for trial_major, pulse_major in zip(by_trial, by_pulse):
+            assert pulse_major.shape == (4, 64)
+            assert pulse_major.T.tobytes() == trial_major.tobytes()
 
     def test_shot_noise_variance(self, couplings):
         # per-pulse inferred-shift variance = f_APD kappa^2 / (Qe p)
@@ -451,6 +468,37 @@ class TestRunTrials:
             x[...] = np.nan
         third = _record_moments(plan, css_state(), flips, 0.02)
         assert [x.tobytes() for x in third] == expect
+
+    def test_record_law_cached_per_scan(self, couplings):
+        # a scan's law depends on its points, not on its seeds
+        def scan(seed, n0=N0, angle=0.7, p=6.4e5, pulses=MU_PULSES):
+            probe = probe_config(p, NoiseSwitches())
+            points = [(SequencePlan("rotate-alpha", rotation_angle=angle),
+                       css_state(n0), probe, seed),
+                      ("double-prep", css_state(n0), probe, seed + 1)]
+            return run_scan(points, 300, RATES, pulses, couplings)
+
+        fields = ("pulses", "true_szf", "saturated", "record_cov")
+        _record_law.cache_clear()
+        cold, warm = scan(5), scan(5)
+        for a, b in zip(cold, warm):
+            for field in fields:
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        scan(6)
+        assert _record_law.cache_info()[:2] == (2, 1)  # hits, misses
+        # N0, the rotation angle, p and mu each make another law
+        for change in ({"n0": 5e4}, {"angle": 0.3}, {"p": 3e5},
+                       {"pulses": NO_PULSE_ERRORS}):
+            scan(5, **change)
+        assert _record_law.cache_info()[:2] == (2, 5)
+        # the law is shared by every run of its scan, so none of it can be
+        # written, through the cache or through a TrialSet
+        means, covs, factors = _record_law(
+            (SequencePlan(),), (css_state(),),
+            (tuple(0.5 * 6.4e5 * reference_flip_rates()),), (0.02,))
+        for arr in (means, covs, *factors, cold[0].record_cov):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
 
     def test_bitwise_reproducibility(self, couplings):
         state = css_state()
