@@ -735,7 +735,7 @@ class TestCli:
 
     def test_out_of_memory_exit_three(self, tmp_path, capsys, monkeypatch):
         # a trial count too large to allocate ends in one line and exit 3;
-        # the engine raises here instead of allocating, because a machine
+        # a stand-in engine raises instead of allocating, because a machine
         # may overcommit memory
         def too_big(*args):
             raise MemoryError("Unable to allocate 179. GiB for an array")
