@@ -14,10 +14,10 @@ from qndspin import (
     fit_quadratic_scaling,
     prepare_css,
     PreparationModel,
-    run_trials,
     variance_stats,
 )
 from qndspin.config import load_and_validate
+from qndspin.measurement import run_scan
 
 cfg = load_and_validate()   # shipped defaults = reference apparatus
 trials = 1500
@@ -25,21 +25,19 @@ prep = PreparationModel(prep_noise_factor=1.0, quadratic_noise_a2=9e-6)
 
 print(f"{'N0':>8} {'y1':>10} {'y2':>10} {'2Var(M1-M2)':>12} {'CSS':>8}")
 grid = np.array([6e3, 1.2e4, 2e4, 3e4, 4e4, 5e4])
-rows = []
-for i, n0 in enumerate(grid):
-    state = prepare_css(n0, prep)
-    ts1 = run_trials("squeeze-readout", trials, 100 + 2 * i, state,
-                     cfg.probe, cfg.rates, cfg.pulses, cfg.couplings)
-    ts2 = run_trials("double-prep", trials, 101 + 2 * i, state,
-                     cfg.probe, cfg.rates, cfg.pulses, cfg.couplings)
-    r1, r2 = variance_stats(ts1), variance_stats(ts2)
-    # y1 = 4 Var(M1); y2 = 2 Var(M1 - M2) = 4 var_meas of the double preparation
-    rows.append((n0, 4 * r1.var_m1, 4 * r1.var_m1_se, 4 * r2.var_meas,
-                 4 * r2.var_meas_se, 4 * r1.var_meas))
-    print(f"{n0:8.0f} {rows[-1][1]:10.0f} {rows[-1][3]:10.0f} "
-          f"{4 * r1.var_meas:12.0f} {n0:8.0f}")
+# the whole grid in one scan: squeeze-readout (seed 100 + 2i) at even
+# points, double-prep (seed 101 + 2i) at odd ones
+points = [(plan, prepare_css(n0, prep), cfg.probe, 100 + 2 * i + k)
+          for i, n0 in enumerate(grid)
+          for k, plan in enumerate(("squeeze-readout", "double-prep"))]
+rep = variance_stats(run_scan(points, trials, cfg.rates, cfg.pulses, cfg.couplings))
+# y1 = 4 Var(M1); y2 = 2 Var(M1 - M2) = 4 var_meas of the double preparation
+arr = np.column_stack([grid, 4 * rep.var_m1[::2], 4 * rep.var_m1_se[::2],
+                       4 * rep.var_meas[1::2], 4 * rep.var_meas_se[1::2],
+                       4 * rep.var_meas[::2]])
+for n0, y1, _, y2, _, meas in arr:
+    print(f"{n0:8.0f} {y1:10.0f} {y2:10.0f} {meas:12.0f} {n0:8.0f}")
 
-arr = np.array(rows)
 (a0, a1, a2), (se0, se1, se2) = fit_quadratic_scaling(arr[:, 0], arr[:, 1], arr[:, 2])
 print(f"\nunconstrained quadratic fit of y1: a1 = {a1:.2f}({se1:.2f}), "
       f"a2 = {a2 * 1e6:.1f}({se2 * 1e6:.1f})e-6")

@@ -5,7 +5,8 @@ sample's, or the law a model reads), with errors by one Gaussian rule,
 conditional spin noise (the Gaussian posterior and the regression
 residual of the readout), squeezing parameters, the four-term
 noise-budget fit, quadratic atom-number scaling fits, and the contrast
-model.
+model.  The estimators take any leading axes: a scan's TrialSet gives a
+report of (G,) arrays in one call, a one-point set gives scalars.
 
 Conventions: "atom number units" means 4*Var(Sz)-style quantities
 (y1 = 4 Var(M1), the CSS reference line is y = N0); squeezing is quoted
@@ -14,7 +15,6 @@ in variance dB, 10*log10.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,40 +54,51 @@ class VarianceReport:
     cov_m1_m2_se: float
     var_prep: float            # Var(M1) - var_meas
     var_prep_se: float
-    meas_prep_cov: np.ndarray  # (2, 2) covariance of the var_meas, var_prep estimates
+    meas_prep_cov: np.ndarray  # (..., 2, 2) Cov of the var_meas, var_prep estimates
     n_trials: int
     n_excluded_saturated: int
 
     def __post_init__(self):
-        if self.var_meas < 0:
+        if np.any(self.var_meas < 0):
             raise ValueError("var_meas must be >= 0")
 
 
 def variance_stats(trials: TrialSet) -> VarianceReport:
-    """Variances of the unsaturated trials (saturated ones are counted)."""
+    """Variances of each point's unsaturated trials (saturated ones are counted).
+
+    Saturated trials are zeroed about the mean, and each point's sums are
+    scaled by 1/(n - 1) for its n unsaturated trials, as np.cov does.
+    """
     keep = ~trials.saturated
-    n = int(keep.sum())
-    if n < 3:
+    n = keep.sum(axis=-1)
+    short = np.argwhere(n < 3)
+    if len(short):
         # residual_variance's standard error divides by n - 2
+        at = tuple(short[0])
+        where = f" at point {', '.join(map(str, at))}" if at else ""
         raise ValueError(
-            f"variance estimates need at least 3 unsaturated trials; got {n} "
-            f"of {trials.n_trials} trials"
+            f"variance estimates need at least 3 unsaturated trials{where}; "
+            f"got {n[at]} of {trials.n_trials} trials"
         )
 
-    m1 = trials.m1[keep]
-    return covariance_stats(np.cov(m1, m1 - trials.m2[keep]), n, trials.n_trials - n)
+    m1, mask = trials.m1, keep[..., None, :]
+    x = np.where(mask, np.stack((m1, m1 - trials.m2), axis=-2), 0.0)
+    x = np.where(mask, x - (x.sum(axis=-1) / n[..., None])[..., None], 0.0)
+    s = (x @ x.swapaxes(-1, -2)) * (1.0 / (n - 1))[..., None, None]
+    return covariance_stats(s, n, trials.n_trials - n)
 
 
 def covariance_stats(s, n: int, n_saturated: int = 0) -> VarianceReport:
-    """The report of a covariance s of (M1, D = M1 - M2) over n trials.
+    """The report of covariances s (..., 2, 2) of (M1, D = M1 - M2) over n trials.
 
     s is a sample covariance, or the law the trials were drawn from.
     Errors: Cov(tr(a S), tr(b S)) = 2 tr(a S b S) / (n - 1) for Gaussian records.
     """
-    ws = _FORMS @ s
-    var_m1, var_m2, cov, var_meas, var_prep = np.einsum("kii->k", ws).tolist()
-    err = 2.0 * np.einsum("aij,bji->ab", ws, ws) / (n - 1)
-    se = np.sqrt(np.diag(err)).tolist()
+    ws = _FORMS @ s[..., None, :, :]
+    var_m1, var_m2, cov, var_meas, var_prep = np.einsum("...kii->k...", ws)
+    dof = np.asarray(n) - 1
+    err = 2.0 * np.einsum("...aij,...bji->...ab", ws, ws) / dof[..., None, None]
+    se = np.sqrt(np.einsum("...kk->k...", err))
     return VarianceReport(
         var_m1=var_m1,
         var_m1_se=se[0],
@@ -98,7 +109,7 @@ def covariance_stats(s, n: int, n_saturated: int = 0) -> VarianceReport:
         cov_m1_m2_se=se[2],
         var_prep=var_prep,
         var_prep_se=se[4],
-        meas_prep_cov=err[3:, 3:],
+        meas_prep_cov=err[..., 3:, 3:],
         n_trials=n,
         n_excluded_saturated=n_saturated,
     )
@@ -112,9 +123,9 @@ def conditional_variance(var_prep: float, var_meas: float, epsilon_p: float = 0.
     makes the time-averaged measurement slightly underestimate the
     end-of-measurement spin noise.
     """
-    if var_prep <= 0 or var_meas <= 0:
+    if np.any(var_prep <= 0) or np.any(var_meas <= 0):
         raise ValueError("variances must be > 0")
-    if not 0.0 <= epsilon_p < 0.5:
+    if not np.all((0.0 <= epsilon_p) & (epsilon_p < 0.5)):
         raise ValueError("epsilon_p must lie in [0, 0.5)")
     return (var_meas * var_prep) / ((1 - epsilon_p) ** 2 * (var_prep + var_meas))
 
@@ -126,7 +137,7 @@ def residual_variance(report: VarianceReport) -> tuple[float, float]:
     whatever lies between them (at alpha = pi, w absorbs M2 = -S_z).
     """
     resid = report.var_m2 - report.cov_m1_m2**2 / report.var_m1
-    return resid, resid * math.sqrt(2.0 / (report.n_trials - 2))
+    return resid, resid * np.sqrt(2.0 / (report.n_trials - 2))
 
 
 @dataclass(frozen=True)
@@ -139,7 +150,7 @@ class SqueezingReport:
     zeta_m_db: float
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
+        if np.any(self.sigma2 <= 0):
             raise ValueError("sigma2 must be > 0")
 
 
@@ -159,7 +170,7 @@ def squeezing_parameters(
     between the noise underestimate and the contrast underestimate.
     zeta_e = sigma2 / C uses the (eps_p-corrected) normalized variance.
     """
-    if not 0.0 < contrast_meas <= contrast_in:
+    if not np.all((0.0 < contrast_meas) & (contrast_meas <= contrast_in)):
         raise ValueError("require 0 < C_meas <= C_in")
     if s0 <= 0:
         raise ValueError("S0 must be > 0")

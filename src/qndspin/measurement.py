@@ -32,15 +32,16 @@ through the Lorentzian inversion; shot and electronic noise are
 independent normals, so each channel draws one normal of their summed
 variance.  Noise is drawn as loc + scale * z on standard normals.
 
-run_scan runs a scan's points (plan, state, probe, seed) together;
-run_trials is one point.  Block b of a point draws from its own stream,
-PCG64DXSM seeded with (seed, b) through SeedSequence (O'Neill 2014), in
-one call, so results are bitwise reproducible and do not depend on the
-trial count or on the rest of the scan.  Whole blocks are packed into
-passes of at most _BLOCK = 2048 rows, each detected in one call on
-pulse-major (pulse, trial) arrays, so that elementwise steps run over
-contiguous trials; a pass's memory grows neither with the flip rate
-nor with the grid.
+run_scan runs a scan's points (plan, state, probe, seed) together into
+one TrialSet with a leading point axis, which the estimators read at
+once; run_trials is one point.  Block b of a point draws from its own
+stream, PCG64DXSM seeded with (seed, b) through SeedSequence (O'Neill
+2014), in one call, so results are bitwise reproducible and do not
+depend on the trial count or on the rest of the scan.  Whole blocks
+are packed into passes of at most _BLOCK = 2048 rows, each detected in
+one call on pulse-major (pulse, trial) arrays, so that elementwise steps
+run over contiguous trials; a pass's memory grows neither with the flip
+rate nor with the grid.
 """
 
 from __future__ import annotations
@@ -124,28 +125,28 @@ class SequencePlan:
 
 @dataclass(frozen=True)
 class TrialSet:
-    """Per-trial measurement records."""
+    """Per-trial measurement records of one point, or of a scan's points (G, ...)."""
 
-    pulses: np.ndarray        # (n, 4): M1-, M1+, M2+, M2-  (time order)
-    true_szf: np.ndarray      # (n,)
-    saturated: np.ndarray     # (n,) bool
-    record_cov: np.ndarray    # (5, 5) Cov of (a_0..a_3, true_szf), before detection
+    pulses: np.ndarray        # (..., n, 4): M1-, M1+, M2+, M2-  (time order)
+    true_szf: np.ndarray      # (..., n)
+    saturated: np.ndarray     # (..., n) bool
+    record_cov: np.ndarray    # (..., 5, 5) Cov of (a_0..a_3, true_szf) before detection
 
     def __post_init__(self):
-        if len(self.pulses) < 2:
+        if self.n_trials < 2:
             raise ValueError("a trial set needs at least 2 trials")
 
     @property
     def n_trials(self) -> int:
-        return len(self.pulses)
+        return self.pulses.shape[-2]
 
     @property
     def m1(self):
-        return 0.5 * (self.pulses[:, 1] + self.pulses[:, 0])
+        return 0.5 * (self.pulses[..., 1] + self.pulses[..., 0])
 
     @property
     def m2(self):
-        return 0.5 * (self.pulses[:, 2] + self.pulses[:, 3])
+        return 0.5 * (self.pulses[..., 2] + self.pulses[..., 3])
 
 
 def simulate_probe_pulse(
@@ -320,10 +321,9 @@ def _atom_maps(a: float, m: float, c: float, mu: float):
 def _record_moments(plans, states, flips, mus):
     """Means (G, 5) and covariances (G, 5, 5) of (a_0..a_3, S_z after M_1).
 
-    One entry of plans, states, flips and mus per point of a scan; a lone
-    plan, state, flips and mu give (5,) and (5, 5).  Carries the covariance of
-    v = (x, a_0..a_3, szf), x the counts (+R, -R, +S, -S), through
-    linear maps v -> v a plus independent normals.  Pulse k maps x to
+    One entry of plans, states, flips and mus per point of a scan.  Carries
+    the covariance of v = (x, a_0..a_3, szf), x the counts (+R, -R, +S, -S),
+    through linear maps v -> v a plus independent normals.  Pulse k maps x to
     x e^Q and sets a_k = x (F1 1), plus a normal with one atom's 5x5
     covariance of (end state, pulse average) summed over the expected
     counts E[x_j].  A composite pulse maps x linearly, and its failures
@@ -334,9 +334,6 @@ def _record_moments(plans, states, flips, mus):
     (G, 1, k) rows of stacked matmuls, which give each point the bits it
     gets alone; a (G, k) @ (k,) product or an einsum would not.
     """
-    if isinstance(plans, SequencePlan):
-        mean, cov = _record_moments([plans], [states], [flips], [mus])
-        return mean[0], cov[0]
     t, move, atom, composite, pulse_maps, composite_map = map(np.array, zip(*(
         _atom_maps(*(float(x) for x in f), float(mu)) for f, mu in zip(flips, mus))))
     g, mus = len(plans), np.asarray(mus, dtype=float)
@@ -396,14 +393,15 @@ def _record_law(plans, states, flips, mus):
     return means, covs, factors
 
 
-def run_scan(points, n_trials, rates, pulses, couplings) -> list[TrialSet]:
+def run_scan(points, n_trials, rates, pulses, couplings) -> TrialSet:
     """Run n_trials trials at each point (plan, state, probe, seed) of a scan.
 
-    Returns one TrialSet per point, bitwise equal to that point run
-    alone: block b (trials b*_BLOCK onwards) of a point always draws from
-    the stream seeded (seed, b), seed any non-negative int.  A scan run
-    again only draws and detects, its law cached in _record_law; each
-    pass of at most _BLOCK rows runs detection and technical noise once.
+    Returns one TrialSet over (G, n_trials) whose point i is bitwise equal
+    to that point run alone: block b (trials b*_BLOCK onwards) of a point
+    always draws from the stream seeded (seed, b), seed any non-negative
+    int.  A scan run again only draws and detects, its law cached in
+    _record_law; each pass of at most _BLOCK rows runs detection and
+    technical noise once.
     """
     if n_trials < 2:
         raise ValueError("need at least 2 trials for any variance estimate")
@@ -466,14 +464,15 @@ def run_scan(points, n_trials, rates, pulses, couplings) -> list[TrialSet]:
             m[:2] += t1
             m[2:] += t2
         pulses_out[:, lo:hi], szf[lo:hi], saturated[lo:hi] = m, v[:, 4], sat.any(axis=0)
-    return [TrialSet(pulses_out[:, k:k + n_trials].T, szf[k:k + n_trials],
-                     saturated[k:k + n_trials], cov)
-            for k, cov in zip(range(0, n_rows, n_trials), covs)]
+    return TrialSet(pulses_out.reshape(_PULSES, -1, n_trials).transpose(1, 2, 0),
+                    szf.reshape(-1, n_trials), saturated.reshape(-1, n_trials), covs)
 
 
 def run_trials(scenario: SequencePlan | str, n_trials: int, master_seed: int,
                state: GaussianSpinState, probe: ProbeConfig, rates: ScatteringRates,
                pulses: PulseModel, couplings: CouplingSummary) -> TrialSet:
     """Run independent trials at one point: run_scan of that point alone."""
-    return run_scan([(scenario, state, probe, master_seed)], n_trials, rates,
-                    pulses, couplings)[0]
+    scan = run_scan([(scenario, state, probe, master_seed)], n_trials, rates,
+                    pulses, couplings)
+    return TrialSet(scan.pulses[0], scan.true_szf[0], scan.saturated[0],
+                    scan.record_cov[0])

@@ -4,7 +4,9 @@ Each scenario is registered in SCENARIOS as a function
 fn(cfg, n_trials, seed) that runs deterministic physics plus (where
 relevant) Monte Carlo trials and returns its artifacts as
 {filename: payload}: a (header, rows) pair for ``.csv`` files, a dict
-for ``.json`` files; the first entry is the primary artifact.
+for ``.json`` files; the first entry is the primary artifact.  A Monte
+Carlo grid is one run_scan, read by one variance_stats call over its
+leading point axis, so every column is an array.
 run_scenario is the only writer: it writes the artifacts, a
 resolved-config echo and a run manifest (seed, config hash, scenario,
 code version, output hashes) so that reruns are byte-identical and
@@ -86,7 +88,7 @@ def _detection(cfg: RunConfig, probe) -> np.ndarray:
 
 
 def _model_stats(trials, detection):
-    """variance_stats' report of the law the trials were drawn from."""
+    """variance_stats' report of the law the trials were drawn from, per point."""
     return covariance_stats(
         _M1_D @ (trials.record_cov + detection) @ _M1_D.T, trials.n_trials)
 
@@ -156,24 +158,20 @@ def _run(cfg: RunConfig, points, n_trials, seed):
 def scenario_fig2(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     """Projection-noise scaling scan: y1, y2, and 2 Var(M1-M2) vs N0."""
     opts = cfg.scenario_options("fig2")
-    grid = opts["atom_grid"]
+    grid = np.asarray(opts["atom_grid"], dtype=float)
     prep = replace(cfg.preparation, **opts["preparation"])
 
     pair = 1.0 - prep.impurity_fraction  # double-prep excludes impurity atoms
-    runs = iter(_run(cfg, [point for n0 in grid for point in (
+    rep = variance_stats(_run(cfg, [point for n0 in grid for point in (
         ("squeeze-readout", prepare_css(n0, prep), cfg.probe),
         ("double-prep", prepare_css(n0 * pair, prep), cfg.probe))], n_trials, seed))
-    rows = []
-    for n0, ts1, ts2 in zip(grid, runs, runs):
-        rep1, rep2 = variance_stats(ts1), variance_stats(ts2)
-        rows.append([
-            n0, 4.0 * rep1.var_m1, 4.0 * rep1.var_m1_se,  # y1 = 4 Var(M1)
-            4.0 * rep2.var_meas, 4.0 * rep2.var_meas_se,  # y2 = 2 Var(M1 - M2)
-            4.0 * rep1.var_meas, 4.0 * rep1.var_meas_se,
-            n0,
-        ])
-
-    arr = np.array(rows)
+    # squeeze-readout at even points, double-prep at odd ones
+    arr = np.column_stack([
+        grid, 4.0 * rep.var_m1[::2], 4.0 * rep.var_m1_se[::2],  # y1 = 4 Var(M1)
+        4.0 * rep.var_meas[1::2], 4.0 * rep.var_meas_se[1::2],  # y2 = 2 Var(M1 - M2)
+        4.0 * rep.var_meas[::2], 4.0 * rep.var_meas_se[::2],
+        grid,
+    ])
     fits = {}
     if len(grid) >= 4 and max(grid) / min(grid) >= 3:
         for label, col, se_col in (("y1", 1, 2), ("y2", 3, 4)):
@@ -188,12 +186,12 @@ def scenario_fig2(cfg: RunConfig, n_trials: int, seed: int) -> dict:
                              "se": list(se_c)},
             }
     header = ["N0", "y1", "y1_err", "y2", "y2_err", "meas2", "meas2_err", "css_line"]
-    return {"fig2.csv": (header, rows), "fig2_fits.json": fits}
+    return {"fig2.csv": (header, arr.tolist()), "fig2_fits.json": fits}
 
 
 def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     """Conditional squeezing vs photon number with model-curve columns."""
-    grid = cfg.scenario_options("fig3")["photon_grid"]
+    grid = np.asarray(cfg.scenario_options("fig3")["photon_grid"], dtype=float)
     n0 = cfg.n0
     css = n0 / 4.0
     on = cfg.probe.switches
@@ -204,46 +202,38 @@ def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     # epsilon_p = p P_dF + mu, each term only where its source is on
     p_df = cfg.rates.p_delta_f if on.raman else 0.0
     mu = cfg.pulses.mu_total if on.microwave else 0.0
-    eps_max = max(grid) * p_df + mu
-    if eps_max >= 0.5:  # checked before any trial runs
+    eps = grid * p_df + mu
+    if eps.max() >= 0.5:  # checked before any trial runs
         raise ValueError(
-            f"fig3 at p={max(grid):g}: epsilon_p = p P_dF + mu = {eps_max:.4g} "
+            f"fig3 at p={grid.max():g}: epsilon_p = p P_dF + mu = {eps.max():.4g} "
             "must lie below 0.5; lower mu = composite_pi_infidelity + "
             f"lock_light_mu = {mu:g} or the largest photon_grid entry"
         )
 
-    def squeezing(var_prep, var_meas, eps, c_meas):
-        # one composition for the Monte Carlo row and the model row
-        sigma2 = conditional_variance(var_prep, var_meas, eps) / css
-        return squeezing_parameters(sigma2, c_meas, c_in, var_prep, var_meas, n0 / 2.0)
-
-    runs = _run(cfg, [("squeeze-readout", state, replace(
-        cfg.probe, photons_per_measurement=p)) for p in grid], n_trials, seed)
-    rows = []
-    for p, ts in zip(grid, runs):
-        rep = variance_stats(ts)
-        if rep.var_prep <= 0:
-            raise ValueError(
-                f"fig3 at p={p:g}: the var_prep estimate {rep.var_prep:.4g} is "
-                f"not positive; {n_trials} trials are too few to resolve the "
-                "preparation noise"
-            )
-        eps = p * p_df + mu
-        # delta method; g = grad of var_meas var_prep / Var(M1) in (var_meas, var_prep)
-        g = (np.array([rep.var_prep, rep.var_meas]) / rep.var_m1) ** 2
-        cond_err = math.sqrt(g @ rep.meas_prep_cov @ g) / (1 - eps) ** 2
-        c_meas = float(contrast_model(p, cpars["c0"], cpars["alpha"], cpars["beta"]))
-        sq = squeezing(rep.var_prep, rep.var_meas, eps, c_meas)
-        # model curves from the analytic budget composition
-        sq_model = squeezing(
-            cfg.preparation.prep_variance(n0), budget.evaluate(p) / 4.0, eps, c_meas
+    rep = variance_stats(_run(cfg, [("squeeze-readout", state, replace(
+        cfg.probe, photons_per_measurement=p)) for p in grid], n_trials, seed))
+    if np.min(rep.var_prep) <= 0:  # named at the lowest point
+        raise ValueError(
+            f"fig3 at p={grid[np.argmin(rep.var_prep)]:g}: the var_prep estimate "
+            f"{np.min(rep.var_prep):.4g} is not positive; {n_trials} trials are "
+            "too few to resolve the preparation noise"
         )
-        rows.append([
-            p, sq.sigma2, cond_err / css, sq.sigma2_db, c_meas,
-            sq.zeta_m_db, sq.zeta_e_db,
-            sq_model.sigma2, sq_model.sigma2_db, sq_model.zeta_m_db,
-            sq_model.zeta_e_db,
-        ])
+    # delta method; g = grad of var_meas var_prep / Var(M1) in (var_meas, var_prep)
+    g = (np.stack((rep.var_prep, rep.var_meas), axis=-1) / rep.var_m1[:, None]) ** 2
+    cond_err = np.sqrt(g[:, None, :] @ rep.meas_prep_cov @ g[:, :, None])[:, 0, 0]
+    c_meas = contrast_model(grid, cpars["c0"], cpars["alpha"], cpars["beta"])
+    # one composition for the Monte Carlo row (0) and the model row (1), the
+    # model's variances from the analytic budget composition
+    var_prep = np.stack((rep.var_prep,
+                         np.full_like(grid, cfg.preparation.prep_variance(n0))))
+    var_meas = np.stack((rep.var_meas, budget.evaluate(grid) / 4.0))
+    sigma2 = conditional_variance(var_prep, var_meas, eps) / css
+    sq = squeezing_parameters(sigma2, c_meas, c_in, var_prep, var_meas, n0 / 2.0)
+    rows = np.column_stack([
+        grid, sq.sigma2[0], cond_err / (1 - eps) ** 2 / css, sq.sigma2_db[0], c_meas,
+        sq.zeta_m_db[0], sq.zeta_e_db[0],
+        sq.sigma2[1], sq.sigma2_db[1], sq.zeta_m_db[1], sq.zeta_e_db[1],
+    ]).tolist()
 
     header = ["p", "sigma2", "sigma2_err", "sigma2_db", "C",
               "zeta_m_db", "zeta_e_db",
@@ -267,20 +257,18 @@ def scenario_rotation(cfg: RunConfig, n_trials: int, seed: int) -> dict:
 
     plans = ["squeeze-readout"] + [
         SequencePlan("rotate-alpha", rotation_angle=float(alpha)) for alpha in angles]
-    ts0, *runs = _run(cfg, [(plan, state, probe) for plan in plans], n_trials, seed)
-    rep0 = variance_stats(ts0)
+    scan = _run(cfg, [(plan, state, probe) for plan in plans], n_trials, seed)
+    rep = variance_stats(scan)
     # the model reads the same statistics from each run's own law; built after
     # variance_stats, so a run with no usable trial fails before 1/p is taken
-    detection = _detection(cfg, probe)
-    vm_model = _model_stats(ts0, detection).var_meas
-
-    rows = []
-    for alpha, ts in zip(angles, runs):
-        resid, resid_se = residual_variance(variance_stats(ts))
-        model = residual_variance(_model_stats(ts, detection))[0] - vm_model
-        rows.append([alpha, resid - rep0.var_meas,  # from independent runs
-                     math.hypot(resid_se, rep0.var_meas_se), model])
-
+    model = _model_stats(scan, _detection(cfg, probe))
+    # point 0 is the squeeze-readout run, the rest one rotation each
+    resid, resid_se = residual_variance(rep)
+    rows = np.column_stack([
+        angles, resid[1:] - rep.var_meas[0],  # from independent runs
+        np.hypot(resid_se[1:], rep.var_meas_se[0]),
+        residual_variance(model)[0][1:] - model.var_meas[0],
+    ]).tolist()
     return {"rotation.csv": (["alpha_rad", "var_alpha", "var_alpha_err", "model"],
                              rows)}
 
@@ -299,14 +287,13 @@ def scenario_ramsey(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     css = cfg.n0 / 4.0
     state = prepare_css(cfg.n0, cfg.preparation)
 
-    runs = _run(cfg, [(plan, state, cfg.probe) for plan in plans], n_trials, seed)
-    rows = []
-    for i, (plan, ts) in enumerate(zip(plans, runs)):
-        resid, _ = residual_variance(variance_stats(ts))
-        if i == 0:  # the squeeze-readout law's imprecision
-            vm_model = _model_stats(ts, _detection(cfg, cfg.probe)).var_meas
-        sigma2 = max(resid - vm_model, 1e-12) / css
-        rows.append([plan.scenario, sigma2, to_db(sigma2)])
+    scan = _run(cfg, [(plan, state, cfg.probe) for plan in plans], n_trials, seed)
+    resid, _ = residual_variance(variance_stats(scan))
+    # less the squeeze-readout law's imprecision
+    vm_model = _model_stats(scan, _detection(cfg, cfg.probe)).var_meas[0]
+    sigma2 = np.maximum(resid - vm_model, 1e-12) / css
+    rows = [[plan.scenario, *vals] for plan, vals in zip(
+        plans, np.column_stack([sigma2, to_db(sigma2)]).tolist())]
     return {"ramsey.csv": (["sequence", "sigma2", "sigma2_db"], rows)}
 
 

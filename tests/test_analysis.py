@@ -122,6 +122,16 @@ class TestVarianceStats:
         assert rep.n_excluded_saturated == 7
         assert rep.n_trials == 93
 
+    def test_too_few_unsaturated_trials_name_the_point(self):
+        # a scan's report fails on the point that cannot be estimated
+        one = synthetic_trialset(np.random.default_rng(6), 10, np.eye(2))
+        saturated = np.zeros((2, 10), dtype=bool)
+        saturated[1, 2:] = True  # point 1 keeps 2 of its 10 trials
+        scan = TrialSet(np.stack([one.pulses] * 2), np.stack([one.true_szf] * 2),
+                        saturated, np.stack([one.record_cov] * 2))
+        with pytest.raises(ValueError, match="trials at point 1; got 2 of 10 trials"):
+            variance_stats(scan)
+
     def test_se_calibration(self):
         # the chi^2 standard error is consistent: ~68% of repeated
         # estimates fall within 1 SE of truth
@@ -389,6 +399,61 @@ class TestResidualVariance:
         assert flipped == pytest.approx(plain, rel=1e-12)
 
 
+REPORT_FIELDS = ("var_m1", "var_m1_se", "var_m2", "var_meas", "var_meas_se",
+                 "cov_m1_m2", "cov_m1_m2_se", "var_prep", "var_prep_se",
+                 "meas_prep_cov", "n_trials", "n_excluded_saturated")
+
+
+def point_report(ts):
+    """The per-point reference: np.cov of one point's unsaturated trials."""
+    keep = ~ts.saturated
+    m1 = ts.m1[keep]
+    return covariance_stats(np.cov(m1, m1 - ts.m2[keep]), int(keep.sum()),
+                            int(ts.saturated.sum()))
+
+
+def test_scan_report_is_each_points_report():
+    # one call over a scan's leading point axis gives each point the report
+    # of that point on its own: bitwise with nothing saturated, within
+    # rounding when the points exclude different numbers of trials
+    cfg = load_and_validate()
+    state = scenarios.prepare_css(cfg.n0, cfg.preparation)
+    probes = [replace(cfg.probe, photons_per_measurement=p) for p in (1e5, 3e5, 9e5)]
+    scan = scenarios._run(cfg, [("squeeze-readout", state, pr) for pr in probes]
+                          + [("double-prep", state, probes[1])], 400, 5)
+    assert not scan.saturated.any()
+
+    def point(i, saturated):
+        return TrialSet(scan.pulses[i], scan.true_szf[i], saturated[i],
+                        scan.record_cov[i])
+
+    detection = scenarios._detection(cfg, probes[1])
+    batched = variance_stats(scan)
+    model = scenarios._model_stats(scan, detection)
+    for i in range(4):
+        alone = point(i, scan.saturated)
+        for name in REPORT_FIELDS:
+            assert (np.asarray(getattr(batched, name))[i].tobytes()
+                    == np.asarray(getattr(point_report(alone), name)).tobytes())
+        for name in REPORT_FIELDS[:-2]:  # a law's trial count is the scan's n
+            assert (getattr(model, name)[i].tobytes()
+                    == np.asarray(getattr(scenarios._model_stats(alone, detection),
+                                          name)).tobytes())
+
+    # 0, 8, 40 and 120 of 400 trials excluded; the squeeze-readout points
+    # keep every statistic far from zero, so the comparison is relative
+    saturated = np.zeros_like(scan.saturated)
+    for i, k in enumerate((0, 8, 40, 120)):
+        saturated[i, np.random.default_rng(i).choice(400, k, replace=False)] = True
+    batched = variance_stats(replace(scan, saturated=saturated))
+    for i in range(3):
+        reference = point_report(point(i, saturated))
+        for name in REPORT_FIELDS:
+            np.testing.assert_allclose(np.asarray(getattr(batched, name))[i],
+                                       getattr(reference, name), rtol=1e-12, atol=0)
+    assert batched.n_excluded_saturated.tolist() == [0, 8, 40, 120]
+
+
 def test_stated_errors_match_spread_across_seeds(monkeypatch):
     # Each stated standard error, against the spread of its estimate over
     # K independent 400-trial runs of the default config: the median
@@ -413,9 +478,10 @@ def test_stated_errors_match_spread_across_seeds(monkeypatch):
     # rotation 3j + 0..2, so no stream is reused within a statistic
     fig3 = np.array([[row[1:3] for row in scenarios.scenario_fig3(
         cfg, 400, 2 * j)["fig3.csv"][1]] for j in range(k)])
+    # one report per fig3 run, each field a (2,) array over its points
     fig3_reps = np.array(
-        [[(r.var_meas, r.var_meas_se, r.var_prep, r.var_prep_se)
-          for r in reports[2 * j:2 * j + 2]] for j in range(k)])
+        [np.column_stack((r.var_meas, r.var_meas_se, r.var_prep, r.var_prep_se))
+         for r in reports])
     rotation = np.array([[row[1:3] for row in scenarios.scenario_rotation(
         cfg, 400, 3 * j)["rotation.csv"][1]] for j in range(k)])
 

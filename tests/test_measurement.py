@@ -442,8 +442,8 @@ class TestRunTrials:
     def test_record_moments_match_oracle(self, p, mu):
         # the engine's propagated pulse covariance of a CSS (var_z = N0/4)
         # is the oracle's, chained separately through the same flip chain
-        mean, cov = _record_moments(
-            SequencePlan(), css_state(), 0.5 * p * reference_flip_rates(), mu)
+        mean, cov = (x[0] for x in _record_moments(
+            [SequencePlan()], [css_state()], [0.5 * p * reference_flip_rates()], [mu]))
         exact = spinflip_covariance_exact(*reference_flip_rates(), mu, p, N0)
         assert np.max(np.abs(cov[:4, :4] - exact)) <= 1e-12 * np.max(np.abs(exact))
         assert np.max(np.abs(mean)) <= 1e-12 * N0
@@ -453,10 +453,11 @@ class TestRunTrials:
         flips = 0.5 * 6.4e5 * reference_flip_rates()
         plan = SequencePlan("rotate-alpha", rotation_angle=0.7)
         _atom_maps.cache_clear()
-        first = _record_moments(plan, css_state(), flips, 0.02)
+        first = [x[0] for x in _record_moments([plan], [css_state()], [flips], [0.02])]
         expect = [x.tobytes() for x in first]
         as_tuple = tuple(map(float, flips))
-        second = _record_moments(plan, css_state(), as_tuple, 0.02)
+        second = [x[0] for x in _record_moments([plan], [css_state()], [as_tuple],
+                                                 [0.02])]
         assert _atom_maps.cache_info().misses == 1
         assert [x.tobytes() for x in second] == expect
         # the maps are shared, so none of them can be written
@@ -466,7 +467,7 @@ class TestRunTrials:
         # nor does writing into one call's output reach the next call's
         for x in (*first, *second):
             x[...] = np.nan
-        third = _record_moments(plan, css_state(), flips, 0.02)
+        third = [x[0] for x in _record_moments([plan], [css_state()], [flips], [0.02])]
         assert [x.tobytes() for x in third] == expect
 
     def test_record_law_cached_per_scan(self, couplings):
@@ -481,9 +482,8 @@ class TestRunTrials:
         fields = ("pulses", "true_szf", "saturated", "record_cov")
         _record_law.cache_clear()
         cold, warm = scan(5), scan(5)
-        for a, b in zip(cold, warm):
-            for field in fields:
-                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        for field in fields:
+            assert getattr(cold, field).tobytes() == getattr(warm, field).tobytes()
         scan(6)
         assert _record_law.cache_info()[:2] == (2, 1)  # hits, misses
         # N0, the rotation angle, p and mu each make another law
@@ -496,7 +496,7 @@ class TestRunTrials:
         means, covs, factors = _record_law(
             (SequencePlan(),), (css_state(),),
             (tuple(0.5 * 6.4e5 * reference_flip_rates()),), (0.02,))
-        for arr in (means, covs, *factors, cold[0].record_cov):
+        for arr in (means, covs, *factors, cold.record_cov):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
 
@@ -598,11 +598,11 @@ class TestRunTrials:
                                 phase_noise_rms=0.01), css_state(), on, 41)]
         args = (RATES, MU_PULSES, couplings)
         scan = run_scan(points, n, *args)
-        assert len(scan) == len(points)
-        for (plan, state, probe, seed), ts in zip(points, scan):
+        assert scan.pulses.shape == (len(points), n, 4)
+        for i, (plan, state, probe, seed) in enumerate(points):
             alone = run_trials(plan, n, seed, state, probe, *args)
             for field in ("pulses", "true_szf", "saturated", "record_cov"):
-                assert np.array_equal(getattr(ts, field), getattr(alone, field))
+                assert np.array_equal(getattr(scan, field)[i], getattr(alone, field))
 
     def test_pass_memory_does_not_grow_with_the_grid(self, couplings):
         # a pass holds at most _BLOCK rows, so a 12-point scan of 400 trials
