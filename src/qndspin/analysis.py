@@ -93,6 +93,7 @@ def covariance_stats(s, n: int, n_saturated: int = 0) -> VarianceReport:
 
     s is a sample covariance, or the law the trials were drawn from.
     Errors: Cov(tr(a S), tr(b S)) = 2 tr(a S b S) / (n - 1) for Gaussian records.
+    The counts n and n_saturated take the leading shape of s, as every value does.
     """
     ws = _FORMS @ s[..., None, :, :]
     var_m1, var_m2, cov, var_meas, var_prep = np.einsum("...kii->k...", ws)
@@ -110,8 +111,8 @@ def covariance_stats(s, n: int, n_saturated: int = 0) -> VarianceReport:
         var_prep=var_prep,
         var_prep_se=se[4],
         meas_prep_cov=err[..., 3:, 3:],
-        n_trials=n,
-        n_excluded_saturated=n_saturated,
+        n_trials=np.broadcast_to(n, np.shape(var_m1)),
+        n_excluded_saturated=np.broadcast_to(n_saturated, np.shape(var_m1)),
     )
 
 

@@ -19,18 +19,17 @@ initial imbalance is a normal, each pulse maps x linearly and adds a
 normal whose covariance follows from the expected counts, and the
 M_1 -> M_2 manipulation is linear plus a normal.  So a trial's four
 pulse averages and S_z after M_1 are jointly normal.  _record_moments
-propagates their mean and covariance, exact at any flip rate, for every
-point of a scan at once, and a block draws them as one (b, rank) @
-(rank, 5) product of standard normals with a factor of that covariance;
-_record_law builds both once per distinct scan, since no seed enters.
-The TrialSet hands the covariance back, read-only, so a scenario's model
-column reads the law its trials were drawn from, not a second model.
-The per-atom maps depend only on the flip rates (a, m, c) and mu, so
-_atom_maps builds them once per (a, m, c, mu).  Detector noise acts on
-the photocounts of the probe and compensation channels and passes
-through the Lorentzian inversion; shot and electronic noise are
-independent normals, so each channel draws one normal of their summed
-variance.  Noise is drawn as loc + scale * z on standard normals.
+propagates one point's mean and covariance, exact at any flip rate, and
+a block draws them as one (b, rank) @ (rank, 5) product of standard
+normals with a factor of that covariance; _record_law builds both for
+every point once per distinct scan, since no seed enters, and is the
+engine's only cache.  The TrialSet hands the covariance back, read-only,
+so a scenario's model column reads the law its trials were drawn from,
+not a second model.  Detector noise acts on the photocounts of the
+probe and compensation channels and passes through the Lorentzian
+inversion; shot and electronic noise are independent normals, so each
+channel draws one normal of their summed variance.  Noise is drawn as
+loc + scale * z on standard normals.
 
 run_scan runs a scan's points (plan, state, probe, seed) together into
 one TrialSet with a leading point axis, which the estimators read at
@@ -284,104 +283,75 @@ def spinflip_covariance_exact(
 # the records' moments and the block sampler
 # ---------------------------------------------------------------------------
 
-# the entries of v = (x, a_0..a_3, szf) that pulse k writes: the counts
-# and a_k; and the (row, column) index pairs of its 5x5 noise in Cov(v)
+# the entries of v = (x, a_0..a_3, szf) that pulse k writes: the counts and a_k
 _PULSE_OUT = tuple([0, 1, 2, 3, 4 + k] for k in range(_PULSES))
-_PULSE_NOISE_AT = tuple((np.repeat(out, 5), np.tile(out, 5)) for out in _PULSE_OUT)
 
 
-# bounded, because a photon-number scan adds a rate set at every point
-@functools.lru_cache(maxsize=64)
-def _atom_maps(a: float, m: float, c: float, mu: float):
-    """One atom's maps for _record_moments, built once per (a, m, c, mu).
+def _record_moments(plan, state, flips, mu):
+    """Mean (5,) and covariance (5, 5) of one point's (a_0..a_3, S_z after M_1).
 
-    Returns e^Q, move = [e^Q | F1 1], the (4, 25) table of per-start-state
-    5x5 covariances of (end state, pulse average), the composite matrix,
-    the four 9x9 pulse maps and the 9x9 composite-pulse map, all read-only
-    because every caller shares them.
+    Carries the covariance of v = (x, a_0..a_3, szf), x the counts (+R, -R,
+    +S, -S), through linear maps v -> v a plus independent normals, with
+    flips (a, m, c) and mu as in _flip_chain.  Pulse k maps x to x e^Q and
+    sets a_k = x (F1 1), plus a normal with one atom's 5x5 covariance of
+    (end state, pulse average) summed over the expected counts E[x_j].  A
+    composite pulse maps x linearly, and its failures move a normal of
+    variance E[n_R] mu (1 - mu) from +R to -R.  The manipulation only
+    rescales or redraws imbalances, whose mean is zero, so it leaves E[x]
+    alone.  By the law of total covariance and the Markov property every
+    moment is exact at any rate.
     """
-    t, f1, f2, composite = _flip_chain(a, m, c, mu)
-    move = np.hstack((t, f1.sum(axis=1, keepdims=True)))
+    t, f1, f2, composite = _flip_chain(*flips, mu)
+    move = np.hstack((t, f1.sum(axis=1, keepdims=True)))  # [e^Q | F1 1]
     atom = np.zeros((4, 5, 5))  # per start state: Cov of (end state, average)
     atom[:, range(4), range(4)] = t
     atom[:, :4, 4] = atom[:, 4, :4] = f1
     atom[:, 4, 4] = 2.0 * f2.sum(axis=1)
     atom = (atom - move[:, :, None] * move[:, None, :]).reshape(4, 25)
-    pulse_maps = np.tile(np.eye(9), (_PULSES, 1, 1))
-    for a_k, out in zip(pulse_maps, _PULSE_OUT):
-        a_k[:4, out] = move
     composite_map = np.eye(9)
     composite_map[:4, :4] = composite
-    maps = (t, move, atom, composite, pulse_maps, composite_map)
-    for arr in maps:
-        arr.flags.writeable = False
-    return maps
-
-
-def _record_moments(plans, states, flips, mus):
-    """Means (G, 5) and covariances (G, 5, 5) of (a_0..a_3, S_z after M_1).
-
-    One entry of plans, states, flips and mus per point of a scan.  Carries
-    the covariance of v = (x, a_0..a_3, szf), x the counts (+R, -R, +S, -S),
-    through linear maps v -> v a plus independent normals.  Pulse k maps x to
-    x e^Q and sets a_k = x (F1 1), plus a normal with one atom's 5x5
-    covariance of (end state, pulse average) summed over the expected
-    counts E[x_j].  A composite pulse maps x linearly, and its failures
-    move a normal of variance E[n_R] mu (1 - mu) from +R to -R.  The
-    manipulation only rescales or redraws imbalances, whose mean is
-    zero, so it leaves E[x] alone.  By the law of total covariance and
-    the Markov property every moment is exact at any rate.  Vectors are
-    (G, 1, k) rows of stacked matmuls, which give each point the bits it
-    gets alone; a (G, k) @ (k,) product or an einsum would not.
-    """
-    t, move, atom, composite, pulse_maps, composite_map = map(np.array, zip(*(
-        _atom_maps(*(float(x) for x in f), float(mu)) for f, mu in zip(flips, mus))))
-    g, mus = len(plans), np.asarray(mus, dtype=float)
-    css = np.array([0.5, 0.5, 0.0, 0.0]) * np.array([[s.n0] for s in states])
     imbalance = np.zeros((9, 9))  # unit variance of the responders' imbalance
     imbalance[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
-    mean = np.zeros((g, 5))
-    cov = np.array([s.var_z for s in states])[:, None, None] * imbalance
-    counts = css[:, None, :]  # (G, 1, 4) rows
-    for k in range(_PULSES):
+    css = np.array([[0.5, 0.5, 0.0, 0.0]]) * state.n0
+    mean, cov, counts = np.zeros(5), state.var_z * imbalance, css  # (1, 4) rows
+    for k, out in enumerate(_PULSE_OUT):
         if k == 2:  # read S_z, then the M_1 -> M_2 manipulation
-            a, kick, carry = np.tile(np.eye(9), (g, 1, 1)), np.zeros(g), np.ones(g)
-            a[:, :4, 8] = [0.5, -0.5, 0.5, -0.5]
-            mean[:, 4] = (counts @ a[:, :4, 8:])[:, 0, 0]
+            a, kick, carry = np.eye(9), 0.0, 1.0
+            a[:4, 8] = [0.5, -0.5, 0.5, -0.5]
+            mean[4] = (counts @ a[:4, 8:])[0, 0]
             # carry: multiplier on the M_1-era imbalance carried into M_2
-            for i, (plan, state) in enumerate(zip(plans, states)):
-                if plan.scenario == "double-prep":
-                    a[i, :4, :4], kick[i], counts[i] = 0.0, state.var_z, css[i]
-                elif plan.scenario == "rotate-alpha":
-                    carry[i] = math.cos(plan.rotation_angle)
-                    kick[i] = state.var_y * math.sin(plan.rotation_angle) ** 2
-                elif plan.scenario == "ramsey-clock":
-                    carry[i] = -math.cos(plan.precession_phase)
-                    kick[i] = (state.mean_length * plan.phase_noise_rms) ** 2
-            step = (0.5 * (carry - 1.0))[:, None, None] * imbalance[:2, :2]
+            if plan.scenario == "double-prep":
+                a[:4, :4], kick, counts = 0.0, state.var_z, css
+            elif plan.scenario == "rotate-alpha":
+                carry = math.cos(plan.rotation_angle)
+                kick = state.var_y * math.sin(plan.rotation_angle) ** 2
+            elif plan.scenario == "ramsey-clock":
+                carry = -math.cos(plan.precession_phase)
+                kick = (state.mean_length * plan.phase_noise_rms) ** 2
             for i in (0, 2):  # each class's imbalance times the carry-over
-                a[:, i:i + 2, i:i + 2] += step
-            cov = a.transpose(0, 2, 1) @ cov @ a + kick[:, None, None] * imbalance
-        a, noise = pulse_maps[:, k], np.zeros((g, 9, 9))
-        noise[(slice(None), *_PULSE_NOISE_AT[k])] = (counts @ atom)[:, 0]
-        cov = a.transpose(0, 2, 1) @ cov @ a + noise
-        mean[:, k] = (counts @ move[:, :, 4:])[:, 0, 0]
+                a[i:i + 2, i:i + 2] += 0.5 * (carry - 1.0) * imbalance[:2, :2]
+            cov = a.T @ cov @ a + kick * imbalance
+        a, noise = np.eye(9), np.zeros((9, 9))
+        a[:4, out] = move
+        noise[np.ix_(out, out)] = (counts @ atom).reshape(5, 5)
+        cov = a.T @ cov @ a + noise
+        mean[k] = (counts @ move[:, 4:])[0, 0]
         counts = counts @ t
         if k in (0, 2):  # the composite pulse after it
-            a = composite_map
-            fail = counts[:, 0, :2].sum(axis=1) * mus * (1.0 - mus)
-            cov = a.transpose(0, 2, 1) @ cov @ a + fail[:, None, None] * imbalance
+            fail = counts[0, :2].sum() * mu * (1.0 - mu)
+            cov = composite_map.T @ cov @ composite_map + fail * imbalance
             counts = counts @ composite
-    return mean, cov[:, 4:, 4:]
+    return mean, cov[4:, 4:]
 
 
 @functools.lru_cache(maxsize=64)
 def _record_law(plans, states, flips, mus):
     """Each point's record mean, covariance and (rank, 5) factor, read-only.
 
-    run_scan's seed-free part, built once per distinct scan and shared by
-    every run of it; bounded, since every scan a process runs adds one."""
-    means, covs = _record_moments(plans, states, flips, mus)
+    run_scan's seed-free part and the engine's only cache: built once per
+    distinct scan, one _record_moments per point, and shared by every run
+    of it; bounded, since every scan a process runs adds one."""
+    means, covs = map(np.array, zip(*map(_record_moments, plans, states, flips, mus)))
     # a (rank, 5) factor of each cov; eigenvalues at rounding level are
     # dropped, so a rank-deficient record law stays exact
     w, vec = np.linalg.eigh(covs)

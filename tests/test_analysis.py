@@ -435,7 +435,6 @@ def test_scan_report_is_each_points_report():
         for name in REPORT_FIELDS:
             assert (np.asarray(getattr(batched, name))[i].tobytes()
                     == np.asarray(getattr(point_report(alone), name)).tobytes())
-        for name in REPORT_FIELDS[:-2]:  # a law's trial count is the scan's n
             assert (getattr(model, name)[i].tobytes()
                     == np.asarray(getattr(scenarios._model_stats(alone, detection),
                                           name)).tobytes())

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qndspin import measurement
 from qndspin.measurement import (
     _BLOCK,
-    _atom_maps,
     _record_law,
     _record_moments,
     NoiseSwitches,
@@ -442,33 +442,43 @@ class TestRunTrials:
     def test_record_moments_match_oracle(self, p, mu):
         # the engine's propagated pulse covariance of a CSS (var_z = N0/4)
         # is the oracle's, chained separately through the same flip chain
-        mean, cov = (x[0] for x in _record_moments(
-            [SequencePlan()], [css_state()], [0.5 * p * reference_flip_rates()], [mu]))
+        mean, cov = _record_moments(SequencePlan(), css_state(),
+                                    0.5 * p * reference_flip_rates(), mu)
         exact = spinflip_covariance_exact(*reference_flip_rates(), mu, p, N0)
         assert np.max(np.abs(cov[:4, :4] - exact)) <= 1e-12 * np.max(np.abs(exact))
         assert np.max(np.abs(mean)) <= 1e-12 * N0
 
-    def test_atom_maps_cached_per_rate(self):
-        # an array of flips and a tuple of the same floats share one entry
+    def test_record_moments_of_array_and_tuple_agree(self):
+        # an array of flips and a tuple of the same floats give the same bits
         flips = 0.5 * 6.4e5 * reference_flip_rates()
-        plan = SequencePlan("rotate-alpha", rotation_angle=0.7)
-        _atom_maps.cache_clear()
-        first = [x[0] for x in _record_moments([plan], [css_state()], [flips], [0.02])]
+        args = (SequencePlan("rotate-alpha", rotation_angle=0.7), css_state())
+        first = _record_moments(*args, flips, 0.02)
         expect = [x.tobytes() for x in first]
-        as_tuple = tuple(map(float, flips))
-        second = [x[0] for x in _record_moments([plan], [css_state()], [as_tuple],
-                                                 [0.02])]
-        assert _atom_maps.cache_info().misses == 1
+        second = _record_moments(*args, tuple(map(float, flips)), 0.02)
         assert [x.tobytes() for x in second] == expect
-        # the maps are shared, so none of them can be written
-        for arr in _atom_maps(*as_tuple, 0.02):
-            with pytest.raises(ValueError):
-                arr[(0,) * arr.ndim] = 1.0
-        # nor does writing into one call's output reach the next call's
+        # writing into one call's output does not reach the next call's
         for x in (*first, *second):
             x[...] = np.nan
-        third = [x[0] for x in _record_moments([plan], [css_state()], [flips], [0.02])]
-        assert [x.tobytes() for x in third] == expect
+        assert [x.tobytes() for x in _record_moments(*args, flips, 0.02)] == expect
+
+    def test_repeat_scan_never_recomputes_the_law(self, couplings, monkeypatch):
+        # the scan's law is built on its first run; every later run of it,
+        # whatever its seed, reads the one cache and propagates nothing
+        probe = probe_config(6.4e5, NoiseSwitches())
+        points = [("squeeze-readout", css_state(), probe, 5),
+                  (SequencePlan("rotate-alpha", rotation_angle=0.7), css_state(),
+                   probe, 6)]
+        _record_law.cache_clear()
+        first = run_scan(points, 300, RATES, MU_PULSES, couplings)
+
+        def fail(*args):
+            raise AssertionError("the record law was propagated again")
+
+        monkeypatch.setattr(measurement, "_record_moments", fail)
+        again = run_scan([(*p[:3], p[3] + 10) for p in points], 300, RATES,
+                         MU_PULSES, couplings)
+        assert again.record_cov is first.record_cov
+        assert not np.array_equal(again.pulses, first.pulses)
 
     def test_record_law_cached_per_scan(self, couplings):
         # a scan's law depends on its points, not on its seeds
