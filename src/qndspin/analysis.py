@@ -111,8 +111,8 @@ def covariance_stats(s, n: int, n_saturated: int = 0) -> VarianceReport:
         var_prep=var_prep,
         var_prep_se=se[4],
         meas_prep_cov=err[..., 3:, 3:],
-        n_trials=np.broadcast_to(n, np.shape(var_m1)),
-        n_excluded_saturated=np.broadcast_to(n_saturated, np.shape(var_m1)),
+        n_trials=np.full(np.shape(var_m1), n),
+        n_excluded_saturated=np.full(np.shape(var_m1), n_saturated),
     )
 
 
