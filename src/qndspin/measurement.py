@@ -283,10 +283,6 @@ def spinflip_covariance_exact(
 # the records' moments and the block sampler
 # ---------------------------------------------------------------------------
 
-# the entries of v = (x, a_0..a_3, szf) that pulse k writes: the counts and a_k
-_PULSE_OUT = tuple([0, 1, 2, 3, 4 + k] for k in range(_PULSES))
-
-
 def _record_moments(plan, state, flips, mu):
     """Mean (5,) and covariance (5, 5) of one point's (a_0..a_3, S_z after M_1).
 
@@ -314,7 +310,7 @@ def _record_moments(plan, state, flips, mu):
     imbalance[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
     css = np.array([[0.5, 0.5, 0.0, 0.0]]) * state.n0
     mean, cov, counts = np.zeros(5), state.var_z * imbalance, css  # (1, 4) rows
-    for k, out in enumerate(_PULSE_OUT):
+    for k in range(_PULSES):
         if k == 2:  # read S_z, then the M_1 -> M_2 manipulation
             a, kick, carry = np.eye(9), 0.0, 1.0
             a[:4, 8] = [0.5, -0.5, 0.5, -0.5]
@@ -332,6 +328,7 @@ def _record_moments(plan, state, flips, mu):
                 a[i:i + 2, i:i + 2] += 0.5 * (carry - 1.0) * imbalance[:2, :2]
             cov = a.T @ cov @ a + kick * imbalance
         a, noise = np.eye(9), np.zeros((9, 9))
+        out = [0, 1, 2, 3, 4 + k]  # the entries of v that pulse k writes
         a[:4, out] = move
         noise[np.ix_(out, out)] = (counts @ atom).reshape(5, 5)
         cov = a.T @ cov @ a + noise
