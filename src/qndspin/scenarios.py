@@ -63,27 +63,23 @@ def noise_budget_from_config(cfg: RunConfig, n0: float | None = None) -> NoiseBu
 _M1_D = np.array([[0.5, 0.5, 0.0, 0.0, 0.0], [0.5, 0.5, -0.5, -0.5, 0.0]])
 
 
-def _switched_budget(cfg: RunConfig, on) -> NoiseBudget:
-    """The analytic budget with the term of each source `on` switches off at zero."""
-    source = {"b_minus2": on.electronic, "b_minus1": on.shot, "b0_tech": on.technical,
-              "b0_mu": on.microwave, "b1": on.raman}
-    return replace(noise_budget_from_config(cfg),
-                   **{term: 0.0 for term, kept in source.items() if not kept})
-
-
-def _detection(cfg: RunConfig, probe) -> np.ndarray:
+def _detection(cfg: RunConfig, p) -> np.ndarray:
     """run_scan's detection noise on (a_0..a_3, S_z after M_1), to first order.
 
-    Each pulse gets (b_-1/p + b_-2/p^2)/2, each measurement b0_tech/4
-    with correlation rho between M1 and M2; a source switched off adds
-    nothing.
+    At photon number p, a scalar or one per point, each pulse gets
+    (b_-1/p + b_-2/p^2)/2, each measurement b0_tech/4 with correlation
+    rho between M1 and M2; a source cfg.probe switches off adds nothing.
+    Returns (5, 5), or (G, 5, 5) for a (G,) p.
     """
-    budget = _switched_budget(cfg, probe.switches)
-    p, rho = probe.photons_per_measurement, probe.technical_correlation
-    pulse = (budget.b_minus1 / p + budget.b_minus2 / p**2) / 2.0
-    noise = np.zeros((5, 5))
-    noise[:4, :4] = pulse * np.eye(4) + budget.b0_tech / 4.0 * np.kron(
-        [[1.0, rho], [rho, 1.0]], np.ones((2, 2)))
+    on, budget = cfg.probe.switches, noise_budget_from_config(cfg)
+    b_minus1 = budget.b_minus1 if on.shot else 0.0
+    b_minus2 = budget.b_minus2 if on.electronic else 0.0
+    b0_tech = budget.b0_tech if on.technical else 0.0
+    p, rho = np.asarray(p, dtype=float), cfg.probe.technical_correlation
+    pulse = (b_minus1 / p + b_minus2 / p**2) / 2.0
+    noise = np.zeros(p.shape + (5, 5))
+    noise[..., :4, :4] = pulse[..., None, None] * np.eye(4) + b0_tech / 4.0 * np.array(
+        [[1.0, rho], [rho, 1.0]]).repeat(2, 0).repeat(2, 1)
     return noise
 
 
@@ -148,8 +144,8 @@ def _run(cfg: RunConfig, points, n_trials, seed):
     if any(pr.photons_per_measurement * cfg.rates.p_raman_total > 0.1
            for _, _, pr in points):
         raise ValueError(
-            "p * P_Ram > 0.1: outside the first-order noise budget that "
-            "every scenario reports against"
+            "p * P_Ram > 0.1: outside the first order that fig3's epsilon = "
+            "p P_dF + mu and the model columns' detection terms rest on"
         )
     return run_scan([(*point, seed + i) for i, point in enumerate(points)],
                     n_trials, cfg.rates, cfg.pulses, cfg.couplings)
@@ -195,7 +191,6 @@ def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     n0 = cfg.n0
     css = n0 / 4.0
     on = cfg.probe.switches
-    budget = _switched_budget(cfg, on)
     cpars = cfg.contrast_params
     c_in = cpars["c0"] / (1.0 - cpars["readout_loss"])
     state = prepare_css(n0, cfg.preparation)
@@ -210,8 +205,9 @@ def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
             f"lock_light_mu = {mu:g} or the largest photon_grid entry"
         )
 
-    rep = variance_stats(_run(cfg, [("squeeze-readout", state, replace(
-        cfg.probe, photons_per_measurement=p)) for p in grid], n_trials, seed))
+    scan = _run(cfg, [("squeeze-readout", state, replace(
+        cfg.probe, photons_per_measurement=p)) for p in grid], n_trials, seed)
+    rep = variance_stats(scan)
     if np.min(rep.var_prep) <= 0:  # named at the lowest point
         raise ValueError(
             f"fig3 at p={grid[np.argmin(rep.var_prep)]:g}: the var_prep estimate "
@@ -223,10 +219,10 @@ def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     cond_err = np.sqrt(g[:, None, :] @ rep.meas_prep_cov @ g[:, :, None])[:, 0, 0]
     c_meas = contrast_model(grid, cpars["c0"], cpars["alpha"], cpars["beta"])
     # one composition for the Monte Carlo row (0) and the model row (1), the
-    # model's variances from the analytic budget composition
-    var_prep = np.stack((rep.var_prep,
-                         np.full_like(grid, cfg.preparation.prep_variance(n0))))
-    var_meas = np.stack((rep.var_meas, budget.evaluate(grid) / 4.0))
+    # model's variances read from the law each run draws from
+    model = _model_stats(scan, _detection(cfg, grid))
+    var_prep = np.stack((rep.var_prep, model.var_prep))
+    var_meas = np.stack((rep.var_meas, model.var_meas))
     sigma2 = conditional_variance(var_prep, var_meas, eps) / css
     sq = squeezing_parameters(sigma2, c_meas, c_in, var_prep, var_meas, n0 / 2.0)
     rows = np.column_stack([
@@ -261,7 +257,7 @@ def scenario_rotation(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     rep = variance_stats(scan)
     # the model reads the same statistics from each run's own law; built after
     # variance_stats, so a run with no usable trial fails before 1/p is taken
-    model = _model_stats(scan, _detection(cfg, probe))
+    model = _model_stats(scan, _detection(cfg, p))
     # point 0 is the squeeze-readout run, the rest one rotation each
     resid, resid_se = residual_variance(rep)
     rows = np.column_stack([
@@ -290,7 +286,8 @@ def scenario_ramsey(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     scan = _run(cfg, [(plan, state, cfg.probe) for plan in plans], n_trials, seed)
     resid, _ = residual_variance(variance_stats(scan))
     # less the squeeze-readout law's imprecision
-    vm_model = _model_stats(scan, _detection(cfg, cfg.probe)).var_meas[0]
+    p = cfg.probe.photons_per_measurement
+    vm_model = _model_stats(scan, _detection(cfg, p)).var_meas[0]
     sigma2 = np.maximum(resid - vm_model, 1e-12) / css
     rows = [[plan.scenario, *vals] for plan, vals in zip(
         plans, np.column_stack([sigma2, to_db(sigma2)]).tolist())]

@@ -4,8 +4,8 @@
 
 Re-runs the statistics that the covariance, noise-source and flip
 back-reaction tests gate on (test_measurement.py, criterion 4 of
-test_acceptance.py) and the rotation model test (test_config_cli.py)
-over N_SEEDS fresh seeds, never the tests' own, and
+test_acceptance.py) and the rotation and fig3 model tests
+(test_config_cli.py) over N_SEEDS fresh seeds, never the tests' own, and
 prints for each gated entry the mean z (sample minus oracle, in the
 test's standard-error units) with its standard error, the spread of z,
 and the share of seeds that would fail the test's bound.  Where engine
@@ -53,6 +53,7 @@ from qndspin.measurement import (  # noqa: E402
 from qndspin.scattering import ScatteringRates  # noqa: E402
 from qndspin.scenarios import (  # noqa: E402
     noise_budget_from_config,
+    scenario_fig3,
     scenario_rotation,
 )
 from qndspin.spinstate import PulseModel  # noqa: E402
@@ -189,6 +190,14 @@ def rotation_model(seed):
             for alpha, var, err, model in rows}
 
 
+def fig3_model(seed):
+    """fig3's sigma2 minus its model row at the default config, in sigma2_err."""
+    # the scenario seeds its six runs seed..seed + 5: 6 seed keeps seeds apart
+    (_, rows), = scenario_fig3(CFG, 40_000, 6 * seed).values()
+    return {f"p = {p:g}": ((sigma2 - model) / err, 3.0)
+            for p, sigma2, err, *_, model, _, _, _ in rows}
+
+
 CHECKS = {
     "test_monte_carlo_covariance_structure": covariance_structure,
     "test_monte_carlo_mu_covariance": mu_covariance,
@@ -196,6 +205,7 @@ CHECKS = {
     "test_criterion_4_noise_budget_monte_carlo": criterion_4,
     "TestFlipBackReaction": back_reaction,
     "test_rotation_model_is_the_run_statistic": rotation_model,
+    "test_fig3_model_honours_noise_switches": fig3_model,
 }
 
 

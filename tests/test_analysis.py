@@ -418,7 +418,8 @@ def test_scan_report_is_each_points_report():
     # rounding when the points exclude different numbers of trials
     cfg = load_and_validate()
     state = scenarios.prepare_css(cfg.n0, cfg.preparation)
-    probes = [replace(cfg.probe, photons_per_measurement=p) for p in (1e5, 3e5, 9e5)]
+    grid = np.array([1e5, 3e5, 9e5])
+    probes = [replace(cfg.probe, photons_per_measurement=p) for p in grid]
     scan = scenarios._run(cfg, [("squeeze-readout", state, pr) for pr in probes]
                           + [("double-prep", state, probes[1])], 400, 5)
     assert not scan.saturated.any()
@@ -427,16 +428,21 @@ def test_scan_report_is_each_points_report():
         return TrialSet(scan.pulses[i], scan.true_szf[i], saturated[i],
                         scan.record_cov[i])
 
-    detection = scenarios._detection(cfg, probes[1])
+    # detection at every point's photon number at once is each point's own
+    p = np.append(grid, grid[1])
+    detection = scenarios._detection(cfg, p)
+    assert detection.shape == (4, 5, 5)
     batched = variance_stats(scan)
     model = scenarios._model_stats(scan, detection)
     for i in range(4):
+        alone_detection = scenarios._detection(cfg, p[i])
+        assert detection[i].tobytes() == alone_detection.tobytes()
         alone = point(i, scan.saturated)
         for name in REPORT_FIELDS:
             assert (np.asarray(getattr(batched, name))[i].tobytes()
                     == np.asarray(getattr(point_report(alone), name)).tobytes())
             assert (getattr(model, name)[i].tobytes()
-                    == np.asarray(getattr(scenarios._model_stats(alone, detection),
+                    == np.asarray(getattr(scenarios._model_stats(alone, alone_detection),
                                           name)).tobytes())
 
     # 0, 8, 40 and 120 of 400 trials excluded; the squeeze-readout points

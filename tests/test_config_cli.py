@@ -266,15 +266,21 @@ class TestScenarioArtifacts:
             assert model == pytest.approx(
                 var_y * math.sin(alpha) ** 2, abs=1e-9 * cfg.n0 / 4)
 
-    def test_fig3_model_honours_noise_switches(self):
-        # with technical noise and composite-pulse failures off, the model
-        # row drops b0_tech and b0_mu and epsilon drops mu; the full budget
-        # read 1.7 to 32 SE above the Monte Carlo row
-        cfg = load_and_validate(
-            overrides={"noise": {"technical": False, "microwave": False}})
-        (_, rows), = scenario_fig3(cfg, 4000, 11).values()
+    @pytest.mark.parametrize("overrides, n_trials, bound", [
+        ({"noise": {"technical": False, "microwave": False}}, 4000, 4.0),
+        ({}, 40_000, 3.0),
+    ], ids=["switches-off", "default"])
+    def test_fig3_model_honours_noise_switches(self, overrides, n_trials, bound):
+        # the model row is each point's own record law with detection to
+        # first order: with technical noise and composite-pulse failures
+        # off it drops b0_tech and b0_mu, and epsilon drops mu.  At the
+        # default config, 40,000 trials resolve a model that is not the
+        # law the trials are drawn from: the first-order budget
+        # composition read 7.8 SE off at p = 9e5
+        cfg = load_and_validate(overrides=overrides)
+        (_, rows), = scenario_fig3(cfg, n_trials, 11).values()
         for p, sigma2, err, *_, sigma2_model, _, _, _ in rows:
-            assert abs(sigma2 - sigma2_model) <= 4 * err, p
+            assert abs(sigma2 - sigma2_model) <= bound * err, p
 
     def test_unknown_scenario(self, cfg, tmp_path):
         with pytest.raises(ValueError):
