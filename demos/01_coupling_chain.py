@@ -7,7 +7,7 @@ population-difference slope d omega/dN, and the per-photon phase shift
 that back-acts on the atoms.
 """
 
-from qndspin import EnsembleConfig, ResonatorParams, coupling_summary
+from qndspin.cavity import coupling_summary, EnsembleConfig, ResonatorParams
 from qndspin.constants import TWO_PI
 
 resonator = ResonatorParams(

@@ -9,7 +9,7 @@ noise from N0^2 technical noise.
 """
 
 from qndspin.config import load_and_validate
-from qndspin.scenarios import scenario_fig2
+from qndspin.montecarlo import scenario_fig2
 
 # shipped defaults = reference apparatus, every atom in the double preparation
 cfg = load_and_validate(

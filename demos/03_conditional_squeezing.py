@@ -9,7 +9,7 @@ photon-number grid and reads each of these from its trials.
 """
 
 from qndspin.config import load_and_validate
-from qndspin.scenarios import scenario_fig3
+from qndspin.montecarlo import scenario_fig3
 
 cfg = load_and_validate()
 (_, rows), = scenario_fig3(cfg, 2000, 300).values()

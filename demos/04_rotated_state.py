@@ -10,7 +10,7 @@ read from the law each run draws its records from.
 import math
 
 from qndspin.config import load_and_validate
-from qndspin.scenarios import scenario_rotation
+from qndspin.montecarlo import scenario_rotation
 
 angles = [0.0, 20.0, 45.0, 70.0, 90.0, 110.0, 135.0, 160.0, 180.0]
 cfg = load_and_validate(overrides={"scenarios": {"rotation": {"angles_deg": angles}}})

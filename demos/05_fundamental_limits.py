@@ -8,10 +8,15 @@ noise ODE, locates the optimum photon number, and prints the associated
 contrast cost.
 """
 
-from qndspin import integrate_sigma2, LimitInputs, sigma2_min, optimal_photon_number
-from qndspin.config import load_and_validate
-from qndspin.limits import limit_contrast_and_zeta
 from qndspin.analysis import to_db
+from qndspin.config import load_and_validate
+from qndspin.limits import (
+    integrate_sigma2,
+    limit_contrast_and_zeta,
+    LimitInputs,
+    optimal_photon_number,
+    sigma2_min,
+)
 
 cfg = load_and_validate()
 c = cfg.couplings

@@ -15,10 +15,11 @@ in variance dB, 10*log10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import NoiseBudget
 from .measurement import TrialSet
 
 
@@ -191,32 +192,6 @@ def squeezing_parameters(
         zeta_m=zeta_m,
         zeta_m_db=to_db(zeta_m),
     )
-
-
-@dataclass(frozen=True)
-class NoiseBudget:
-    """Coefficients of 4 Var(Sz)_meas = b-2/p^2 + b-1/p + b0 + b1 p."""
-
-    b_minus2: float
-    b_minus1: float
-    b0_tech: float
-    b0_mu: float
-    b1: float
-    provenance: dict = field(default_factory=dict)  # name -> "fixed" | "fitted"
-    covariance: np.ndarray | None = None            # of the fitted subset
-
-    def __post_init__(self):
-        for name in ("b_minus2", "b_minus1", "b0_tech", "b0_mu", "b1"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-    @property
-    def b0(self) -> float:
-        return self.b0_tech + self.b0_mu
-
-    def evaluate(self, p):
-        p = np.asarray(p, dtype=float)
-        return self.b_minus2 / p**2 + self.b_minus1 / p + self.b0 + self.b1 * p
 
 
 _SINGULAR = "singular design matrix: coefficients not identifiable"

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .angular import clebsch_gordan
 from .constants import RB87, TWO_PI, PhysicalConstants
 
@@ -157,6 +155,8 @@ def hyperfine_mode_shift(
 
 def lorentzian_transmission(detuning, kappa: float):
     """Resonator power transmission T = 1/(1 + (2 delta/kappa)^2)."""
+    import numpy as np
+
     if kappa <= 0:
         raise ValueError("kappa must be > 0")
     x = 2.0 * np.asarray(detuning, dtype=float) / kappa
@@ -168,6 +168,8 @@ def inverse_transmission(fraction, kappa: float):
 
     Callers give it the sign of the slope each detection channel sits on.
     """
+    import numpy as np
+
     if kappa <= 0:
         raise ValueError("kappa must be > 0")
     frac = np.asarray(fraction, dtype=float)
@@ -195,6 +197,8 @@ def ramsey_damping_envelope(u):
     (1/pi) int_0^2pi cos(2u sin^2 t) sin^2 t dt by the periodic trapezoid
     rule, which converges geometrically once the nodes resolve cos(2u ...).
     """
+    import numpy as np
+
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u) & (u >= 0)):
         raise ValueError("u must be finite and >= 0")

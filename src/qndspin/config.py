@@ -10,7 +10,9 @@ of each bounded setting, NULLABLE the settings that may be null, and
 PARTIAL the one block that overrides only some keys of another.
 Interfaces use ordinary frequencies (MHz/GHz) and lab units
 (mm, um, us); everything becomes angular/SI when the physics objects
-are built.
+are built.  The probe settings it builds (NoiseSwitches, ProbeConfig)
+and the analytic NoiseBudget live here too, so that building a config
+loads no numpy.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
 from .cavity import CouplingSummary, EnsembleConfig, ResonatorParams, coupling_summary
 from .constants import RB87, TWO_PI, PhysicalConstants, load_constants
-from .measurement import NoiseSwitches, ProbeConfig
 from .scattering import ScatteringRates, raman_noise_coefficient, raman_rates
 from .spinstate import PreparationModel, PulseModel
 
@@ -121,6 +122,74 @@ def _violations(value, default, path: tuple, key: str, defaults: dict):
             yield path, f"{value!r} is less than {also}the minimum of {low}"
         if high is not None and value > high:
             yield path, f"{value!r} is greater than the maximum of {high}"
+
+
+@dataclass(frozen=True)
+class NoiseSwitches:
+    """Independent enables for each noise source (all on by default)."""
+
+    shot: bool = True          # photon shot noise + APD excess
+    electronic: bool = True    # Johnson-noise-equivalent count noise
+    technical: bool = True     # per-measurement technical noise
+    raman: bool = True         # photon-scattering spin flips
+    microwave: bool = True     # composite-pulse failures
+
+    @classmethod
+    def none(cls) -> "NoiseSwitches":
+        return cls(False, False, False, False, False)
+
+    @classmethod
+    def only(cls, name: str) -> "NoiseSwitches":
+        return replace(cls.none(), **{name: True})
+
+
+@dataclass(frozen=True)
+class ProbeConfig:
+    """Probe photon budget and detection chain."""
+
+    photons_per_measurement: float      # p, transmitted; split p/2 per pulse
+    quantum_efficiency: float
+    apd_excess_factor: float
+    electronic_noise_b2: float          # b_-2, atom^2 photon^2 units
+    technical_noise_fraction: float     # b_0,tech / N0
+    technical_correlation: float        # between M_1 and M_2 (sensitivity knob)
+    switches: NoiseSwitches
+
+    def __post_init__(self):
+        if self.photons_per_measurement < 0:
+            raise ValueError("photon number must be >= 0")
+        if not 0.0 < self.quantum_efficiency <= 1.0:
+            raise ValueError("quantum efficiency must lie in (0, 1]")
+        if self.apd_excess_factor < 1.0:
+            raise ValueError("APD excess factor must be >= 1")
+        if not -1.0 <= self.technical_correlation <= 1.0:
+            raise ValueError("technical correlation must lie in [-1, 1]")
+
+
+@dataclass(frozen=True)
+class NoiseBudget:
+    """Coefficients of 4 Var(Sz)_meas = b-2/p^2 + b-1/p + b0 + b1 p."""
+
+    b_minus2: float
+    b_minus1: float
+    b0_tech: float
+    b0_mu: float
+    b1: float
+    provenance: dict = field(default_factory=dict)  # name -> "fixed" | "fitted"
+    covariance: object = None                       # of the fitted subset, or None
+
+    def __post_init__(self):
+        for name in ("b_minus2", "b_minus1", "b0_tech", "b0_mu", "b1"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+
+    @property
+    def b0(self) -> float:
+        return self.b0_tech + self.b0_mu
+
+    def evaluate(self, p):
+        """The budget at photon number p, a float or an array."""
+        return self.b_minus2 / p**2 + self.b_minus1 / p + self.b0 + self.b1 * p
 
 
 class ConfigError(ValueError):

@@ -14,8 +14,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class LimitInputs:
@@ -51,6 +49,8 @@ def integrate_sigma2(inputs: LimitInputs, p_max: float, n_points: int = 400):
     (tau = p when k = 0), finite in both limits a = 0 and b = 0.
     Returns (p grid, sigma^2 values).
     """
+    import numpy as np
+
     if p_max <= 0:
         raise ValueError("p_max must be > 0")
     a = 2.0 * inputs.collective_cooperativity * inputs.p_total

@@ -52,6 +52,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cavity import CouplingSummary, inverse_transmission, lorentzian_transmission
+from .config import ProbeConfig
 from .scattering import ScatteringRates
 from .spinstate import GaussianSpinState, PulseModel
 
@@ -64,48 +65,6 @@ _PROBE_OFFSET = 0.5
 _PULSE_SIGNS = np.array([[-1.0], [+1.0], [+1.0], [-1.0]])
 
 SCENARIOS = ("squeeze-readout", "double-prep", "rotate-alpha", "ramsey-clock")
-
-
-@dataclass(frozen=True)
-class NoiseSwitches:
-    """Independent enables for each noise source (all on by default)."""
-
-    shot: bool = True          # photon shot noise + APD excess
-    electronic: bool = True    # Johnson-noise-equivalent count noise
-    technical: bool = True     # per-measurement technical noise
-    raman: bool = True         # photon-scattering spin flips
-    microwave: bool = True     # composite-pulse failures
-
-    @classmethod
-    def none(cls) -> "NoiseSwitches":
-        return cls(False, False, False, False, False)
-
-    @classmethod
-    def only(cls, name: str) -> "NoiseSwitches":
-        return replace(cls.none(), **{name: True})
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Probe photon budget and detection chain."""
-
-    photons_per_measurement: float      # p, transmitted; split p/2 per pulse
-    quantum_efficiency: float
-    apd_excess_factor: float
-    electronic_noise_b2: float          # b_-2, atom^2 photon^2 units
-    technical_noise_fraction: float     # b_0,tech / N0
-    technical_correlation: float        # between M_1 and M_2 (sensitivity knob)
-    switches: NoiseSwitches
-
-    def __post_init__(self):
-        if self.photons_per_measurement < 0:
-            raise ValueError("photon number must be >= 0")
-        if not 0.0 < self.quantum_efficiency <= 1.0:
-            raise ValueError("quantum efficiency must lie in (0, 1]")
-        if self.apd_excess_factor < 1.0:
-            raise ValueError("APD excess factor must be >= 1")
-        if not -1.0 <= self.technical_correlation <= 1.0:
-            raise ValueError("technical correlation must lie in [-1, 1]")
 
 
 @dataclass(frozen=True)

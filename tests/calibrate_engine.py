@@ -43,19 +43,15 @@ from test_measurement import (  # noqa: E402
     two_var_diff,
 )
 
-from qndspin.config import load_and_validate  # noqa: E402
+from qndspin.config import load_and_validate, NoiseSwitches  # noqa: E402
 from qndspin.measurement import (  # noqa: E402
-    NoiseSwitches,
     run_trials,
     SequencePlan,
     spinflip_covariance_exact,
 )
 from qndspin.scattering import ScatteringRates  # noqa: E402
-from qndspin.scenarios import (  # noqa: E402
-    noise_budget_from_config,
-    scenario_fig3,
-    scenario_rotation,
-)
+from qndspin.montecarlo import scenario_fig3, scenario_rotation  # noqa: E402
+from qndspin.scenarios import noise_budget_from_config  # noqa: E402
 from qndspin.spinstate import PulseModel  # noqa: E402
 
 CFG = load_and_validate()

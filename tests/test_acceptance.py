@@ -15,14 +15,13 @@ from qndspin.analysis import (
     conditional_variance,
     contrast_model,
     fit_noise_model,
-    NoiseBudget,
     squeezing_parameters,
     to_db,
     variance_stats,
 )
 from qndspin.cavity import antinode_cooperativity, ramsey_damping_envelope
 from qndspin.cavity import inverse_transmission, lorentzian_transmission
-from qndspin.config import load_and_validate
+from qndspin.config import load_and_validate, NoiseBudget, NoiseSwitches
 from qndspin.constants import TWO_PI
 from qndspin.limits import (
     integrate_sigma2,
@@ -31,11 +30,7 @@ from qndspin.limits import (
     optimal_photon_number,
     sigma2_min,
 )
-from qndspin.measurement import (
-    NoiseSwitches,
-    run_trials,
-    spinflip_covariance_exact,
-)
+from qndspin.measurement import run_trials, spinflip_covariance_exact
 from qndspin.scattering import raman_noise_coefficient, raman_rates
 from qndspin.scenarios import noise_budget_from_config
 from qndspin.spinstate import (

@@ -11,14 +11,13 @@ from qndspin.analysis import (
     covariance_stats,
     fit_noise_model,
     fit_quadratic_scaling,
-    NoiseBudget,
     residual_variance,
     squeezing_parameters,
     to_db,
     variance_stats,
 )
-from qndspin import scenarios
-from qndspin.config import load_and_validate
+from qndspin import montecarlo
+from qndspin.config import load_and_validate, NoiseBudget
 from qndspin.measurement import TrialSet
 
 N0 = 3.3e4
@@ -417,10 +416,10 @@ def test_scan_report_is_each_points_report():
     # of that point on its own: bitwise with nothing saturated, within
     # rounding when the points exclude different numbers of trials
     cfg = load_and_validate()
-    state = scenarios.prepare_css(cfg.n0, cfg.preparation)
+    state = montecarlo.prepare_css(cfg.n0, cfg.preparation)
     grid = np.array([1e5, 3e5, 9e5])
     probes = [replace(cfg.probe, photons_per_measurement=p) for p in grid]
-    scan = scenarios._run(cfg, [("squeeze-readout", state, pr) for pr in probes]
+    scan = montecarlo._run(cfg, [("squeeze-readout", state, pr) for pr in probes]
                           + [("double-prep", state, probes[1])], 400, 5)
     assert not scan.saturated.any()
 
@@ -430,19 +429,19 @@ def test_scan_report_is_each_points_report():
 
     # detection at every point's photon number at once is each point's own
     p = np.append(grid, grid[1])
-    detection = scenarios._detection(cfg, p)
+    detection = montecarlo._detection(cfg, p)
     assert detection.shape == (4, 5, 5)
     batched = variance_stats(scan)
-    model = scenarios._model_stats(scan, detection)
+    model = montecarlo._model_stats(scan, detection)
     for i in range(4):
-        alone_detection = scenarios._detection(cfg, p[i])
+        alone_detection = montecarlo._detection(cfg, p[i])
         assert detection[i].tobytes() == alone_detection.tobytes()
         alone = point(i, scan.saturated)
         for name in REPORT_FIELDS:
             assert (np.asarray(getattr(batched, name))[i].tobytes()
                     == np.asarray(getattr(point_report(alone), name)).tobytes())
             assert (getattr(model, name)[i].tobytes()
-                    == np.asarray(getattr(scenarios._model_stats(alone, alone_detection),
+                    == np.asarray(getattr(montecarlo._model_stats(alone, alone_detection),
                                           name)).tobytes())
 
     # 0, 8, 40 and 120 of 400 trials excluded; the squeeze-readout points
@@ -472,22 +471,22 @@ def test_stated_errors_match_spread_across_seeds(monkeypatch):
         "rotation": {"angles_deg": [0.0, 90.0]},
     }})
     reports = []
-    real = scenarios.variance_stats
+    real = montecarlo.variance_stats
 
     def recorded(trials):
         reports.append(real(trials))
         return reports[-1]
 
-    monkeypatch.setattr(scenarios, "variance_stats", recorded)
+    monkeypatch.setattr(montecarlo, "variance_stats", recorded)
     # (value, stated SE) per seed and point; fig3 seeds 2j + point index,
     # rotation 3j + 0..2, so no stream is reused within a statistic
-    fig3 = np.array([[row[1:3] for row in scenarios.scenario_fig3(
+    fig3 = np.array([[row[1:3] for row in montecarlo.scenario_fig3(
         cfg, 400, 2 * j)["fig3.csv"][1]] for j in range(k)])
     # one report per fig3 run, each field a (2,) array over its points
     fig3_reps = np.array(
         [np.column_stack((r.var_meas, r.var_meas_se, r.var_prep, r.var_prep_se))
          for r in reports])
-    rotation = np.array([[row[1:3] for row in scenarios.scenario_rotation(
+    rotation = np.array([[row[1:3] for row in montecarlo.scenario_rotation(
         cfg, 400, 3 * j)["rotation.csv"][1]] for j in range(k)])
 
     ratios = {}

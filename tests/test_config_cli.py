@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qndspin
-from qndspin import scenarios
+from qndspin import montecarlo
 from qndspin.cli import main
 from qndspin.config import (
     BOUNDS,
@@ -27,13 +27,12 @@ from qndspin.config import (
     load_and_validate,
 )
 from qndspin.constants import RB87, load_constants
+from qndspin.montecarlo import scenario_fig3, scenario_rotation
 from qndspin.scenarios import (
     SCENARIO_NAMES,
     noise_budget_from_config,
     run_scenario,
-    scenario_fig3,
     scenario_params_report,
-    scenario_rotation,
 )
 from qndspin.spinstate import measurement_backaction, prepare_css
 
@@ -665,8 +664,8 @@ class TestCli:
 
     def test_too_few_trials_explained(self, tmp_path, capsys, monkeypatch):
         # drive the message path deterministically: report var_prep < 0
-        real = scenarios.variance_stats
-        monkeypatch.setattr(scenarios, "variance_stats",
+        real = montecarlo.variance_stats
+        monkeypatch.setattr(montecarlo, "variance_stats",
                             lambda ts: replace(real(ts), var_prep=-1.0))
         rc = main([
             "run", "--scenario", "fig3", "--trials", "4",
@@ -728,7 +727,7 @@ class TestCli:
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr("qndspin.scenarios.run_scan", no_trials)
+        monkeypatch.setattr("qndspin.montecarlo.run_scan", no_trials)
         bad = tmp_path / "mu.json"
         bad.write_text(json.dumps({"pulses": {"lock_light_mu": 0.6}}))
         rc = main([
@@ -746,7 +745,7 @@ class TestCli:
         def too_big(*args):
             raise MemoryError("Unable to allocate 179. GiB for an array")
 
-        monkeypatch.setattr("qndspin.scenarios.run_scan", too_big)
+        monkeypatch.setattr("qndspin.montecarlo.run_scan", too_big)
         rc = main([
             "run", "--scenario", "fig3", "--trials", "1000000000",
             "--out", str(tmp_path / "o"),
@@ -881,16 +880,25 @@ def _loaded_after(code, modules):
     ).stdout.strip()
 
 
-def test_cli_import_loads_no_scipy():
-    modules = ("scipy.optimize", "scipy.integrate", "scipy.special")
-    assert _loaded_after("import qndspin.cli", modules) == "[]"
-
-
-def test_config_load_needs_numpy_only():
-    # numpy is the only runtime dependency: validation reads the shape of
-    # the shipped defaults, not a jsonschema schema
+def test_deterministic_cli_loads_no_numpy(tmp_path):
+    # params-report and limits are plain arithmetic: in an interpreter where
+    # any numpy import raises, each runs and verifies against its golden
+    golden = Path(__file__).parent / "data" / "golden"
+    runs = [["run", "--scenario", name, *extra] for name in ("params-report", "limits")
+            for extra in (["--out", str(tmp_path / name)],
+                          ["--verify", str(golden / f"{name}_manifest.json")])]
+    code = ("import sys; sys.modules['numpy'] = None; from qndspin.cli import main; "
+            f"print([main(argv) for argv in {runs!r}])")
+    src = str(Path(qndspin.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]", proc.stderr
+    assert (tmp_path / "limits" / "limits.json").is_file()
+    # nor does building the config: validation reads the shape of the
+    # shipped defaults, not a jsonschema schema; any scipy.* loads scipy
     code = "import qndspin.cli; qndspin.cli.load_and_validate()"
-    assert _loaded_after(code, ("jsonschema", "scipy.special")) == "[]"
+    assert _loaded_after(code, ("numpy", "scipy", "jsonschema")) == "[]"
 
 
 def _numeric_leaves(tree, path=(), key=""):

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from qndspin import measurement
+from qndspin.config import NoiseSwitches, ProbeConfig
 from qndspin.measurement import (
     _BLOCK,
     _record_law,
     _record_moments,
-    NoiseSwitches,
-    ProbeConfig,
     run_scan,
     run_trials,
     SequencePlan,
