@@ -49,8 +49,8 @@ from qndspin.measurement import (  # noqa: E402
     SequencePlan,
     spinflip_covariance_exact,
 )
-from qndspin.scattering import ScatteringRates  # noqa: E402
 from qndspin.montecarlo import scenario_fig3, scenario_rotation  # noqa: E402
+from qndspin.scattering import ScatteringRates  # noqa: E402
 from qndspin.scenarios import noise_budget_from_config  # noqa: E402
 from qndspin.spinstate import PulseModel  # noqa: E402
 

@@ -420,7 +420,7 @@ def test_scan_report_is_each_points_report():
     grid = np.array([1e5, 3e5, 9e5])
     probes = [replace(cfg.probe, photons_per_measurement=p) for p in grid]
     scan = montecarlo._run(cfg, [("squeeze-readout", state, pr) for pr in probes]
-                          + [("double-prep", state, probes[1])], 400, 5)
+                           + [("double-prep", state, probes[1])], 400, 5)
     assert not scan.saturated.any()
 
     def point(i, saturated):
@@ -442,7 +442,7 @@ def test_scan_report_is_each_points_report():
                     == np.asarray(getattr(point_report(alone), name)).tobytes())
             assert (getattr(model, name)[i].tobytes()
                     == np.asarray(getattr(montecarlo._model_stats(alone, alone_detection),
-                                          name)).tobytes())
+                                           name)).tobytes())
 
     # 0, 8, 40 and 120 of 400 trials excluded; the squeeze-readout points
     # keep every statistic far from zero, so the comparison is relative
