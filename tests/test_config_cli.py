@@ -895,8 +895,17 @@ def test_deterministic_cli_loads_no_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]", proc.stderr
     assert (tmp_path / "limits" / "limits.json").is_file()
-    # nor does building the config: validation reads the shape of the
-    # shipped defaults, not a jsonschema schema; any scipy.* loads scipy
+
+
+def test_cli_import_loads_no_scipy():
+    # any scipy.* import loads the scipy package itself
+    assert _loaded_after("import qndspin.cli", ("scipy",)) == "[]"
+
+
+def test_config_load_needs_numpy_only():
+    # numpy is the only runtime dependency, and building the config needs not
+    # even that: validation reads the shape of the shipped defaults, not a
+    # jsonschema schema
     code = "import qndspin.cli; qndspin.cli.load_and_validate()"
     assert _loaded_after(code, ("numpy", "scipy", "jsonschema")) == "[]"
 
