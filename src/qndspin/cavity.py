@@ -136,12 +136,11 @@ def hyperfine_mode_shift(
     clock_state: int,
     detuning_f2_f3: float,
     eta_eff: float,
-    kappa: float,
     constants: PhysicalConstants = RB87,
 ) -> float:
     """Dispersive mode shift per (effective) atom in one clock state.
 
-    The shift is in the same units as kappa, per atom of coupling eta_eff.
+    The shift is in units of kappa, per atom of coupling eta_eff.
 
     eta_eff includes the oscillator strength f (e.g. 0.47*eta0 for the
     ensemble, f*eta0 for a maximally coupled atom); the strength-weighted
@@ -150,42 +149,38 @@ def hyperfine_mode_shift(
     f_osc = constants.d2_oscillator_strength
     d_sum = strength_weighted_inverse_detuning(clock_state, detuning_f2_f3, constants)
     gamma = constants.rb87_d2_linewidth
-    return (eta_eff / f_osc) * gamma * kappa * d_sum / 4.0
+    return (eta_eff / f_osc) * gamma * d_sum / 4.0
 
 
-def lorentzian_transmission(detuning, kappa: float):
-    """Resonator power transmission T = 1/(1 + (2 delta/kappa)^2)."""
+def lorentzian_transmission(detuning):
+    """Resonator power transmission T = 1/(1 + (2 delta)^2), delta in units of kappa."""
     import numpy as np
 
-    if kappa <= 0:
-        raise ValueError("kappa must be > 0")
-    x = 2.0 * np.asarray(detuning, dtype=float) / kappa
+    x = 2.0 * np.asarray(detuning, dtype=float)
     return 1.0 / (1.0 + x * x)
 
 
-def inverse_transmission(fraction, kappa: float):
-    """The detuning |delta| >= 0 at which T(delta) = fraction.
+def inverse_transmission(fraction):
+    """The detuning |delta| >= 0, in units of kappa, at which T(delta) = fraction.
 
     Callers give it the sign of the slope each detection channel sits on.
     """
     import numpy as np
 
-    if kappa <= 0:
-        raise ValueError("kappa must be > 0")
     frac = np.asarray(fraction, dtype=float)
     if np.any(frac <= 0.0) or np.any(frac > 1.0):
         raise ValueError("transmission fraction must lie in (0, 1]")
-    return 0.5 * kappa * np.sqrt(1.0 / frac - 1.0)
+    return 0.5 * np.sqrt(1.0 / frac - 1.0)
 
 
-def phase_per_photon(shift_f1: float, shift_f2: float, kappa: float) -> float:
+def phase_per_photon(shift_f1: float, shift_f2: float) -> float:
     """Differential atomic phase per transmitted photon, 2(w2 - w1)/kappa.
 
-    Shifts are the per-atom mode shifts (same units as kappa) for the two
+    Shifts are the per-atom mode shifts (in units of kappa) for the two
     clock states at the relevant coupling: antinode coupling f*eta0 gives
     phi0, ensemble coupling eta_eff gives phi_eff.
     """
-    return 2.0 * (shift_f2 - shift_f1) / kappa
+    return 2.0 * (shift_f2 - shift_f1)
 
 
 def ramsey_damping_envelope(u):
@@ -256,10 +251,10 @@ def coupling_summary(
     shifts = {}
     for state in CLOCK_STATES:
         shifts[("probe", state)] = hyperfine_mode_shift(
-            state, probe_detuning_f2_f3, eta_eff, 1.0, constants
+            state, probe_detuning_f2_f3, eta_eff, constants
         )
         shifts[("comp", state)] = hyperfine_mode_shift(
-            state, compensation_detuning_f2_f3, eta_eff, 1.0, constants
+            state, compensation_detuning_f2_f3, eta_eff, constants
         )
     # d omega/dN for N = N_2 - N_1, in units of kappa per effective atom
     domega_dn = ((shifts[("probe", 2)] - shifts[("comp", 2)])
@@ -274,13 +269,10 @@ def coupling_summary(
     delta_prime = eta_eff * constants.rb87_d2_linewidth / (4.0 * domega_dn)
 
     f_osc = constants.d2_oscillator_strength
-    phi0 = phase_per_photon(
-        *(
-            hyperfine_mode_shift(s, probe_detuning_f2_f3, f_osc * eta0, 1.0, constants)
-            for s in CLOCK_STATES
-        ),
-        kappa=1.0,
-    )
+    phi0 = phase_per_photon(*(
+        hyperfine_mode_shift(s, probe_detuning_f2_f3, f_osc * eta0, constants)
+        for s in CLOCK_STATES
+    ))
     return CouplingSummary(
         antinode_cooperativity=eta0,
         effective_cooperativity=eta_eff,

@@ -145,9 +145,8 @@ class NoiseSwitches:
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Probe photon budget and detection chain."""
+    """The detection chain: one detector, at whatever photon number."""
 
-    photons_per_measurement: float      # p, transmitted; split p/2 per pulse
     quantum_efficiency: float
     apd_excess_factor: float
     electronic_noise_b2: float          # b_-2, atom^2 photon^2 units
@@ -156,8 +155,6 @@ class ProbeConfig:
     switches: NoiseSwitches
 
     def __post_init__(self):
-        if self.photons_per_measurement < 0:
-            raise ValueError("photon number must be >= 0")
         if not 0.0 < self.quantum_efficiency <= 1.0:
             raise ValueError("quantum efficiency must lie in (0, 1]")
         if self.apd_excess_factor < 1.0:
@@ -232,6 +229,7 @@ class RunConfig:
     ensemble: EnsembleConfig
     couplings: CouplingSummary
     probe: ProbeConfig
+    photons_per_measurement: float      # p, transmitted; split p/2 per pulse
     preparation: PreparationModel
     pulses: PulseModel
     rates: ScatteringRates
@@ -288,7 +286,6 @@ def _build(raw: dict) -> RunConfig:
     )
 
     probe = ProbeConfig(
-        photons_per_measurement=pr["photons_per_measurement"],
         quantum_efficiency=pr["quantum_efficiency"],
         apd_excess_factor=pr["apd_excess_factor"],
         electronic_noise_b2=pr["electronic_noise_b2"],
@@ -310,6 +307,7 @@ def _build(raw: dict) -> RunConfig:
         ensemble=ensemble,
         couplings=couplings,
         probe=probe,
+        photons_per_measurement=pr["photons_per_measurement"],
         preparation=PreparationModel(**raw["preparation"]),
         pulses=PulseModel(**raw["pulses"]),
         rates=rates,
@@ -321,13 +319,15 @@ def _build(raw: dict) -> RunConfig:
 
 def load_and_validate(path: str | Path | None = None,
                       overrides: dict | None = None) -> RunConfig:
-    """Load a config file, merge onto the shipped defaults, validate fully.
+    """Load a config file, validate it with the overrides, merge onto the defaults.
 
-    Raises ConfigError carrying every violation at once, one sorted
-    "path: message" line each.  A
-    resolved-config echo is written next to the outputs by the caller.
+    Only the caller's tree, the file with the overrides merged onto it, is
+    checked against the shipped defaults' shape, and then merged onto
+    them as one tree.  Raises ConfigError carrying every violation at
+    once, one sorted "path: message" line each.  A resolved-config echo
+    is written next to the outputs by the caller.
     """
-    defaults = raw = default_config()
+    tree = {}
     if path is not None:
         p = Path(path)
         if not p.exists():
@@ -340,16 +340,18 @@ def load_and_validate(path: str | Path | None = None,
             raise ConfigError([f"cannot read config file {p}: {err}"]) from err
         if not isinstance(user, dict):
             raise ConfigError([f"<root>: {user!r} is not of type 'object'"])
-        raw = _merge(raw, user)
+        tree = user
     if overrides:
-        raw = _merge(raw, overrides)
+        tree = _merge(tree, overrides)
 
+    defaults = default_config()
     violations = sorted(
         f"{'/'.join(map(str, where)) or '<root>'}: {message}"
-        for where, message in _violations(raw, defaults, (), "", defaults)
+        for where, message in _violations(tree, defaults, (), "", defaults)
     )
     if violations:
         raise ConfigError(violations)
+    raw = _merge(defaults, tree)
     cf = raw["constants_file"]
     if cf is not None and not Path(cf).exists():
         raise ConfigError([f"constants_file: no such file {cf!r}"])

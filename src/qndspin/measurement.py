@@ -31,30 +31,28 @@ inversion; shot and electronic noise are independent normals, so each
 channel draws one normal of their summed variance.  Noise is drawn as
 loc + scale * z on standard normals.
 
-run_scan runs a scan's points (plan, state, probe, seed) together into
-one TrialSet with a leading point axis, which the estimators read at
-once; run_trials is one point.  Block b of a point draws from its own
-stream, PCG64DXSM seeded with (seed, b) through SeedSequence (O'Neill
-2014), in one call, so results are bitwise reproducible and do not
-depend on the trial count or on the rest of the scan.  Whole blocks
-are packed into passes of at most _BLOCK = 2048 rows, each detected in
-one call on pulse-major (pulse, trial) arrays, so that elementwise steps
-run over contiguous trials; a pass's memory grows neither with the flip
-rate nor with the grid.
+run_scan is the engine's one entry point: it runs a scan's points
+(plan, state, photons, seed) through the scan's one detector into one
+TrialSet with a leading point axis, which the estimators read at once.
+Block b of a point draws from its own stream, PCG64DXSM seeded with
+(seed, b) through SeedSequence (O'Neill 2014), in one call, so results
+are bitwise reproducible and do not depend on the trial count or on
+the rest of the scan.  Whole blocks are packed into passes of at most
+_BLOCK = 2048 rows, each detected in one call on pulse-major (pulse,
+trial) arrays, so that elementwise steps run over contiguous trials; a
+pass's memory grows neither with the flip rate nor with the grid.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CouplingSummary, inverse_transmission, lorentzian_transmission
+from .cavity import inverse_transmission, lorentzian_transmission
 from .config import ProbeConfig
-from .scattering import ScatteringRates
-from .spinstate import GaussianSpinState, PulseModel
 
 _PULSES = 4
 _BLOCK = 2048
@@ -83,7 +81,7 @@ class SequencePlan:
 
 @dataclass(frozen=True)
 class TrialSet:
-    """Per-trial measurement records of one point, or of a scan's points (G, ...)."""
+    """Per-trial measurement records of a scan's points (G, ...), or of one point."""
 
     pulses: np.ndarray        # (..., n, 4): M1-, M1+, M2+, M2-  (time order)
     true_szf: np.ndarray      # (..., n)
@@ -130,13 +128,11 @@ def simulate_probe_pulse(
         raise ValueError("photon number must be >= 0")
     offset = _PROBE_OFFSET
     # detected counts per unit transmission: Q_e times the input flux
-    scale = probe.quantum_efficiency * photons / float(
-        lorentzian_transmission(offset, 1.0)
-    )
+    scale = probe.quantum_efficiency * photons / float(lorentzian_transmission(offset))
     shift = np.asarray(true_shift, dtype=float)
 
-    n_p = scale * lorentzian_transmission(offset - probe_share * shift, 1.0)
-    n_c = scale * lorentzian_transmission(-offset + (1.0 - probe_share) * shift, 1.0)
+    n_p = scale * lorentzian_transmission(offset - probe_share * shift)
+    n_c = scale * lorentzian_transmission(-offset + (1.0 - probe_share) * shift)
     # shot and electronic noise are independent normals, so their sum is
     # one normal of variance f n + sigma_e^2 on each channel
     f = probe.apd_excess_factor if probe.switches.shot else 0.0
@@ -151,8 +147,8 @@ def simulate_probe_pulse(
     t_hat_p = np.clip(t_hat_p, 1e-12, 1.0)
     t_hat_c = np.clip(t_hat_c, 1e-12, 1.0)
 
-    w_probe = offset - inverse_transmission(t_hat_p, 1.0)
-    w_comp = inverse_transmission(t_hat_c, 1.0) + (-offset)
+    w_probe = offset - inverse_transmission(t_hat_p)
+    w_comp = inverse_transmission(t_hat_c) + (-offset)
     # [()] hands a scalar input back as scalars, an array input as arrays
     return (w_probe - w_comp)[()], saturated[()]
 
@@ -301,13 +297,14 @@ def _record_moments(plan, state, flips, mu):
 
 
 @functools.lru_cache(maxsize=64)
-def _record_law(plans, states, flips, mus):
+def _record_law(plans, states, flips, mu):
     """Each point's record mean, covariance and (rank, 5) factor, read-only.
 
     run_scan's seed-free part and the engine's only cache: built once per
     distinct scan, one _record_moments per point, and shared by every run
     of it; bounded, since every scan a process runs adds one."""
-    means, covs = map(np.array, zip(*map(_record_moments, plans, states, flips, mus)))
+    means, covs = map(np.array, zip(*map(_record_moments, plans, states, flips,
+                                         (mu,) * len(plans))))
     # a (rank, 5) factor of each cov; eigenvalues at rounding level are
     # dropped, so a rank-deficient record law stays exact
     w, vec = np.linalg.eigh(covs)
@@ -319,49 +316,56 @@ def _record_law(plans, states, flips, mus):
     return means, covs, factors
 
 
-def run_scan(points, n_trials, rates, pulses, couplings) -> TrialSet:
-    """Run n_trials trials at each point (plan, state, probe, seed) of a scan.
+def run_scan(points, n_trials, probe, rates, pulses, couplings) -> TrialSet:
+    """Run n_trials trials at each point (plan, state, photons, seed) of a scan.
 
-    Returns one TrialSet over (G, n_trials) whose point i is bitwise equal
-    to that point run alone: block b (trials b*_BLOCK onwards) of a point
-    always draws from the stream seeded (seed, b), seed any non-negative
-    int.  A scan run again only draws and detects, its law cached in
-    _record_law; each pass of at most _BLOCK rows runs detection and
-    technical noise once.
+    probe is the scan's one detector, photons a point's transmitted p per
+    measurement, p/2 per pulse.  Returns one TrialSet over (G, n_trials)
+    whose point i is bitwise equal to that point run alone: block b
+    (trials b*_BLOCK onwards) of a point always draws from the stream
+    seeded (seed, b), seed any non-negative int.  A scan run again only
+    draws and detects, its law cached in _record_law; each pass of at
+    most _BLOCK rows runs detection and technical noise once.
     """
     if n_trials < 2:
         raise ValueError("need at least 2 trials for any variance estimate")
     plans = tuple(SequencePlan(p) if isinstance(p, str) else p for p, *_ in points)
-    _, states, probes, seeds = zip(*points)
-    flips = tuple(tuple(0.5 * pr.photons_per_measurement * x for x in (
+    _, states, photons, seeds = zip(*points)
+    for i, p in enumerate(photons):  # a negative p would give negative flip rates
+        if not p > 0:
+            raise ValueError(f"point {i}: photon number {p!r} must be > 0")
+    on = probe.switches
+    flips = tuple(tuple(0.5 * p * x for x in (
         rates.p_delta_f, rates.p_delta_mf, rates.p_delta_f_delta_mf))
-        if pr.switches.raman else (0.0, 0.0, 0.0) for pr in probes)
-    mus = tuple(pulses.mu_total if pr.switches.microwave else 0.0 for pr in probes)
-    means, covs, factors = _record_law(plans, states, flips, mus)
+        if on.raman else (0.0, 0.0, 0.0) for p in photons)
+    means, covs, factors = _record_law(plans, states, flips,
+                                       pulses.mu_total if on.microwave else 0.0)
 
     # the scan's trials as columns, point i's at i * n_trials onwards, so
     # every elementwise step of a pass runs over contiguous trials
     n_rows = len(points) * n_trials
     pulses_out, szf, saturated = (np.empty((_PULSES, n_rows)), np.empty(n_rows),
                                   np.empty(n_rows, dtype=bool))
-    p_half = np.array([pr.photons_per_measurement for pr in probes]) / 2.0
+    p_half = np.array(photons, dtype=float) / 2.0
     n0 = np.array([s.n0 for s in states])
     # a pass: whole blocks (point, block, first row, size) in order, at
-    # most _BLOCK rows, all of one detector
-    keys = [replace(pr, photons_per_measurement=0.0) for pr in probes]
+    # most _BLOCK rows
     passes, rows = [], _BLOCK
     for i in range(len(points)):
         for block, lo in enumerate(range(0, n_trials, _BLOCK)):
             b = min(_BLOCK, n_trials - lo)
-            if rows + b > _BLOCK or keys[i] != keys[passes[-1][0][0]]:
+            if rows + b > _BLOCK:
                 passes.append([])
                 rows = 0
             passes[-1].append((i, block, i * n_trials + lo, b))
             rows += b
 
     domega_dn = couplings.domega_dn
+    # per-channel, per-pulse count noise that yields the configured b_-2
+    sigma_e = (probe.quantum_efficiency * abs(domega_dn)
+               * math.sqrt(probe.electronic_noise_b2))
     for batch in passes:
-        probe, lo, hi = probes[batch[0][0]], batch[0][2], batch[-1][2] + batch[-1][3]
+        lo, hi = batch[0][2], batch[-1][2] + batch[-1][3]
         v, normals, tech = (np.empty((hi - lo, 5)), np.empty((2, _PULSES, hi - lo)),
                             np.empty((2, hi - lo)))
         for i, block, row, b in batch:
@@ -375,14 +379,11 @@ def run_scan(points, n_trials, rates, pulses, couplings) -> TrialSet:
                 2, b, _PULSES).transpose(0, 2, 1)
             tech[:, r:r + b] = z[b * (rank + 8):].reshape(2, b)
         point = np.arange(lo, hi) // n_trials  # the point of each row
-        # per-channel, per-pulse count noise that yields the configured b_-2
-        sigma_e = (probe.quantum_efficiency * abs(domega_dn)
-                   * math.sqrt(probe.electronic_noise_b2))
         omega_hat, sat = simulate_probe_pulse(
             2.0 * domega_dn * _PULSE_SIGNS * v[:, :4].T, p_half[point], probe,
             normals, couplings.probe_signal_share, sigma_e)
         m = _PULSE_SIGNS * omega_hat / (2.0 * domega_dn)
-        if probe.switches.technical:
+        if on.technical:
             sigma_t = np.sqrt(probe.technical_noise_fraction * n0[point]) / 2.0
             rho = probe.technical_correlation
             t1 = sigma_t * tech[0]
@@ -392,13 +393,3 @@ def run_scan(points, n_trials, rates, pulses, couplings) -> TrialSet:
         pulses_out[:, lo:hi], szf[lo:hi], saturated[lo:hi] = m, v[:, 4], sat.any(axis=0)
     return TrialSet(pulses_out.reshape(_PULSES, -1, n_trials).transpose(1, 2, 0),
                     szf.reshape(-1, n_trials), saturated.reshape(-1, n_trials), covs)
-
-
-def run_trials(scenario: SequencePlan | str, n_trials: int, master_seed: int,
-               state: GaussianSpinState, probe: ProbeConfig, rates: ScatteringRates,
-               pulses: PulseModel, couplings: CouplingSummary) -> TrialSet:
-    """Run independent trials at one point: run_scan of that point alone."""
-    scan = run_scan([(scenario, state, probe, master_seed)], n_trials, rates,
-                    pulses, couplings)
-    return TrialSet(scan.pulses[0], scan.true_szf[0], scan.saturated[0],
-                    scan.record_cov[0])

@@ -62,16 +62,15 @@ def _model_stats(trials, detection):
 
 
 def _run(cfg: RunConfig, points, n_trials, seed):
-    """One run_scan over points (plan, state, probe), point i seeded seed + i."""
+    """One run_scan over points (plan, state, photons), point i seeded seed + i."""
     # every point, before any trial runs
-    if any(pr.photons_per_measurement * cfg.rates.p_raman_total > 0.1
-           for _, _, pr in points):
+    if any(p * cfg.rates.p_raman_total > 0.1 for _, _, p in points):
         raise ValueError(
             "p * P_Ram > 0.1: outside the first order that fig3's epsilon = "
             "p P_dF + mu and the model columns' detection terms rest on"
         )
     return run_scan([(*point, seed + i) for i, point in enumerate(points)],
-                    n_trials, cfg.rates, cfg.pulses, cfg.couplings)
+                    n_trials, cfg.probe, cfg.rates, cfg.pulses, cfg.couplings)
 
 
 def scenario_fig2(cfg: RunConfig, n_trials: int, seed: int) -> dict:
@@ -81,9 +80,10 @@ def scenario_fig2(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     prep = replace(cfg.preparation, **opts["preparation"])
 
     pair = 1.0 - prep.impurity_fraction  # double-prep excludes impurity atoms
+    p = cfg.photons_per_measurement
     rep = variance_stats(_run(cfg, [point for n0 in grid for point in (
-        ("squeeze-readout", prepare_css(n0, prep), cfg.probe),
-        ("double-prep", prepare_css(n0 * pair, prep), cfg.probe))], n_trials, seed))
+        ("squeeze-readout", prepare_css(n0, prep), p),
+        ("double-prep", prepare_css(n0 * pair, prep), p))], n_trials, seed))
     # squeeze-readout at even points, double-prep at odd ones
     arr = np.column_stack([
         grid, 4.0 * rep.var_m1[::2], 4.0 * rep.var_m1_se[::2],  # y1 = 4 Var(M1)
@@ -128,8 +128,7 @@ def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
             f"lock_light_mu = {mu:g} or the largest photon_grid entry"
         )
 
-    scan = _run(cfg, [("squeeze-readout", state, replace(
-        cfg.probe, photons_per_measurement=p)) for p in grid], n_trials, seed)
+    scan = _run(cfg, [("squeeze-readout", state, p) for p in grid], n_trials, seed)
     rep = variance_stats(scan)
     if np.min(rep.var_prep) <= 0:  # named at the lowest point
         raise ValueError(
@@ -167,7 +166,6 @@ def scenario_rotation(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     p = opts["photons"]
     angles = np.deg2rad(np.asarray(opts["angles_deg"], dtype=float))
     n0 = cfg.n0
-    probe = replace(cfg.probe, photons_per_measurement=p)
 
     base = prepare_css(n0, cfg.preparation)
     state = measurement_backaction(
@@ -176,7 +174,7 @@ def scenario_rotation(cfg: RunConfig, n_trials: int, seed: int) -> dict:
 
     plans = ["squeeze-readout"] + [
         SequencePlan("rotate-alpha", rotation_angle=float(alpha)) for alpha in angles]
-    scan = _run(cfg, [(plan, state, probe) for plan in plans], n_trials, seed)
+    scan = _run(cfg, [(plan, state, p) for plan in plans], n_trials, seed)
     rep = variance_stats(scan)
     # the model reads the same statistics from each run's own law; built after
     # variance_stats, so a run with no usable trial fails before 1/p is taken
@@ -205,11 +203,11 @@ def scenario_ramsey(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     )
     css = cfg.n0 / 4.0
     state = prepare_css(cfg.n0, cfg.preparation)
+    p = cfg.photons_per_measurement
 
-    scan = _run(cfg, [(plan, state, cfg.probe) for plan in plans], n_trials, seed)
+    scan = _run(cfg, [(plan, state, p) for plan in plans], n_trials, seed)
     resid, _ = residual_variance(variance_stats(scan))
     # less the squeeze-readout law's imprecision
-    p = cfg.probe.photons_per_measurement
     vm_model = _model_stats(scan, _detection(cfg, p)).var_meas[0]
     sigma2 = np.maximum(resid - vm_model, 1e-12) / css
     rows = [[plan.scenario, *vals] for plan, vals in zip(

@@ -45,7 +45,7 @@ from test_measurement import (  # noqa: E402
 
 from qndspin.config import load_and_validate, NoiseSwitches  # noqa: E402
 from qndspin.measurement import (  # noqa: E402
-    run_trials,
+    run_scan,
     SequencePlan,
     spinflip_covariance_exact,
 )
@@ -69,7 +69,7 @@ ROTATION = load_and_validate(overrides={
 def cov_z(ts, exact):
     """Covariance entries minus the exact ones, in sqrt(2/(n-1)) N0/4."""
     se = math.sqrt(2.0 / (ts.n_trials - 1)) * N0 / 4
-    sample = np.cov(ts.pulses.T, ddof=1)
+    sample = np.cov(ts.pulses[0].T, ddof=1)
     return {f"cov[{i}{j}]": (sample[i, j] - exact[i, j]) / se for i, j in PAIRS}
 
 
@@ -81,18 +81,18 @@ def diff_var_z(ts, expected, bound=3.0):
 
 
 def covariance_structure(seed):
-    ts = run_trials("squeeze-readout", 50_000, seed, css_state(),
-                    probe_config(P, NoiseSwitches.only("raman")), BOOSTED,
-                    MU_PULSES, COUPLINGS)
+    ts = run_scan([("squeeze-readout", css_state(), P, seed)], 50_000,
+                  probe_config(NoiseSwitches.only("raman")), BOOSTED, MU_PULSES,
+                  COUPLINGS)
     cov = spinflip_covariance_exact(BOOSTED.p_delta_f, BOOSTED.p_delta_mf,
                                     BOOSTED.p_delta_f_delta_mf, 0.0, P, N0)
     return {k: (z, 3.5) for k, z in cov_z(ts, cov).items()}
 
 
 def mu_covariance(seed):
-    ts = run_trials("squeeze-readout", 50_000, seed, css_state(),
-                    probe_config(P, NoiseSwitches.only("microwave")), BOOSTED,
-                    PulseModel(0.02, 0.0), COUPLINGS)
+    ts = run_scan([("squeeze-readout", css_state(), P, seed)], 50_000,
+                  probe_config(NoiseSwitches.only("microwave")), BOOSTED,
+                  PulseModel(0.02, 0.0), COUPLINGS)
     cov = spinflip_covariance_exact(0, 0, 0, 0.02, P, N0)
     return {k: (z, 3.5) for k, z in cov_z(ts, cov).items()}
 
@@ -117,9 +117,8 @@ def noise_sources(seed):
     }
     out = {}
     for name, (expected, n, bound, rates, pulses) in terms.items():
-        ts = run_trials("squeeze-readout", n, seed, css_state(),
-                        probe_config(P, NoiseSwitches.only(name)), rates, pulses,
-                        COUPLINGS)
+        ts = run_scan([("squeeze-readout", css_state(), P, seed)], n,
+                      probe_config(NoiseSwitches.only(name)), rates, pulses, COUPLINGS)
         out[name] = diff_var_z(ts, expected, bound)
     return out
 
@@ -136,16 +135,14 @@ def criterion_4(seed):
         "microwave": (flip_term(None, 0.02), mu_pulses),
         "raman": (flip_term(CFG.rates, 0.0), no_errors),
     }
-    base = replace(CFG.probe, photons_per_measurement=P)
+    points = [("squeeze-readout", state, P, seed)]
     out = {}
     for name, (expected, pulses) in terms.items():
-        probe = replace(base, switches=NoiseSwitches.only(name))
-        ts = run_trials("squeeze-readout", 10_000, seed, state, probe, CFG.rates,
-                        pulses, COUPLINGS)
+        probe = replace(CFG.probe, switches=NoiseSwitches.only(name))
+        ts = run_scan(points, 10_000, probe, CFG.rates, pulses, COUPLINGS)
         out[name] = diff_var_z(ts, expected)
-    probe = replace(base, switches=FLIPS_ONLY)
-    ts = run_trials("squeeze-readout", 100_000, seed, state, probe, CFG.rates,
-                    mu_pulses, COUPLINGS)
+    probe = replace(CFG.probe, switches=FLIPS_ONLY)
+    ts = run_scan(points, 100_000, probe, CFG.rates, mu_pulses, COUPLINGS)
     cov = spinflip_covariance_exact(CFG.rates.p_delta_f, CFG.rates.p_delta_mf,
                                     CFG.rates.p_delta_f_delta_mf, 0.02, P, N0)
     out.update({k: (z, 3.0) for k, z in cov_z(ts, cov).items()})
@@ -154,25 +151,26 @@ def criterion_4(seed):
 
 def back_reaction(seed):
     out = {}
-    args = (css_state(), probe_config(P, FLIPS_ONLY), RATES, MU_PULSES, COUPLINGS)
+    args = (probe_config(FLIPS_ONLY), RATES, MU_PULSES, COUPLINGS)
     n = 20_000
-    ts = run_trials("double-prep", n, seed, *args)
+    ts = run_scan([("double-prep", css_state(), P, seed)], n, *args)
     out["double-prep corr"] = (np.corrcoef(ts.m1, ts.m2)[0, 1] * math.sqrt(n), 3.0)
     cov = spinflip_covariance_exact(RATES.p_delta_f, RATES.p_delta_mf,
                                     RATES.p_delta_f_delta_mf, 0.02, P, N0)
     out["double-prep y2"] = diff_var_z(ts, four_var(cov, M1_WEIGHTS))
     plan = SequencePlan("rotate-alpha", rotation_angle=math.pi / 2)
-    ts = run_trials(plan, n, seed, *args)
+    ts = run_scan([(plan, css_state(), P, seed)], n, *args)
     out["rotate pi/2 corr"] = (np.corrcoef(ts.m1, ts.m2)[0, 1] * math.sqrt(n), 3.0)
     ramsey, se_r = regression_slope(
-        run_trials(SequencePlan("ramsey-clock"), 10_000, seed, *args))
+        run_scan([(SequencePlan("ramsey-clock"), css_state(), P, seed)], 10_000, *args))
     plain, se_p = regression_slope(
-        run_trials("squeeze-readout", 10_000, seed + 1, *args))
+        run_scan([("squeeze-readout", css_state(), P, seed + 1)], 10_000, *args))
     out["ramsey slope mirror"] = ((ramsey + plain) / math.hypot(se_r, se_p), 3.0)
-    ts = run_trials("squeeze-readout", 100_000, seed, css_state(1000),
-                    probe_config(P, NoiseSwitches.only("raman")), BOOSTED,
-                    NO_PULSE_ERRORS, COUPLINGS)
-    x = ts.pulses - ts.pulses.mean(axis=0)
+    ts = run_scan([("squeeze-readout", css_state(1000), P, seed)], 100_000,
+                  probe_config(NoiseSwitches.only("raman")), BOOSTED,
+                  NO_PULSE_ERRORS, COUPLINGS)
+    pulses = ts.pulses[0]
+    x = pulses - pulses.mean(axis=0)
     d = x[:, 3] ** 2 - x[:, 0] ** 2
     out["Var(M2-) - Var(M1-)"] = (d.mean() / (d.std(ddof=1) / math.sqrt(len(d))), 3.0)
     return out

@@ -30,7 +30,7 @@ from qndspin.limits import (
     optimal_photon_number,
     sigma2_min,
 )
-from qndspin.measurement import run_trials, spinflip_covariance_exact
+from qndspin.measurement import run_scan, spinflip_covariance_exact
 from qndspin.scattering import raman_noise_coefficient, raman_rates
 from qndspin.scenarios import noise_budget_from_config
 from qndspin.spinstate import (
@@ -128,13 +128,10 @@ def test_criterion_4_noise_budget_monte_carlo(cfg):
         "raman": (w @ raman @ w, no_errors, 105),
     }
     n = 10_000
-    probe_base = replace(cfg.probe, photons_per_measurement=p)
     for name, (expected, pulses, seed) in source_terms.items():
-        probe = replace(probe_base, switches=NoiseSwitches.only(name))
-        ts = run_trials(
-            "squeeze-readout", n, seed, state, probe,
-            cfg.rates, pulses, cfg.couplings,
-        )
+        probe = replace(cfg.probe, switches=NoiseSwitches.only(name))
+        ts = run_scan([("squeeze-readout", state, p, seed)], n, probe,
+                      cfg.rates, pulses, cfg.couplings)
         sample = 2.0 * float(np.var(ts.m1 - ts.m2, ddof=1))
         se = sample * math.sqrt(2.0 / (n - 1))
         assert abs(sample - expected) <= 3.0 * se, (
@@ -144,16 +141,14 @@ def test_criterion_4_noise_budget_monte_carlo(cfg):
 
     # covariance structure at 1e5 trials, flips only
     n_cov = 100_000
-    probe = replace(probe_base, switches=NoiseSwitches(
+    probe = replace(cfg.probe, switches=NoiseSwitches(
         shot=False, electronic=False, technical=False,
         raman=True, microwave=True,
     ))
-    ts = run_trials(
-        "squeeze-readout", n_cov, 2024, state, probe, cfg.rates,
-        mu_pulses, cfg.couplings,
-    )
+    ts = run_scan([("squeeze-readout", state, p, 2024)], n_cov, probe, cfg.rates,
+                  mu_pulses, cfg.couplings)
     cov = spinflip_covariance_exact(*rates, 0.02, p, N0)
-    sample_cov = np.cov(ts.pulses.T, ddof=1)
+    sample_cov = np.cov(ts.pulses[0].T, ddof=1)
     se_scale = math.sqrt(2.0 / (n_cov - 1)) * CSS
     worst = float(np.max(np.abs(sample_cov - cov))) / se_scale
     assert worst <= 3.0, f"covariance structure off by {worst:.2f} SE"
@@ -182,13 +177,10 @@ def test_criterion_5_conditional_squeezing(cfg):
     # Monte Carlo at the same coefficients
     n = 10_000
     state = prepare_css(N0, PreparationModel(prep_noise_factor=1.14))
-    probe = replace(cfg.probe, photons_per_measurement=p)
-    ts = run_trials(
-        "squeeze-readout", n, 55, state, probe, cfg.rates,
-        PulseModel(0.02, 0.0), cfg.couplings,
-    )
+    ts = run_scan([("squeeze-readout", state, p, 55)], n, cfg.probe, cfg.rates,
+                  PulseModel(0.02, 0.0), cfg.couplings)
     rep = variance_stats(ts)
-    sigma2_mc = conditional_variance(rep.var_prep, rep.var_meas) / CSS
+    sigma2_mc = conditional_variance(rep.var_prep[0], rep.var_meas[0]) / CSS
     assert to_db(sigma2_mc) == pytest.approx(-8.9, abs=1.0)
 
     eps = p * cfg.rates.p_delta_f + 0.02
@@ -208,18 +200,16 @@ def test_criterion_6_metrological_gain(cfg):
     p = 3e5
     n = 10_000
     state = prepare_css(N0, PreparationModel(prep_noise_factor=1.14))
-    probe = replace(cfg.probe, photons_per_measurement=p)
-    ts = run_trials(
-        "squeeze-readout", n, 56, state, probe, cfg.rates,
-        PulseModel(0.02, 0.0), cfg.couplings,
-    )
+    ts = run_scan([("squeeze-readout", state, p, 56)], n, cfg.probe, cfg.rates,
+                  PulseModel(0.02, 0.0), cfg.couplings)
     rep = variance_stats(ts)
+    var_prep, var_meas = rep.var_prep[0], rep.var_meas[0]
     eps = p * cfg.rates.p_delta_f + 0.02
     c_meas = float(contrast_model(p, 0.69, 7e-7, 9e-13))
     c_in = 0.71
-    sigma2 = conditional_variance(rep.var_prep, rep.var_meas, eps) / CSS
+    sigma2 = conditional_variance(var_prep, var_meas, eps) / CSS
     sq = squeezing_parameters(
-        sigma2, c_meas, c_in, rep.var_prep, rep.var_meas, N0 / 2.0,
+        sigma2, c_meas, c_in, var_prep, var_meas, N0 / 2.0,
     )
     gain_db = -sq.zeta_m_db
     ent_db = -sq.zeta_e_db
@@ -290,20 +280,17 @@ def test_criterion_8_property_suites(cfg):
         den, _ = quad(lambda t: math.sin(t) ** 2, 0.0, 2 * math.pi)
         assert ramsey_damping_envelope(u) == pytest.approx(num / den, abs=1e-8)
 
-    # Lorentzian round trip to 1e-12
-    kappa = TWO_PI * 1.01e6
+    # Lorentzian round trip to 1e-12, detunings in units of kappa
     for frac in (1e-4, 0.2, 0.5, 0.97, 1.0):
-        delta = inverse_transmission(frac, kappa)
-        assert float(lorentzian_transmission(delta, kappa)) == pytest.approx(
-            frac, rel=1e-12
-        )
+        delta = inverse_transmission(frac)
+        assert float(lorentzian_transmission(delta)) == pytest.approx(frac, rel=1e-12)
 
     # bitwise run reproducibility
     state = prepare_css(N0, PreparationModel())
-    a = run_trials("squeeze-readout", 48, 99, state, cfg.probe, cfg.rates,
-                   cfg.pulses, cfg.couplings)
-    b = run_trials("squeeze-readout", 48, 99, state, cfg.probe, cfg.rates,
-                   cfg.pulses, cfg.couplings)
+    args = ([("squeeze-readout", state, cfg.photons_per_measurement, 99)], 48,
+            cfg.probe, cfg.rates, cfg.pulses, cfg.couplings)
+    a = run_scan(*args)
+    b = run_scan(*args)
     assert np.array_equal(a.pulses, b.pulses)
 
     # fit-recovery chi^2 consistency over 100 seeds

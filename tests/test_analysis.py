@@ -278,10 +278,8 @@ class TestNoiseModelFit:
         # the same protocol applied to an actual simulated photon-number
         # scan: freeze the calculated/measured coefficients, fit only the
         # technical term, recover the configured 0.04 N0 within 0.02 N0
-        from dataclasses import replace
-
         from qndspin.config import load_and_validate
-        from qndspin.measurement import run_trials
+        from qndspin.measurement import run_scan
         from qndspin.scenarios import noise_budget_from_config
         from qndspin.spinstate import prepare_css, PreparationModel
 
@@ -293,9 +291,8 @@ class TestNoiseModelFit:
         samples, ses = [], []
         n = 3000
         for i, p in enumerate(grid):
-            probe = replace(cfg.probe, photons_per_measurement=p)
-            ts = run_trials("squeeze-readout", n, 600 + i, state, probe,
-                            cfg.rates, cfg.pulses, cfg.couplings)
+            ts = run_scan([("squeeze-readout", state, p, 600 + i)], n, cfg.probe,
+                          cfg.rates, cfg.pulses, cfg.couplings)
             v = 2.0 * float(np.var(ts.m1 - ts.m2, ddof=1))
             samples.append(v)
             ses.append(v * np.sqrt(2.0 / (n - 1)))
@@ -418,9 +415,8 @@ def test_scan_report_is_each_points_report():
     cfg = load_and_validate()
     state = montecarlo.prepare_css(cfg.n0, cfg.preparation)
     grid = np.array([1e5, 3e5, 9e5])
-    probes = [replace(cfg.probe, photons_per_measurement=p) for p in grid]
-    scan = montecarlo._run(cfg, [("squeeze-readout", state, pr) for pr in probes]
-                           + [("double-prep", state, probes[1])], 400, 5)
+    scan = montecarlo._run(cfg, [("squeeze-readout", state, p) for p in grid]
+                           + [("double-prep", state, grid[1])], 400, 5)
     assert not scan.saturated.any()
 
     def point(i, saturated):

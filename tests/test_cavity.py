@@ -97,37 +97,35 @@ class TestHyperfineModeShift:
     def test_sign_antisymmetry(self, couplings):
         # Exchanging the clock-state roles flips the differential exactly.
         eta = couplings.effective_cooperativity
-        w2 = hyperfine_mode_shift(2, PROBE_DETUNING, eta, 1.0)
-        w1 = hyperfine_mode_shift(1, PROBE_DETUNING, eta, 1.0)
+        w2 = hyperfine_mode_shift(2, PROBE_DETUNING, eta)
+        w1 = hyperfine_mode_shift(1, PROBE_DETUNING, eta)
         assert (w2 - w1) == pytest.approx(-(w1 - w2), rel=1e-15)
 
     def test_dispersive_guard(self):
         with pytest.raises(ValueError):
-            hyperfine_mode_shift(2, TWO_PI * 200e6, 0.1, 1.0)
+            hyperfine_mode_shift(2, TWO_PI * 200e6, 0.1)
 
 
 class TestLorentzian:
     def test_on_resonance(self):
-        assert lorentzian_transmission(0.0, 1.0) == pytest.approx(1.0)
+        assert lorentzian_transmission(0.0) == pytest.approx(1.0)
 
     def test_half_width(self):
-        assert lorentzian_transmission(0.5, 1.0) == pytest.approx(0.5)
+        assert lorentzian_transmission(0.5) == pytest.approx(0.5)
 
     def test_round_trip(self):
-        kappa = TWO_PI * 1.01e6
+        # detunings in units of kappa
         for frac in [1e-3, 0.2, 0.5, 0.9, 1.0]:
-            delta = inverse_transmission(frac, kappa)
+            delta = inverse_transmission(frac)
             assert delta >= 0.0
-            assert lorentzian_transmission(delta, kappa) == pytest.approx(
-                frac, rel=1e-12
-            )
-        assert inverse_transmission(0.5, 1.0) == pytest.approx(0.5)
+            assert lorentzian_transmission(delta) == pytest.approx(frac, rel=1e-12)
+        assert inverse_transmission(0.5) == pytest.approx(0.5)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            inverse_transmission(0.0, 1.0)
+            inverse_transmission(0.0)
         with pytest.raises(ValueError):
-            inverse_transmission(1.2, 1.0)
+            inverse_transmission(1.2)
 
 
 class TestPhasePerPhoton:
@@ -137,14 +135,12 @@ class TestPhasePerPhoton:
         assert couplings.phase_per_photon_max == pytest.approx(250e-6, abs=20e-6)
 
     def test_equal_shifts_cancel(self):
-        assert phase_per_photon(3e-5, 3e-5, 1.0) == 0.0
+        assert phase_per_photon(3e-5, 3e-5) == 0.0
 
     def test_shift_phase_duality(self, couplings):
         # The same line-sum code path composed two ways: phi from the
         # per-state shifts equals 2 * (w2 - w1) / kappa identically.
-        phi = phase_per_photon(
-            couplings.shift_per_atom_f1, couplings.shift_per_atom_f2, 1.0
-        )
+        phi = phase_per_photon(couplings.shift_per_atom_f1, couplings.shift_per_atom_f2)
         direct = 2.0 * (couplings.shift_per_atom_f2 - couplings.shift_per_atom_f1)
         assert phi == pytest.approx(direct, rel=1e-10)
         # and phi_eff relates to phi0 by the cooperativity ratio

@@ -23,6 +23,7 @@ from qndspin.config import (
     NULLABLE,
     PARTIAL,
     ConfigError,
+    _violations,
     default_config,
     load_and_validate,
 )
@@ -81,8 +82,31 @@ class TestConfig:
         path = tmp_path / "override.json"
         path.write_text(json.dumps({"probe": {"photons_per_measurement": 3e5}}))
         cfg = load_and_validate(path)
-        assert cfg.probe.photons_per_measurement == 3e5
+        assert cfg.photons_per_measurement == 3e5
         assert cfg.probe.quantum_efficiency == 0.43  # default kept
+
+    def test_defaults_pass_their_own_check(self, cfg):
+        # only the caller's tree is checked, so the shipped defaults, which
+        # fill every key it leaves out, must have the shape they define
+        defaults = default_config()
+        assert list(_violations(defaults, defaults, (), "", defaults)) == []
+        assert cfg.raw == defaults
+
+    def test_file_and_overrides_checked_as_one_tree(self, tmp_path, capsys):
+        # the overrides give keys to a block the file set to a scalar: the
+        # one tree they make is checked and merged onto the defaults, so the
+        # block keeps its other defaults instead of crashing the build
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps({"probe": 5}))
+        cfg = load_and_validate(path, {"probe": {"quantum_efficiency": 0.5}})
+        assert cfg.probe.quantum_efficiency == 0.5
+        assert cfg.raw["probe"] == {**default_config()["probe"],
+                                    "quantum_efficiency": 0.5}
+        # without the overrides the scalar block is a violation: exit 2
+        rc = main(["run", "--scenario", "params-report", "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "probe: 5 is not of type 'object'" in capsys.readouterr().err
 
     def test_b1_target_applied(self, cfg):
         from qndspin.scattering import raman_noise_coefficient
@@ -313,7 +337,7 @@ class TestScenarioArtifacts:
         n0 = data["N0"]
         # projection noise: y1 grows as N0 on top of the flat detector
         # noise, with the small flip-induced slope reduction
-        p = cfg2.probe.photons_per_measurement
+        p = cfg2.photons_per_measurement
         budget = noise_budget_from_config(cfg2, 1.0)
         flip_slope = (
             2.0 / 3.0 * cfg2.rates.p_delta_f
@@ -328,7 +352,7 @@ class TestScenarioArtifacts:
         # measurement variance sits below the CSS line at large N0
         assert np.all(data["meas2"][2:] < n0[2:])
         # and its N0 slope matches the b1-induced term
-        p = cfg2.probe.photons_per_measurement
+        p = cfg2.photons_per_measurement
         b1_per_atom = raman_noise_coefficient(cfg2.rates, 1.0)
         w = 1.0 / data["meas2_err"] ** 2
         xm = np.average(n0, weights=w)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from qndspin.measurement import (
     _record_law,
     _record_moments,
     run_scan,
-    run_trials,
     SequencePlan,
     simulate_probe_pulse,
     spinflip_covariance_exact,
@@ -33,9 +33,8 @@ NO_PULSE_ERRORS = PulseModel(composite_pi_infidelity=0.0, lock_light_mu=0.0)
 MU_PULSES = PulseModel(composite_pi_infidelity=0.02, lock_light_mu=0.0)
 
 
-def probe_config(p, switches, tech=0.04):
+def probe_config(switches, tech=0.04):
     return ProbeConfig(
-        photons_per_measurement=p,
         quantum_efficiency=0.43,
         apd_excess_factor=1.9,
         electronic_noise_b2=6e13,
@@ -95,10 +94,10 @@ def reference_flip_rates():
     return np.array([RATES.p_delta_f, RATES.p_delta_mf, RATES.p_delta_f_delta_mf])
 
 
-def sample_cov_z(ts, exact, n0):
-    """Largest |sample - exact| of the 4x4 pulse covariance, in sqrt(2/(n-1)) N0/4."""
-    se_scale = math.sqrt(2.0 / (ts.n_trials - 1)) * n0 / 4
-    return float(np.max(np.abs(np.cov(ts.pulses.T, ddof=1) - exact))) / se_scale
+def sample_cov_z(pulses, exact, n0):
+    """Largest |sample - exact| of (n, 4) pulses' covariance, in sqrt(2/(n-1)) N0/4."""
+    se_scale = math.sqrt(2.0 / (len(pulses) - 1)) * n0 / 4
+    return float(np.max(np.abs(np.cov(pulses.T, ddof=1) - exact))) / se_scale
 
 
 def normals(rng, shape=()):
@@ -108,7 +107,7 @@ def normals(rng, shape=()):
 
 class TestSimulateProbePulse:
     def test_noiseless_recovers_shift(self, couplings):
-        probe = probe_config(6e5, NoiseSwitches.none())
+        probe = probe_config(NoiseSwitches.none())
         rng = np.random.default_rng(0)
         for w_true in [0.0, 0.004, -0.01, 0.02]:
             w_hat, sat = simulate_probe_pulse(
@@ -118,7 +117,7 @@ class TestSimulateProbePulse:
             assert w_hat == pytest.approx(w_true, abs=1e-9)
 
     def test_array_of_pulses(self, couplings):
-        probe = probe_config(6e5, NoiseSwitches.none())
+        probe = probe_config(NoiseSwitches.none())
         shifts = np.array([[0.0, 0.004], [-0.01, 0.02]])
         w_hat, sat = simulate_probe_pulse(
             shifts, 3e5, probe, normals(np.random.default_rng(0), shifts.shape),
@@ -129,7 +128,7 @@ class TestSimulateProbePulse:
         assert np.allclose(w_hat, shifts, atol=1e-9)
         # run_scan's pulse-major pass: (4, n) shifts, (n,) photons and
         # (2, 4, n) normals give the bits of the (n, 4) call, transposed
-        probe = probe_config(6e5, NoiseSwitches())
+        probe = probe_config(NoiseSwitches())
         rng = np.random.default_rng(1)
         shifts = rng.normal(0.0, 0.005, (64, 4))
         photons = np.geomspace(20.0, 5e5, 64)  # the dimmest saturate
@@ -146,7 +145,7 @@ class TestSimulateProbePulse:
 
     def test_shot_noise_variance(self, couplings):
         # per-pulse inferred-shift variance = f_APD kappa^2 / (Qe p)
-        probe = probe_config(6e5, NoiseSwitches.only("shot"))
+        probe = probe_config(NoiseSwitches.only("shot"))
         rng = np.random.default_rng(1)
         p_half = 3e5
         vals = np.array(
@@ -162,7 +161,7 @@ class TestSimulateProbePulse:
         assert np.var(vals) == pytest.approx(expected, rel=0.1)
 
     def test_determinism(self, couplings):
-        probe = probe_config(6e5, NoiseSwitches())
+        probe = probe_config(NoiseSwitches())
         a = simulate_probe_pulse(
             0.001, 3e5, probe, normals(np.random.default_rng(42)), 0.98, 150.0
         )
@@ -172,7 +171,7 @@ class TestSimulateProbePulse:
         assert a == b
 
     def test_saturation_flag(self, couplings):
-        probe = probe_config(40, NoiseSwitches.only("electronic"))
+        probe = probe_config(NoiseSwitches.only("electronic"))
         rng = np.random.default_rng(3)
         flags = [
             simulate_probe_pulse(0.0, 20, probe, normals(rng), 1.0, 500.0)[1]
@@ -202,10 +201,8 @@ class TestNoiseBudgetSources:
     def run(self, p, switches, n_trials, seed, rates=RATES, pulses=NO_PULSE_ERRORS,
             state=None, couplings=None, scenario="squeeze-readout"):
         state = state or css_state()
-        probe = probe_config(p, switches)
-        return run_trials(
-            scenario, n_trials, seed, state, probe, rates, pulses, couplings
-        )
+        return run_scan([(scenario, state, p, seed)], n_trials, probe_config(switches),
+                        rates, pulses, couplings)
 
     def test_electronic_only(self, couplings):
         p = 6.4e5
@@ -407,31 +404,27 @@ class TestSpinFlipCovariance:
             p_delta_f=5.2e-8, p_delta_mf=3e-8, p_delta_f_delta_mf=3e-8,
             p_rayleigh_f1=0.0, p_rayleigh_f2=0.0,
         )
-        probe = probe_config(p, NoiseSwitches.only("raman"))
-        ts = run_trials(
-            "squeeze-readout", n, 77, css_state(), probe, boosted,
-            MU_PULSES, couplings,
-        )
+        ts = run_scan([("squeeze-readout", css_state(), p, 77)], n,
+                      probe_config(NoiseSwitches.only("raman")), boosted,
+                      MU_PULSES, couplings)
         # microwave switch is off, so only scattering events act here
         cov = spinflip_covariance_exact(
             boosted.p_delta_f, boosted.p_delta_mf, boosted.p_delta_f_delta_mf,
             0.0, p, N0,
         )
-        sample_cov = np.cov(ts.pulses.T, ddof=1)
+        sample_cov = np.cov(ts.pulses[0].T, ddof=1)
         se_scale = math.sqrt(2.0 / (n - 1)) * N0 / 4
         assert np.all(np.abs(sample_cov - cov) <= 3.5 * se_scale)
 
     def test_monte_carlo_mu_covariance(self, couplings):
         p = 6.4e5
         n = 50_000
-        probe = probe_config(p, NoiseSwitches.only("microwave"))
-        ts = run_trials(
-            "squeeze-readout", n, 78, css_state(), probe, RATES,
-            PulseModel(composite_pi_infidelity=0.02, lock_light_mu=0.0),
-            couplings,
-        )
+        ts = run_scan([("squeeze-readout", css_state(), p, 78)], n,
+                      probe_config(NoiseSwitches.only("microwave")), RATES,
+                      PulseModel(composite_pi_infidelity=0.02, lock_light_mu=0.0),
+                      couplings)
         cov = spinflip_covariance_exact(0, 0, 0, 0.02, p, N0)
-        sample_cov = np.cov(ts.pulses.T, ddof=1)
+        sample_cov = np.cov(ts.pulses[0].T, ddof=1)
         se_scale = math.sqrt(2.0 / (n - 1)) * N0 / 4
         assert np.all(np.abs(sample_cov - cov) <= 3.5 * se_scale)
 
@@ -463,18 +456,18 @@ class TestRunTrials:
     def test_repeat_scan_never_recomputes_the_law(self, couplings, monkeypatch):
         # the scan's law is built on its first run; every later run of it,
         # whatever its seed, reads the one cache and propagates nothing
-        probe = probe_config(6.4e5, NoiseSwitches())
-        points = [("squeeze-readout", css_state(), probe, 5),
+        probe = probe_config(NoiseSwitches())
+        points = [("squeeze-readout", css_state(), 6.4e5, 5),
                   (SequencePlan("rotate-alpha", rotation_angle=0.7), css_state(),
-                   probe, 6)]
+                   6.4e5, 6)]
         _record_law.cache_clear()
-        first = run_scan(points, 300, RATES, MU_PULSES, couplings)
+        first = run_scan(points, 300, probe, RATES, MU_PULSES, couplings)
 
         def fail(*args):
             raise AssertionError("the record law was propagated again")
 
         monkeypatch.setattr(measurement, "_record_moments", fail)
-        again = run_scan([(*p[:3], p[3] + 10) for p in points], 300, RATES,
+        again = run_scan([(*p[:3], p[3] + 10) for p in points], 300, probe, RATES,
                          MU_PULSES, couplings)
         assert again.record_cov is first.record_cov
         assert not np.array_equal(again.pulses, first.pulses)
@@ -482,11 +475,11 @@ class TestRunTrials:
     def test_record_law_cached_per_scan(self, couplings):
         # a scan's law depends on its points, not on its seeds
         def scan(seed, n0=N0, angle=0.7, p=6.4e5, pulses=MU_PULSES):
-            probe = probe_config(p, NoiseSwitches())
             points = [(SequencePlan("rotate-alpha", rotation_angle=angle),
-                       css_state(n0), probe, seed),
-                      ("double-prep", css_state(n0), probe, seed + 1)]
-            return run_scan(points, 300, RATES, pulses, couplings)
+                       css_state(n0), p, seed),
+                      ("double-prep", css_state(n0), p, seed + 1)]
+            return run_scan(points, 300, probe_config(NoiseSwitches()), RATES,
+                            pulses, couplings)
 
         fields = ("pulses", "true_szf", "saturated", "record_cov")
         _record_law.cache_clear()
@@ -504,28 +497,26 @@ class TestRunTrials:
         # written, through the cache or through a TrialSet
         means, covs, factors = _record_law(
             (SequencePlan(),), (css_state(),),
-            (tuple(0.5 * 6.4e5 * reference_flip_rates()),), (0.02,))
+            (tuple(0.5 * 6.4e5 * reference_flip_rates()),), 0.02)
         for arr in (means, covs, *factors, cold.record_cov):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
 
     def test_bitwise_reproducibility(self, couplings):
-        state = css_state()
-        probe = probe_config(6e5, NoiseSwitches())
-        args = ("squeeze-readout", 64, 123, state, probe, RATES, MU_PULSES, couplings)
-        a = run_trials(*args)
-        c = run_trials(*args)
+        args = ([("squeeze-readout", css_state(), 6e5, 123)], 64,
+                probe_config(NoiseSwitches()), RATES, MU_PULSES, couplings)
+        a = run_scan(*args)
+        c = run_scan(*args)
         assert np.array_equal(a.pulses, c.pulses)
         assert np.array_equal(a.true_szf, c.true_szf)
 
     def test_blocks_do_not_depend_on_trial_count(self, couplings):
-        # block b always draws from the stream keyed (master_seed, b)
-        state = css_state()
-        probe = probe_config(6e5, NoiseSwitches())
-        args = (state, probe, RATES, MU_PULSES, couplings)
-        short = run_trials("squeeze-readout", _BLOCK, 123, *args)
-        long = run_trials("squeeze-readout", 2 * _BLOCK + 22, 123, *args)
-        assert np.array_equal(short.pulses, long.pulses[:_BLOCK])
+        # block b always draws from the stream keyed (seed, b)
+        points = [("squeeze-readout", css_state(), 6e5, 123)]
+        args = (probe_config(NoiseSwitches()), RATES, MU_PULSES, couplings)
+        short = run_scan(points, _BLOCK, *args)
+        long = run_scan(points, 2 * _BLOCK + 22, *args)
+        assert np.array_equal(short.pulses, long.pulses[:, :_BLOCK])
 
     def test_tiny_ensemble_matches_oracle(self, couplings):
         # N0 = 20 and 200 at p P_Ram = 0.096: the expected count in a
@@ -540,14 +531,13 @@ class TestRunTrials:
                 hot.p_delta_f, hot.p_delta_mf, hot.p_delta_f_delta_mf,
                 MU_PULSES.mu_total, p, n0,
             )
-            args = (css_state(n0), probe_config(p, FLIPS_ONLY), hot, MU_PULSES,
-                    couplings)
-            ts = run_trials("squeeze-readout", n, 84, *args)
-            assert sample_cov_z(ts, exact, n0) <= 4.0
+            args = (probe_config(FLIPS_ONLY), hot, MU_PULSES, couplings)
+            ts = run_scan([("squeeze-readout", css_state(n0), p, 84)], n, *args)
+            assert sample_cov_z(ts.pulses[0], exact, n0) <= 4.0
             y2 = 2 * np.var(ts.m1 - ts.m2, ddof=1)
             assert abs(y2 - two_var_diff(exact)) <= 4 * var_se(y2, n)
             # double-prep reads two independent M1-like measurements
-            ts = run_trials("double-prep", n, 85, *args)
+            ts = run_scan([("double-prep", css_state(n0), p, 85)], n, *args)
             y2 = 2 * np.var(ts.m1 - ts.m2, ddof=1)
             assert abs(y2 - four_var(exact, M1_WEIGHTS)) <= 4 * var_se(y2, n)
 
@@ -560,29 +550,26 @@ class TestRunTrials:
             p_rayleigh_f1=0.0, p_rayleigh_f2=0.0,
         )
         assert p * hot.p_raman_total == pytest.approx(0.287, abs=1e-3)
-        ts = run_trials(
-            "squeeze-readout", n, 86, css_state(n0), probe_config(p, FLIPS_ONLY),
-            hot, MU_PULSES, couplings,
-        )
+        ts = run_scan([("squeeze-readout", css_state(n0), p, 86)], n,
+                      probe_config(FLIPS_ONLY), hot, MU_PULSES, couplings)
         exact = spinflip_covariance_exact(
             hot.p_delta_f, hot.p_delta_mf, hot.p_delta_f_delta_mf,
             MU_PULSES.mu_total, p, n0,
         )
-        assert sample_cov_z(ts, exact, n0) <= 4.0
+        assert sample_cov_z(ts.pulses[0], exact, n0) <= 4.0
         y2 = 2 * np.var(ts.m1 - ts.m2, ddof=1)
         assert abs(y2 - two_var_diff(exact)) <= 4 * var_se(y2, n)
 
     def test_block_memory_does_not_grow_with_events(self, couplings):
         # a block draws a fixed number of values per trial, not one per event
-        state = css_state()
+        args = (probe_config(NoiseSwitches()), RATES, MU_PULSES, couplings)
         peaks = []
         for p in (1e5, 9e5):
-            args = (state, probe_config(p, NoiseSwitches()), RATES, MU_PULSES,
-                    couplings)
-            run_trials("squeeze-readout", 2, 5, *args)  # first-call caches
+            points = [("squeeze-readout", css_state(), p, 5)]
+            run_scan(points, 2, *args)  # first-call caches
             tracemalloc.start()
             try:
-                run_trials("squeeze-readout", _BLOCK, 5, *args)
+                run_scan(points, _BLOCK, *args)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -591,36 +578,38 @@ class TestRunTrials:
     @pytest.mark.parametrize("n", [400, 2 * _BLOCK + 22])
     def test_scan_equals_its_points_run_alone(self, couplings, n):
         # a point's records do not depend on the scan that holds it: mixed
-        # plans and N0 (fig2), mixed p (fig3), rotate-alpha and ramsey-clock,
-        # and every switch off, whose record law is rank-deficient
-        on, off = probe_config(6.4e5, NoiseSwitches()), NoiseSwitches.none()
-        points = [("squeeze-readout", css_state(6e3), on, 10),
-                  ("double-prep", css_state(6e3), on, 11),
-                  ("squeeze-readout", css_state(5e4), on, 12),
-                  ("double-prep", css_state(5e4), on, 13),
-                  ("squeeze-readout", css_state(), probe_config(1e5, on.switches), 20),
-                  ("squeeze-readout", css_state(), probe_config(9e5, on.switches), 21),
-                  ("squeeze-readout", css_state(), probe_config(6.4e5, off), 30),
-                  (SequencePlan("rotate-alpha", rotation_angle=0.7), css_state(), on,
-                   40),
-                  (SequencePlan("ramsey-clock", precession_phase=0.3,
-                                phase_noise_rms=0.01), css_state(), on, 41)]
+        # plans and N0 (fig2), mixed p (fig3), rotate-alpha and ramsey-clock;
+        # and, in a scan of its own, every switch off, whose record law is
+        # rank-deficient
+        p = 6.4e5
+        on = [("squeeze-readout", css_state(6e3), p, 10),
+              ("double-prep", css_state(6e3), p, 11),
+              ("squeeze-readout", css_state(5e4), p, 12),
+              ("double-prep", css_state(5e4), p, 13),
+              ("squeeze-readout", css_state(), 1e5, 20),
+              ("squeeze-readout", css_state(), 9e5, 21),
+              (SequencePlan("rotate-alpha", rotation_angle=0.7), css_state(), p, 40),
+              (SequencePlan("ramsey-clock", precession_phase=0.3,
+                            phase_noise_rms=0.01), css_state(), p, 41)]
+        off = [("squeeze-readout", css_state(), p, 30)]
         args = (RATES, MU_PULSES, couplings)
-        scan = run_scan(points, n, *args)
-        assert scan.pulses.shape == (len(points), n, 4)
-        for i, (plan, state, probe, seed) in enumerate(points):
-            alone = run_trials(plan, n, seed, state, probe, *args)
-            for field in ("pulses", "true_szf", "saturated", "record_cov"):
-                assert np.array_equal(getattr(scan, field)[i], getattr(alone, field))
+        for switches, points in ((NoiseSwitches(), on), (NoiseSwitches.none(), off)):
+            probe = probe_config(switches)
+            scan = run_scan(points, n, probe, *args)
+            assert scan.pulses.shape == (len(points), n, 4)
+            for i, point in enumerate(points):
+                alone = run_scan([point], n, probe, *args)
+                for field in ("pulses", "true_szf", "saturated", "record_cov"):
+                    assert np.array_equal(getattr(scan, field)[i],
+                                          getattr(alone, field)[0])
 
     def test_pass_memory_does_not_grow_with_the_grid(self, couplings):
         # a pass holds at most _BLOCK rows, so a 12-point scan of 400 trials
         # peaks near one point of _BLOCK trials
-        args = (RATES, MU_PULSES, couplings)
-        probe = probe_config(6.4e5, NoiseSwitches())
+        args = (probe_config(NoiseSwitches()), RATES, MU_PULSES, couplings)
         grid = [(plan, n0) for n0 in np.linspace(6e3, 5e4, 6)
                 for plan in ("squeeze-readout", "double-prep")]
-        points = [(plan, css_state(n0), probe, i) for i, (plan, n0) in enumerate(grid)]
+        points = [(plan, css_state(n0), 6.4e5, i) for i, (plan, n0) in enumerate(grid)]
         run_scan(points, 2, *args)  # first-call caches
         peaks = []
         for scan, n in ((points[:1], _BLOCK), (points, 400)):
@@ -634,18 +623,30 @@ class TestRunTrials:
 
     def test_single_trial_rejected(self, couplings):
         with pytest.raises(ValueError):
-            run_trials(
-                "squeeze-readout", 1, 1, css_state(),
-                probe_config(6e5, NoiseSwitches()), RATES, MU_PULSES, couplings,
-            )
+            run_scan([("squeeze-readout", css_state(), 6e5, 1)], 1,
+                     probe_config(NoiseSwitches()), RATES, MU_PULSES, couplings)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0])
+    def test_photon_number_must_be_positive(self, couplings, monkeypatch, p):
+        # a pulse of no photons, or of a negative number (negative flip
+        # rates), fails naming its point before the law is built or any
+        # pulse detected, so no division by zero warns on the way
+        def fail(*args):
+            raise AssertionError("the record law was built")
+
+        monkeypatch.setattr(measurement, "_record_law", fail)
+        points = [("squeeze-readout", css_state(), 6e5, 1),
+                  ("squeeze-readout", css_state(), p, 2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="point 1: photon number"):
+                run_scan(points, 8, probe_config(NoiseSwitches()), RATES,
+                         MU_PULSES, couplings)
 
     def test_seed_changes_results(self, couplings):
-        state = css_state()
-        probe = probe_config(6e5, NoiseSwitches())
-        a = run_trials("squeeze-readout", 16, 1, state, probe, RATES, MU_PULSES,
-                       couplings)
-        b = run_trials("squeeze-readout", 16, 2, state, probe, RATES, MU_PULSES,
-                       couplings)
+        args = (16, probe_config(NoiseSwitches()), RATES, MU_PULSES, couplings)
+        a = run_scan([("squeeze-readout", css_state(), 6e5, 1)], *args)
+        b = run_scan([("squeeze-readout", css_state(), 6e5, 2)], *args)
         assert not np.array_equal(a.pulses, b.pulses)
 
     def test_linear_regime_guard(self, couplings):
@@ -659,11 +660,9 @@ class TestScenarios:
     def test_double_prep_variance(self, couplings):
         # y2 = 2 Var(M1 - M2) for two independent preparations equals
         # twice the preparation variance (noiseless detector)
-        ts = run_trials(
-            "double-prep", 10000, 19, css_state(),
-            probe_config(6e5, NoiseSwitches.none()), RATES, NO_PULSE_ERRORS,
-            couplings,
-        )
+        ts = run_scan([("double-prep", css_state(), 6e5, 19)], 10000,
+                      probe_config(NoiseSwitches.none()), RATES, NO_PULSE_ERRORS,
+                      couplings)
         y2 = 2 * np.var(ts.m1 - ts.m2, ddof=1)
         assert abs(y2 - N0) <= 3 * var_se(y2, 10000)
 
@@ -672,10 +671,9 @@ class TestScenarios:
 
         state = measurement_backaction(css_state(), 6e5, 1.18e-4, N0)
         plan = SequencePlan("rotate-alpha", rotation_angle=math.pi / 2)
-        ts = run_trials(
-            plan, 6000, 20, state, probe_config(6e5, NoiseSwitches.none()),
-            RATES, NO_PULSE_ERRORS, couplings,
-        )
+        ts = run_scan([(plan, state, 6e5, 20)], 6000,
+                      probe_config(NoiseSwitches.none()), RATES, NO_PULSE_ERRORS,
+                      couplings)
         est = np.var(ts.m1 - ts.m2, ddof=1)
         # M2 reads the anti-squeezed quadrature: Var(M1-M2) ~ var_z + var_y
         expected = state.var_z + state.var_y
@@ -683,10 +681,9 @@ class TestScenarios:
 
     def test_ramsey_preserves_sz_information(self, couplings):
         plan = SequencePlan("ramsey-clock")
-        ts = run_trials(
-            plan, 4000, 21, css_state(), probe_config(6e5, NoiseSwitches.none()),
-            RATES, NO_PULSE_ERRORS, couplings,
-        )
+        ts = run_scan([(plan, css_state(), 6e5, 21)], 4000,
+                      probe_config(NoiseSwitches.none()), RATES, NO_PULSE_ERRORS,
+                      couplings)
         # with zero precession phase the readout is the inverted squeeze
         # measurement: M1 + M2 = 0 identically
         assert np.allclose(ts.m1 + ts.m2, 0.0, atol=1e-8)
@@ -714,10 +711,8 @@ class TestFlipBackReaction:
 
     def test_double_prep_readout_is_independent(self, couplings):
         n = 20_000
-        ts = run_trials(
-            "double-prep", n, 81, css_state(), probe_config(6.4e5, FLIPS_ONLY),
-            RATES, MU_PULSES, couplings,
-        )
+        ts = run_scan([("double-prep", css_state(), 6.4e5, 81)], n,
+                      probe_config(FLIPS_ONLY), RATES, MU_PULSES, couplings)
         assert abs(np.corrcoef(ts.m1, ts.m2)[0, 1]) <= 3.0 / math.sqrt(n)
         # y2 reads two independent M1-like measurements
         cov = spinflip_covariance_exact(
@@ -731,22 +726,19 @@ class TestFlipBackReaction:
         # M2 reads the y quadrature, which is independent of M1
         n = 20_000
         plan = SequencePlan("rotate-alpha", rotation_angle=math.pi / 2)
-        ts = run_trials(
-            plan, n, 82, css_state(), probe_config(6.4e5, FLIPS_ONLY),
-            RATES, MU_PULSES, couplings,
-        )
+        ts = run_scan([(plan, css_state(), 6.4e5, 82)], n, probe_config(FLIPS_ONLY),
+                      RATES, MU_PULSES, couplings)
         assert abs(np.corrcoef(ts.m1, ts.m2)[0, 1]) <= 3.0 / math.sqrt(n)
 
     def test_ramsey_mirrors_squeeze_readout(self, couplings):
         # at zero phase the clock sequence inverts the spin, and flips
         # keep shrinking it towards zero: the regression of M2 on M1 is
         # minus that of squeeze-readout
-        args = (css_state(), probe_config(6.4e5, FLIPS_ONLY), RATES,
-                MU_PULSES, couplings)
+        args = (10_000, probe_config(FLIPS_ONLY), RATES, MU_PULSES, couplings)
         ramsey, se_r = regression_slope(
-            run_trials(SequencePlan("ramsey-clock"), 10_000, 83, *args))
+            run_scan([(SequencePlan("ramsey-clock"), css_state(), 6.4e5, 83)], *args))
         plain, se_p = regression_slope(
-            run_trials("squeeze-readout", 10_000, 84, *args))
+            run_scan([("squeeze-readout", css_state(), 6.4e5, 84)], *args))
         assert abs(ramsey + plain) <= 3 * math.hypot(se_r, se_p)
 
     def test_outer_pulse_variances_agree(self, couplings):
@@ -760,11 +752,10 @@ class TestFlipBackReaction:
             p_delta_f=5.2e-8, p_delta_mf=3e-8, p_delta_f_delta_mf=3e-8,
             p_rayleigh_f1=0.0, p_rayleigh_f2=0.0,
         )
-        ts = run_trials(
-            "squeeze-readout", n, 85, css_state(n0),
-            probe_config(6.4e5, NoiseSwitches.only("raman")), boosted,
-            NO_PULSE_ERRORS, couplings,
-        )
-        x = ts.pulses - ts.pulses.mean(axis=0)
+        ts = run_scan([("squeeze-readout", css_state(n0), 6.4e5, 85)], n,
+                      probe_config(NoiseSwitches.only("raman")), boosted,
+                      NO_PULSE_ERRORS, couplings)
+        pulses = ts.pulses[0]
+        x = pulses - pulses.mean(axis=0)
         d = x[:, 3] ** 2 - x[:, 0] ** 2
         assert abs(d.mean()) <= 3 * d.std(ddof=1) / math.sqrt(n)
