@@ -162,6 +162,11 @@ class ProbeConfig:
         if not -1.0 <= self.technical_correlation <= 1.0:
             raise ValueError("technical correlation must lie in [-1, 1]")
 
+    def b_minus1(self, domega_dn: float) -> float:
+        """Shot-noise term b_-1 = 2 (F/Q) (1/(2 domega/dN))^2 at slope domega_dn."""
+        dn_du = 1.0 / (2.0 * domega_dn)
+        return 2.0 * (self.apd_excess_factor / self.quantum_efficiency) * dn_du**2
+
 
 @dataclass(frozen=True)
 class NoiseBudget:

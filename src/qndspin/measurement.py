@@ -23,13 +23,15 @@ propagates one point's mean and covariance, exact at any flip rate, and
 a block draws them as one (b, rank) @ (rank, 5) product of standard
 normals with a factor of that covariance; _record_law builds both for
 every point once per distinct scan, since no seed enters, and is the
-engine's only cache.  The TrialSet hands the covariance back, read-only,
-so a scenario's model column reads the law its trials were drawn from,
-not a second model.  Detector noise acts on the photocounts of the
+engine's only cache.  Detector noise acts on the photocounts of the
 probe and compensation channels and passes through the Lorentzian
 inversion; shot and electronic noise are independent normals, so each
 channel draws one normal of their summed variance.  Noise is drawn as
-loc + scale * z on standard normals.
+loc + scale * z on standard normals.  The TrialSet hands back the record
+covariance, read-only, and detection_cov, each point's detector to first
+order from the probe, photons and N0 its passes draw with: a model
+column reads their sum, the law its trials were drawn from, not a second
+model.
 
 run_scan is the engine's one entry point: it runs a scan's points
 (plan, state, photons, seed) through the scan's one detector into one
@@ -87,6 +89,7 @@ class TrialSet:
     true_szf: np.ndarray      # (..., n)
     saturated: np.ndarray     # (..., n) bool
     record_cov: np.ndarray    # (..., 5, 5) Cov of (a_0..a_3, true_szf) before detection
+    detection_cov: np.ndarray  # (..., 5, 5) the detector's own, to first order
 
     def __post_init__(self):
         if self.n_trials < 2:
@@ -346,7 +349,7 @@ def run_scan(points, n_trials, probe, rates, pulses, couplings) -> TrialSet:
     n_rows = len(points) * n_trials
     pulses_out, szf, saturated = (np.empty((_PULSES, n_rows)), np.empty(n_rows),
                                   np.empty(n_rows, dtype=bool))
-    p_half = np.array(photons, dtype=float) / 2.0
+    p = np.array(photons, dtype=float)
     n0 = np.array([s.n0 for s in states])
     # a pass: whole blocks (point, block, first row, size) in order, at
     # most _BLOCK rows
@@ -364,6 +367,18 @@ def run_scan(points, n_trials, probe, rates, pulses, couplings) -> TrialSet:
     # per-channel, per-pulse count noise that yields the configured b_-2
     sigma_e = (probe.quantum_efficiency * abs(domega_dn)
                * math.sqrt(probe.electronic_noise_b2))
+    # the detection drawn below, to first order on (a_0..a_3, szf): each pulse
+    # (b_-1/p + b_-2/p^2)/2, each measurement b0_tech/4, correlated by rho
+    b_minus1 = probe.b_minus1(domega_dn) if on.shot else 0.0
+    b_minus2 = probe.electronic_noise_b2 if on.electronic else 0.0
+    b0_tech = probe.technical_noise_fraction * n0 if on.technical else np.zeros_like(n0)
+    rho = probe.technical_correlation
+    with np.errstate(divide="ignore", over="ignore"):  # infinite at a vanishing p
+        pulse = (b_minus1 / p + b_minus2 / p**2) / 2.0
+    detection = np.zeros((len(points), 5, 5))
+    detection[:, :4, :4] = (b0_tech / 4.0)[:, None, None] * np.array(
+        [[1.0, rho], [rho, 1.0]]).repeat(2, 0).repeat(2, 1)
+    detection[:, range(4), range(4)] += pulse[:, None]
     for batch in passes:
         lo, hi = batch[0][2], batch[-1][2] + batch[-1][3]
         v, normals, tech = (np.empty((hi - lo, 5)), np.empty((2, _PULSES, hi - lo)),
@@ -380,16 +395,15 @@ def run_scan(points, n_trials, probe, rates, pulses, couplings) -> TrialSet:
             tech[:, r:r + b] = z[b * (rank + 8):].reshape(2, b)
         point = np.arange(lo, hi) // n_trials  # the point of each row
         omega_hat, sat = simulate_probe_pulse(
-            2.0 * domega_dn * _PULSE_SIGNS * v[:, :4].T, p_half[point], probe,
+            2.0 * domega_dn * _PULSE_SIGNS * v[:, :4].T, p[point] / 2.0, probe,
             normals, couplings.probe_signal_share, sigma_e)
         m = _PULSE_SIGNS * omega_hat / (2.0 * domega_dn)
         if on.technical:
-            sigma_t = np.sqrt(probe.technical_noise_fraction * n0[point]) / 2.0
-            rho = probe.technical_correlation
+            sigma_t = np.sqrt(b0_tech[point]) / 2.0
             t1 = sigma_t * tech[0]
             t2 = rho * t1 + math.sqrt(max(1 - rho**2, 0.0)) * (sigma_t * tech[1])
             m[:2] += t1
             m[2:] += t2
         pulses_out[:, lo:hi], szf[lo:hi], saturated[lo:hi] = m, v[:, 4], sat.any(axis=0)
     return TrialSet(pulses_out.reshape(_PULSES, -1, n_trials).transpose(1, 2, 0),
-                    szf.reshape(-1, n_trials), saturated.reshape(-1, n_trials), covs)
+                    *(x.reshape(-1, n_trials) for x in (szf, saturated)), covs, detection)

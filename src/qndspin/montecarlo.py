@@ -6,7 +6,8 @@ it numpy and the trial engine, on the first Monte Carlo run.  A
 scenario's grid is one run_scan, read by one variance_stats call over
 its leading point axis, so every column is an array.  A model column
 reads the same statistics from the law each run's trials were drawn
-from, with first-order detection noise added.
+from: the record law and the first-order detection law that run_scan
+hands back, so no scenario restates the detector.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .analysis import (
 )
 from .config import RunConfig
 from .measurement import SequencePlan, run_scan
-from .scenarios import noise_budget_from_config
 from .spinstate import measurement_backaction, prepare_css
 
 
@@ -35,30 +35,10 @@ from .spinstate import measurement_backaction, prepare_css
 _M1_D = np.array([[0.5, 0.5, 0.0, 0.0, 0.0], [0.5, 0.5, -0.5, -0.5, 0.0]])
 
 
-def _detection(cfg: RunConfig, p) -> np.ndarray:
-    """run_scan's detection noise on (a_0..a_3, S_z after M_1), to first order.
-
-    At photon number p, a scalar or one per point, each pulse gets
-    (b_-1/p + b_-2/p^2)/2, each measurement b0_tech/4 with correlation
-    rho between M1 and M2; a source cfg.probe switches off adds nothing.
-    Returns (5, 5), or (G, 5, 5) for a (G,) p.
-    """
-    on, budget = cfg.probe.switches, noise_budget_from_config(cfg)
-    b_minus1 = budget.b_minus1 if on.shot else 0.0
-    b_minus2 = budget.b_minus2 if on.electronic else 0.0
-    b0_tech = budget.b0_tech if on.technical else 0.0
-    p, rho = np.asarray(p, dtype=float), cfg.probe.technical_correlation
-    pulse = (b_minus1 / p + b_minus2 / p**2) / 2.0
-    noise = np.zeros(p.shape + (5, 5))
-    noise[..., :4, :4] = pulse[..., None, None] * np.eye(4) + b0_tech / 4.0 * np.array(
-        [[1.0, rho], [rho, 1.0]]).repeat(2, 0).repeat(2, 1)
-    return noise
-
-
-def _model_stats(trials, detection):
+def _model_stats(trials):
     """variance_stats' report of the law the trials were drawn from, per point."""
     return covariance_stats(
-        _M1_D @ (trials.record_cov + detection) @ _M1_D.T, trials.n_trials)
+        _M1_D @ (trials.record_cov + trials.detection_cov) @ _M1_D.T, trials.n_trials)
 
 
 def _run(cfg: RunConfig, points, n_trials, seed):
@@ -142,7 +122,7 @@ def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     c_meas = contrast_model(grid, cpars["c0"], cpars["alpha"], cpars["beta"])
     # one composition for the Monte Carlo row (0) and the model row (1), the
     # model's variances read from the law each run draws from
-    model = _model_stats(scan, _detection(cfg, grid))
+    model = _model_stats(scan)
     var_prep = np.stack((rep.var_prep, model.var_prep))
     var_meas = np.stack((rep.var_meas, model.var_meas))
     sigma2 = conditional_variance(var_prep, var_meas, eps) / css
@@ -175,10 +155,7 @@ def scenario_rotation(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     plans = ["squeeze-readout"] + [
         SequencePlan("rotate-alpha", rotation_angle=float(alpha)) for alpha in angles]
     scan = _run(cfg, [(plan, state, p) for plan in plans], n_trials, seed)
-    rep = variance_stats(scan)
-    # the model reads the same statistics from each run's own law; built after
-    # variance_stats, so a run with no usable trial fails before 1/p is taken
-    model = _model_stats(scan, _detection(cfg, p))
+    rep, model = variance_stats(scan), _model_stats(scan)
     # point 0 is the squeeze-readout run, the rest one rotation each
     resid, resid_se = residual_variance(rep)
     rows = np.column_stack([
@@ -208,7 +185,7 @@ def scenario_ramsey(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     scan = _run(cfg, [(plan, state, p) for plan in plans], n_trials, seed)
     resid, _ = residual_variance(variance_stats(scan))
     # less the squeeze-readout law's imprecision
-    vm_model = _model_stats(scan, _detection(cfg, p)).var_meas[0]
+    vm_model = _model_stats(scan).var_meas[0]
     sigma2 = np.maximum(resid - vm_model, 1e-12) / css
     rows = [[plan.scenario, *vals] for plan, vals in zip(
         plans, np.column_stack([sigma2, to_db(sigma2)]).tolist())]

@@ -31,11 +31,9 @@ from .scattering import raman_noise_coefficient
 def noise_budget_from_config(cfg: RunConfig, n0: float | None = None) -> NoiseBudget:
     """Analytic four-term budget implied by the configuration."""
     n0 = cfg.n0 if n0 is None else n0
-    dn_du = 1.0 / (2.0 * cfg.couplings.domega_dn)
-    b_minus1 = 2.0 * (cfg.probe.apd_excess_factor / cfg.probe.quantum_efficiency) * dn_du**2
     return NoiseBudget(
         b_minus2=cfg.probe.electronic_noise_b2,
-        b_minus1=b_minus1,
+        b_minus1=cfg.probe.b_minus1(cfg.couplings.domega_dn),
         b0_tech=cfg.probe.technical_noise_fraction * n0,
         b0_mu=cfg.pulses.mu_total * n0,
         b1=raman_noise_coefficient(cfg.rates, n0),
@@ -44,14 +42,21 @@ def noise_budget_from_config(cfg: RunConfig, n0: float | None = None) -> NoiseBu
     )
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _text(filename: str, payload) -> str:
+    """A (header, rows) payload as CSV, any other as JSON; an inf or nan raises."""
+    if not filename.endswith(".csv"):
+        try:
+            return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n"
+        except ValueError as err:  # json names neither the file nor the key
+            raise ValueError(f"{filename}: {err}") from None
+    header, rows = payload
+    for r, row in enumerate(rows, 1):
+        for name, v in zip(header, row):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{filename}: column {name} is {v!r} in row {r}")
     return "".join(",".join(
         repr(float(v)) if isinstance(v, (int, float)) else str(v)
         for v in row) + "\n" for row in (header, *rows))
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 def scenario_params_report(cfg: RunConfig) -> dict:
@@ -141,10 +146,9 @@ def run_scenario(name: str, cfg: RunConfig, out_dir: Path,
     n_trials = (n_trials or cfg.n_trials) if monte_carlo else 0
     seed = cfg.master_seed if seed is None else seed
 
-    texts = {filename: _csv_text(*payload) if filename.endswith(".csv")
-             else _json_text(payload)
+    texts = {filename: _text(filename, payload)
              for filename, payload in compute(cfg, n_trials, seed).items()}
-    texts["resolved_config.json"] = _json_text(cfg.raw)
+    texts["resolved_config.json"] = _text("resolved_config.json", cfg.raw)
     outputs = {}
     for filename, text in texts.items():
         data = text.encode()
@@ -152,7 +156,7 @@ def run_scenario(name: str, cfg: RunConfig, out_dir: Path,
         outputs[filename] = hashlib.sha256(data).hexdigest()
 
     manifest = out_dir / f"{name}_manifest.json"
-    manifest.write_bytes(_json_text({
+    manifest.write_bytes(_text(manifest.name, {
         "scenario": name,
         "seed": int(seed),
         "n_trials": int(n_trials),

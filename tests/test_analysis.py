@@ -17,8 +17,8 @@ from qndspin.analysis import (
     variance_stats,
 )
 from qndspin import montecarlo
-from qndspin.config import load_and_validate, NoiseBudget
-from qndspin.measurement import TrialSet
+from qndspin.config import load_and_validate, NoiseBudget, NoiseSwitches
+from qndspin.measurement import TrialSet, run_scan
 
 N0 = 3.3e4
 
@@ -37,6 +37,7 @@ def synthetic_trialset(rng, n, cov, mean=(0.0, 0.0)):
         true_szf=m1.copy(),
         saturated=np.zeros(n, dtype=bool),
         record_cov=PULSES_OF_M @ np.asarray(cov) @ PULSES_OF_M.T,
+        detection_cov=np.zeros((5, 5)),
     )
 
 
@@ -59,6 +60,7 @@ class TestVarianceStats:
         ts = TrialSet(
             pulses=pulses, true_szf=np.ones(10) * 3.0,
             saturated=np.zeros(10, dtype=bool), record_cov=np.zeros((5, 5)),
+            detection_cov=np.zeros((5, 5)),
         )
         rep = variance_stats(ts)
         assert rep.var_m1 == 0.0
@@ -108,7 +110,8 @@ class TestVarianceStats:
         law = np.array([[1e4, 1e4], [1e4, 1e4 + 1e-16]])
         ts = TrialSet(pulses=np.column_stack([m1, m1, m2, m2]),
                       true_szf=m1, saturated=np.zeros(500, dtype=bool),
-                      record_cov=PULSES_OF_M @ law @ PULSES_OF_M.T)
+                      record_cov=PULSES_OF_M @ law @ PULSES_OF_M.T,
+                      detection_cov=np.zeros((5, 5)))
         rep = variance_stats(ts)
         assert rep.var_meas == pytest.approx(np.var(m1 - m2, ddof=1) / 2, rel=1e-9)
 
@@ -127,7 +130,8 @@ class TestVarianceStats:
         saturated = np.zeros((2, 10), dtype=bool)
         saturated[1, 2:] = True  # point 1 keeps 2 of its 10 trials
         scan = TrialSet(np.stack([one.pulses] * 2), np.stack([one.true_szf] * 2),
-                        saturated, np.stack([one.record_cov] * 2))
+                        saturated, np.stack([one.record_cov] * 2),
+                        np.stack([one.detection_cov] * 2))
         with pytest.raises(ValueError, match="trials at point 1; got 2 of 10 trials"):
             variance_stats(scan)
 
@@ -408,50 +412,64 @@ def point_report(ts):
                             int(ts.saturated.sum()))
 
 
+def _detection_only(cfg, points, source):
+    """The detection_cov of a scan through cfg's detector with only source on."""
+    probe = replace(cfg.probe, switches=NoiseSwitches.only(source))
+    return run_scan([(*point, 0) for point in points], 2, probe, cfg.rates,
+                    cfg.pulses, cfg.couplings).detection_cov
+
+
 def test_scan_report_is_each_points_report():
     # one call over a scan's leading point axis gives each point the report
     # of that point on its own: bitwise with nothing saturated, within
     # rounding when the points exclude different numbers of trials
-    cfg = load_and_validate()
-    state = montecarlo.prepare_css(cfg.n0, cfg.preparation)
     grid = np.array([1e5, 3e5, 9e5])
-    scan = montecarlo._run(cfg, [("squeeze-readout", state, p) for p in grid]
-                           + [("double-prep", state, grid[1])], 400, 5)
-    assert not scan.saturated.any()
+    sources = ("shot", "electronic", "technical")
+    for off in (None, *sources):
+        cfg = load_and_validate(overrides={"noise": {off: False}} if off else None)
+        state = montecarlo.prepare_css(cfg.n0, cfg.preparation)
+        points = ([("squeeze-readout", state, p) for p in grid]
+                  + [("double-prep", state, grid[1])])
+        scan = montecarlo._run(cfg, points, 400, 5)
+        assert not scan.saturated.any()
+        assert scan.detection_cov.shape == (4, 5, 5)
+        # a switched-off source adds exactly nothing, the others their own terms
+        np.testing.assert_allclose(scan.detection_cov, sum(
+            _detection_only(cfg, points, name) for name in sources if name != off),
+            rtol=1e-14, atol=0)
+        if off:
+            assert _detection_only(cfg, points, off).any()
 
-    def point(i, saturated):
-        return TrialSet(scan.pulses[i], scan.true_szf[i], saturated[i],
-                        scan.record_cov[i])
+        def point(i, saturated):
+            return TrialSet(scan.pulses[i], scan.true_szf[i], saturated[i],
+                            scan.record_cov[i], scan.detection_cov[i])
 
-    # detection at every point's photon number at once is each point's own
-    p = np.append(grid, grid[1])
-    detection = montecarlo._detection(cfg, p)
-    assert detection.shape == (4, 5, 5)
-    batched = variance_stats(scan)
-    model = montecarlo._model_stats(scan, detection)
-    for i in range(4):
-        alone_detection = montecarlo._detection(cfg, p[i])
-        assert detection[i].tobytes() == alone_detection.tobytes()
-        alone = point(i, scan.saturated)
-        for name in REPORT_FIELDS:
-            assert (np.asarray(getattr(batched, name))[i].tobytes()
-                    == np.asarray(getattr(point_report(alone), name)).tobytes())
-            assert (getattr(model, name)[i].tobytes()
-                    == np.asarray(getattr(montecarlo._model_stats(alone, alone_detection),
-                                           name)).tobytes())
+        batched = variance_stats(scan)
+        model = montecarlo._model_stats(scan)
+        for i in range(4):
+            # point i run alone detects through its slice of the scan's law
+            alone_run = montecarlo._run(cfg, [points[i]], 400, 5 + i)
+            assert (alone_run.detection_cov[0].tobytes()
+                    == scan.detection_cov[i].tobytes())
+            alone = point(i, scan.saturated)
+            for name in REPORT_FIELDS:
+                assert (np.asarray(getattr(batched, name))[i].tobytes()
+                        == np.asarray(getattr(point_report(alone), name)).tobytes())
+                assert (getattr(model, name)[i].tobytes() == getattr(
+                    montecarlo._model_stats(alone_run), name)[0].tobytes())
 
-    # 0, 8, 40 and 120 of 400 trials excluded; the squeeze-readout points
-    # keep every statistic far from zero, so the comparison is relative
-    saturated = np.zeros_like(scan.saturated)
-    for i, k in enumerate((0, 8, 40, 120)):
-        saturated[i, np.random.default_rng(i).choice(400, k, replace=False)] = True
-    batched = variance_stats(replace(scan, saturated=saturated))
-    for i in range(3):
-        reference = point_report(point(i, saturated))
-        for name in REPORT_FIELDS:
-            np.testing.assert_allclose(np.asarray(getattr(batched, name))[i],
-                                       getattr(reference, name), rtol=1e-12, atol=0)
-    assert batched.n_excluded_saturated.tolist() == [0, 8, 40, 120]
+        # 0, 8, 40 and 120 of 400 trials excluded; the squeeze-readout points
+        # keep every statistic far from zero, so the comparison is relative
+        saturated = np.zeros_like(scan.saturated)
+        for i, k in enumerate((0, 8, 40, 120)):
+            saturated[i, np.random.default_rng(i).choice(400, k, replace=False)] = True
+        batched = variance_stats(replace(scan, saturated=saturated))
+        for i in range(3):
+            reference = point_report(point(i, saturated))
+            for name in REPORT_FIELDS:
+                np.testing.assert_allclose(np.asarray(getattr(batched, name))[i],
+                                           getattr(reference, name), rtol=1e-12, atol=0)
+        assert batched.n_excluded_saturated.tolist() == [0, 8, 40, 120]
 
 
 def test_stated_errors_match_spread_across_seeds(monkeypatch):
@@ -508,3 +526,21 @@ class TestContrastModel:
             0.69 * math.exp(-7e-7 * 3e5 - 9e-13 * 9e10 / 2), rel=1e-12
         )
         assert c == pytest.approx(0.537, abs=0.002)
+
+
+def test_fig2_scan_reads_its_own_detection_law():
+    # fig2's points run N0 from 6,000 to 50,000: at each, var_m1 and var_meas
+    # lie within 4 SE of the law the trials were drawn from, technical noise
+    # at that point's own N0 included (at one N0 for all, -31 SE at 6,000)
+    cfg = load_and_validate()
+    opts = cfg.scenario_options("fig2")
+    prep = replace(cfg.preparation, **opts["preparation"])
+    pair = 1.0 - prep.impurity_fraction
+    p = cfg.photons_per_measurement
+    scan = montecarlo._run(cfg, [point for n0 in opts["atom_grid"] for point in (
+        ("squeeze-readout", montecarlo.prepare_css(n0, prep), p),
+        ("double-prep", montecarlo.prepare_css(n0 * pair, prep), p))], 20_000, 300)
+    rep, law = variance_stats(scan), montecarlo._model_stats(scan)
+    for name in ("var_m1", "var_meas"):
+        z = (getattr(rep, name) - getattr(law, name)) / getattr(law, f"{name}_se")
+        assert np.abs(z).max() < 4.0, (name, z.round(1))

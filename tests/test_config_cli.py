@@ -31,6 +31,7 @@ from qndspin.constants import RB87, load_constants
 from qndspin.montecarlo import scenario_fig3, scenario_rotation
 from qndspin.scenarios import (
     SCENARIO_NAMES,
+    _text,
     noise_budget_from_config,
     run_scenario,
     scenario_params_report,
@@ -626,6 +627,24 @@ class TestCli:
         ])
         assert rc == 3
         assert "P_Ram" in capsys.readouterr().err
+
+    def test_non_finite_artifact_exit_three(self, tmp_path, capsys):
+        # C(p) = C0 exp(-alpha p) underflows at the two highest photon
+        # numbers, so zeta_m is infinite there: refused, not written
+        bad = tmp_path / "alpha.json"
+        bad.write_text(json.dumps({"contrast_model": {"alpha": 5.46e-4}}))
+        with warnings.catch_warnings():  # the CLI's own: warned, not raised
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main(["run", "--scenario", "fig3", "--config", str(bad),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == "runtime error: fig3.csv: column zeta_m_db is inf in row 5\n"
+        assert not list((tmp_path / "o").iterdir())
+
+    def test_writer_refuses_non_finite_json(self):
+        with pytest.raises(ValueError, match="fits.json: Out of range float"):
+            _text("fits.json", {"a0": float("nan")})
 
     @pytest.mark.parametrize("scenario, override", [
         ("rotation", {"scenarios": {"rotation": {"photons": 1e-200}}}),
