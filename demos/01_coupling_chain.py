@@ -1,4 +1,4 @@
-"""From mirror geometry to measurable coupling constants.
+"""From the resonator mode to measurable coupling constants.
 
 Walks the deterministic physics chain: finesse and waist give the
 antinode cooperativity; the cloud geometry averages it down; the
@@ -12,8 +12,6 @@ from qndspin.constants import TWO_PI
 
 resonator = ResonatorParams(
     wavelength=780.241209686e-9,
-    mirror_separation=26.62e-3,
-    linewidth=TWO_PI * 1.01e6,
     finesse=5.6e3,
     mode_waist=56.9e-6,
 )

@@ -30,27 +30,19 @@ MIN_DETUNING_LINEWIDTHS = 100.0
 
 @dataclass(frozen=True)
 class ResonatorParams:
-    """Mirror geometry and per-wavelength mode parameters (one wavelength)."""
+    """The resonator mode as the coupling chain reads it: eta0 = 24F/(pi k^2 w^2).
+
+    Every mode shift is in units of the linewidth kappa, so kappa is no parameter.
+    """
 
     wavelength: float          # m
-    mirror_separation: float   # L, m
-    linewidth: float           # kappa, angular rad/s
     finesse: float
     mode_waist: float          # w at the atoms, m
 
     def __post_init__(self):
-        for name in ("wavelength", "mirror_separation", "linewidth", "finesse",
-                     "mode_waist"):
+        for name in ("wavelength", "finesse", "mode_waist"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        f_from_kappa = math.pi * RB87.speed_of_light / (
-            self.mirror_separation * self.linewidth
-        )
-        if abs(f_from_kappa - self.finesse) / self.finesse > 1e-2:
-            raise ValueError(
-                "finesse inconsistent with pi*c/(L*kappa): "
-                f"{self.finesse:.4g} vs {f_from_kappa:.4g}"
-            )
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ writes every artifact and manifest.  --verify re-runs the manifest's
 scenario, trial count and seed, so --scenario must match it and
 --trials and --seed are rejected; it re-runs into a temporary directory
 and keeps nothing, so --out is rejected too.  Exit codes: 0 success,
-2 configuration/validation error, 3 runtime or fit error,
-4 reproducibility mismatch under --verify.
+2 configuration/validation error, 3 runtime or fit error (a numpy
+overflow or invalid value among them), 4 reproducibility mismatch
+under --verify.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import re
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, load_and_validate
@@ -162,12 +164,18 @@ def main(argv=None) -> int:
 
     out_dir = args.out or Path(cfg.output_dir)
     try:
-        artifact, manifest = run_scenario(
-            args.scenario, cfg, out_dir,
-            n_trials=args.trials, seed=args.seed,
-        )
-    except (ValueError, RuntimeError, ArithmeticError) as err:
+        with warnings.catch_warnings():  # numpy's inf or nan ends the run
+            warnings.simplefilter("error", RuntimeWarning)
+            artifact, manifest = run_scenario(
+                args.scenario, cfg, out_dir,
+                n_trials=args.trials, seed=args.seed,
+            )
+    except (ValueError, RuntimeError) as err:
         print(f"runtime error: {err}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except (ArithmeticError, RuntimeWarning) as err:
+        print(f"runtime error: values out of numerical range: {err}",
+              file=sys.stderr)
         return EXIT_RUNTIME
     except MemoryError as err:  # e.g. a --trials too large to allocate
         print(f"runtime error: out of memory. {err}".rstrip(), file=sys.stderr)

@@ -34,8 +34,6 @@ from .spinstate import PreparationModel, PulseModel
 # list setting holds for each of its items.
 BOUNDS = {
     "resonator/wavelength_nm": (0, None, True),
-    "resonator/mirror_separation_mm": (0, None, True),
-    "resonator/linewidth_mhz": (0, None, True),
     "resonator/finesse": (0, None, True),
     "resonator/mode_waist_um": (0, None, True),
     "ensemble/physical_atom_number": (0, None, False),
@@ -47,7 +45,6 @@ BOUNDS = {
     "probe/technical_noise_fraction": (0, None, False),
     "probe/technical_correlation": (-1, 1, False),
     "pulses/composite_pi_infidelity": (0, 0.1, False),
-    "pulses/lock_light_mu": (0, None, False),
     "preparation/prep_noise_factor": (1, None, False),
     "preparation/impurity_fraction": (0, 0.2, False),
     "preparation/initial_contrast": (0, 1, True),
@@ -230,8 +227,6 @@ def _merge(base: dict, override: dict) -> dict:
 class RunConfig:
     raw: dict
     constants: PhysicalConstants
-    resonator: ResonatorParams
-    ensemble: EnsembleConfig
     couplings: CouplingSummary
     probe: ProbeConfig
     photons_per_measurement: float      # p, transmitted; split p/2 per pulse
@@ -273,8 +268,6 @@ def _build(raw: dict) -> RunConfig:
     res = raw["resonator"]
     resonator = ResonatorParams(
         wavelength=res["wavelength_nm"] * 1e-9,
-        mirror_separation=res["mirror_separation_mm"] * 1e-3,
-        linewidth=TWO_PI * res["linewidth_mhz"] * 1e6,
         finesse=res["finesse"],
         mode_waist=res["mode_waist_um"] * 1e-6,
     )
@@ -308,8 +301,6 @@ def _build(raw: dict) -> RunConfig:
     return RunConfig(
         raw=raw,
         constants=constants,
-        resonator=resonator,
-        ensemble=ensemble,
         couplings=couplings,
         probe=probe,
         photons_per_measurement=pr["photons_per_measurement"],

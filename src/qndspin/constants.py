@@ -24,7 +24,6 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    speed_of_light: float               # m/s
     rb87_d2_linewidth: float            # Gamma, angular rad/s
     rb87_ground_hyperfine_splitting: float   # angular rad/s
     rb87_excited_level_offsets: dict    # F' -> angular rad/s relative to F'=3
@@ -33,8 +32,7 @@ class PhysicalConstants:
     version: str
 
     def __post_init__(self):
-        if (self.speed_of_light <= 0 or self.rb87_d2_linewidth <= 0
-                or self.rb87_ground_hyperfine_splitting <= 0):
+        if self.rb87_d2_linewidth <= 0 or self.rb87_ground_hyperfine_splitting <= 0:
             raise ValueError("constants must be strictly positive")
         if abs(self.d2_oscillator_strength - 2.0 / 3.0) > 1e-12:
             raise ValueError("D2 oscillator strength must be exactly 2/3")
@@ -89,7 +87,6 @@ def load_constants(path: str | Path | None = None) -> PhysicalConstants:
             raise ValueError(f"{key!r} entry is malformed: {err}") from None
 
     return PhysicalConstants(
-        speed_of_light=entry("speed_of_light_m_s"),
         rb87_d2_linewidth=TWO_PI * entry("gamma_hz"),
         rb87_ground_hyperfine_splitting=TWO_PI * entry("ground_splitting_hz"),
         rb87_excited_level_offsets=entry("excited_level_offsets_hz", lambda d: {

@@ -99,13 +99,13 @@ def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     state = prepare_css(n0, cfg.preparation)
     # epsilon_p = p P_dF + mu, each term only where its source is on
     p_df = cfg.rates.p_delta_f if on.raman else 0.0
-    mu = cfg.pulses.mu_total if on.microwave else 0.0
+    mu = cfg.pulses.composite_pi_infidelity if on.microwave else 0.0
     eps = grid * p_df + mu
     if eps.max() >= 0.5:  # checked before any trial runs
         raise ValueError(
             f"fig3 at p={grid.max():g}: epsilon_p = p P_dF + mu = {eps.max():.4g} "
-            "must lie below 0.5; lower mu = composite_pi_infidelity + "
-            f"lock_light_mu = {mu:g} or the largest photon_grid entry"
+            "must lie below 0.5; lower mu = composite_pi_infidelity = "
+            f"{mu:g} or the largest photon_grid entry"
         )
 
     scan = _run(cfg, [("squeeze-readout", state, p) for p in grid], n_trials, seed)
@@ -126,7 +126,15 @@ def scenario_fig3(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     var_prep = np.stack((rep.var_prep, model.var_prep))
     var_meas = np.stack((rep.var_meas, model.var_meas))
     sigma2 = conditional_variance(var_prep, var_meas, eps) / css
-    sq = squeezing_parameters(sigma2, c_meas, c_in, var_prep, var_meas, n0 / 2.0)
+    with np.errstate(divide="ignore", over="ignore"):  # zeta_m over C_meas^2
+        sq = squeezing_parameters(sigma2, c_meas, c_in, var_prep, var_meas, n0 / 2.0)
+    faded = ~np.isfinite(sq.zeta_m).all(axis=0)
+    if faded.any():
+        raise ValueError(
+            f"fig3 at p={grid[faded][0]:g}: zeta_m is not finite, since "
+            f"contrast_model with alpha = {cpars['alpha']:g} and beta = "
+            f"{cpars['beta']:g} gives C_meas = {c_meas[faded][0]:.4g}"
+        )
     rows = np.column_stack([
         grid, sq.sigma2[0], cond_err / (1 - eps) ** 2 / css, sq.sigma2_db[0], c_meas,
         sq.zeta_m_db[0], sq.zeta_e_db[0],

@@ -147,7 +147,8 @@ def raman_noise_coefficient(rates: ScatteringRates, n0: float) -> float:
     """b1: Raman contribution to 4 Var(Sz)_meas per probe photon.
 
     The weights are the first order in the flip fractions of the flip
-    term of 2 Var(M1 - M2) (see measurement.spinflip_covariance_exact).
+    term of 2 Var(M1 - M2), which the tests hold against the exact flip
+    covariance (spinflip_covariance_exact in tests/flip_oracle.py).
     """
     return (
         4.0 / 3.0 * rates.p_delta_f

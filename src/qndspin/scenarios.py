@@ -35,7 +35,7 @@ def noise_budget_from_config(cfg: RunConfig, n0: float | None = None) -> NoiseBu
         b_minus2=cfg.probe.electronic_noise_b2,
         b_minus1=cfg.probe.b_minus1(cfg.couplings.domega_dn),
         b0_tech=cfg.probe.technical_noise_fraction * n0,
-        b0_mu=cfg.pulses.mu_total * n0,
+        b0_mu=cfg.pulses.composite_pi_infidelity * n0,
         b1=raman_noise_coefficient(cfg.rates, n0),
         provenance={k: "fixed" for k in
                     ("b_minus2", "b_minus1", "b0_tech", "b0_mu", "b1")},
@@ -59,12 +59,11 @@ def _text(filename: str, payload) -> str:
         for v in row) + "\n" for row in (header, *rows))
 
 
-def scenario_params_report(cfg: RunConfig) -> dict:
+def scenario_params_report(cfg: RunConfig, n_trials: int, seed: int) -> dict:
     """Deterministic physics report: the full coupling/scattering chain."""
     c = cfg.couplings
     budget = noise_budget_from_config(cfg)
-    kappa = cfg.resonator.linewidth
-    return {
+    return {"params_report.json": {
         "constants_version": cfg.constants.version,
         "antinode_cooperativity_probe": c.antinode_cooperativity,
         "effective_cooperativity": c.effective_cooperativity,
@@ -80,7 +79,6 @@ def scenario_params_report(cfg: RunConfig) -> dict:
         "delta_prime_mhz": c.delta_prime / (2e6 * math.pi),
         "phase_per_photon_max_urad": c.phase_per_photon_max * 1e6,
         "phase_per_photon_eff_urad": c.phase_per_photon_eff * 1e6,
-        "kappa_mhz": kappa / (2e6 * math.pi),
         "p_raman": cfg.rates.p_raman_total,
         "p_total": cfg.rates.p_total,
         "p_total_to_raman": cfg.rates.p_total / cfg.rates.p_raman_total,
@@ -91,11 +89,7 @@ def scenario_params_report(cfg: RunConfig) -> dict:
         "p_rayleigh_f2": cfg.rates.p_rayleigh_f2,
         "b1_per_photon": budget.b1,
         "b_minus1": budget.b_minus1,
-    }
-
-
-def _params_report_artifacts(cfg: RunConfig, n_trials: int, seed: int) -> dict:
-    return {"params_report.json": scenario_params_report(cfg)}
+    }}
 
 
 def scenario_limits(cfg: RunConfig, n_trials: int, seed: int) -> dict:
@@ -116,7 +110,7 @@ def scenario_limits(cfg: RunConfig, n_trials: int, seed: int) -> dict:
 # name -> fn(cfg, n_trials, seed) -> {filename: payload}; a Monte Carlo
 # scenario is named by its function in montecarlo
 SCENARIOS = {
-    "params-report": _params_report_artifacts,
+    "params-report": scenario_params_report,
     "fig2": "scenario_fig2",
     "fig3": "scenario_fig3",
     "rotation": "scenario_rotation",

@@ -49,22 +49,10 @@ class PulseModel:
     """Composite microwave pi pulse modeled by a flip-failure fraction."""
 
     composite_pi_infidelity: float   # mu
-    lock_light_mu: float             # additive scattering-equivalent
 
     def __post_init__(self):
         if not 0.0 <= self.composite_pi_infidelity <= 0.1:
             raise ValueError("composite_pi_infidelity must lie in [0, 0.1]")
-        if self.lock_light_mu < 0:
-            raise ValueError("lock_light_mu must be >= 0")
-        if self.mu_total > 1.0:
-            raise ValueError(
-                "composite-pulse mu = composite_pi_infidelity + lock_light_mu "
-                f"= {self.mu_total!r} must lie in [0, 1]"
-            )
-
-    @property
-    def mu_total(self) -> float:
-        return self.composite_pi_infidelity + self.lock_light_mu
 
 
 @dataclass(frozen=True)

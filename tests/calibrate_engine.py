@@ -29,6 +29,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from flip_oracle import spinflip_covariance_exact  # noqa: E402
 from test_measurement import (  # noqa: E402
     FLIPS_ONLY,
     M1_WEIGHTS,
@@ -47,7 +48,6 @@ from qndspin.config import load_and_validate, NoiseSwitches  # noqa: E402
 from qndspin.measurement import (  # noqa: E402
     run_scan,
     SequencePlan,
-    spinflip_covariance_exact,
 )
 from qndspin.montecarlo import scenario_fig3, scenario_rotation  # noqa: E402
 from qndspin.scattering import ScatteringRates  # noqa: E402
@@ -92,7 +92,7 @@ def covariance_structure(seed):
 def mu_covariance(seed):
     ts = run_scan([("squeeze-readout", css_state(), P, seed)], 50_000,
                   probe_config(NoiseSwitches.only("microwave")), BOOSTED,
-                  PulseModel(0.02, 0.0), COUPLINGS)
+                  PulseModel(0.02), COUPLINGS)
     cov = spinflip_covariance_exact(0, 0, 0, 0.02, P, N0)
     return {k: (z, 3.5) for k, z in cov_z(ts, cov).items()}
 
@@ -126,8 +126,8 @@ def noise_sources(seed):
 def criterion_4(seed):
     budget = noise_budget_from_config(CFG, N0)
     state = css_state()
-    no_errors = PulseModel(0.0, 0.0)
-    mu_pulses = PulseModel(0.02, 0.0)
+    no_errors = PulseModel(0.0)
+    mu_pulses = PulseModel(0.02)
     terms = {
         "electronic": (budget.b_minus2 / P**2, no_errors),
         "shot": (budget.b_minus1 / P, no_errors),

@@ -8,21 +8,8 @@ from qndspin.constants import TWO_PI
 def probe_resonator():
     return ResonatorParams(
         wavelength=780.241209686e-9,
-        mirror_separation=26.62e-3,
-        linewidth=TWO_PI * 1.01e6,
         finesse=5.6e3,
         mode_waist=56.9e-6,
-    )
-
-
-@pytest.fixture(scope="session")
-def trap_resonator():
-    return ResonatorParams(
-        wavelength=851e-9,
-        mirror_separation=26.62e-3,
-        linewidth=TWO_PI * 135e3,
-        finesse=4.2e4,
-        mode_waist=59.5e-6,
     )
 
 

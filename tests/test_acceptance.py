@@ -30,7 +30,7 @@ from qndspin.limits import (
     optimal_photon_number,
     sigma2_min,
 )
-from qndspin.measurement import run_scan, spinflip_covariance_exact
+from qndspin.measurement import run_scan
 from qndspin.scattering import raman_noise_coefficient, raman_rates
 from qndspin.scenarios import noise_budget_from_config
 from qndspin.spinstate import (
@@ -39,6 +39,8 @@ from qndspin.spinstate import (
     PulseModel,
 )
 from dataclasses import replace
+
+from flip_oracle import spinflip_covariance_exact
 
 N0 = 3.3e4
 CSS = N0 / 4.0
@@ -108,8 +110,8 @@ def test_criterion_4_noise_budget_monte_carlo(cfg):
     p = 6.4e5
     state = prepare_css(N0, PreparationModel())
     budget = noise_budget_from_config(cfg, N0)
-    no_errors = PulseModel(composite_pi_infidelity=0.0, lock_light_mu=0.0)
-    mu_pulses = PulseModel(composite_pi_infidelity=0.02, lock_light_mu=0.0)
+    no_errors = PulseModel(composite_pi_infidelity=0.0)
+    mu_pulses = PulseModel(composite_pi_infidelity=0.02)
 
     checks = []
     # (analytic term, pulse model, seed); the flip sources read the exact
@@ -178,7 +180,7 @@ def test_criterion_5_conditional_squeezing(cfg):
     n = 10_000
     state = prepare_css(N0, PreparationModel(prep_noise_factor=1.14))
     ts = run_scan([("squeeze-readout", state, p, 55)], n, cfg.probe, cfg.rates,
-                  PulseModel(0.02, 0.0), cfg.couplings)
+                  PulseModel(0.02), cfg.couplings)
     rep = variance_stats(ts)
     sigma2_mc = conditional_variance(rep.var_prep[0], rep.var_meas[0]) / CSS
     assert to_db(sigma2_mc) == pytest.approx(-8.9, abs=1.0)
@@ -201,7 +203,7 @@ def test_criterion_6_metrological_gain(cfg):
     n = 10_000
     state = prepare_css(N0, PreparationModel(prep_noise_factor=1.14))
     ts = run_scan([("squeeze-readout", state, p, 56)], n, cfg.probe, cfg.rates,
-                  PulseModel(0.02, 0.0), cfg.couplings)
+                  PulseModel(0.02), cfg.couplings)
     rep = variance_stats(ts)
     var_prep, var_meas = rep.var_prep[0], rep.var_meas[0]
     eps = p * cfg.rates.p_delta_f + 0.02

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -58,12 +60,13 @@ class TestConfig:
 
     def test_missing_kappa_named(self, tmp_path):
         # absent keys fall back to defaults; an explicitly removed value
-        # (null) is a violation that names the key
+        # (null) is a violation that names the key.  kappa enters the chain
+        # only through the finesse F = FSR/kappa in eta0
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"resonator": {"linewidth_mhz": None}}))
+        path.write_text(json.dumps({"resonator": {"finesse": None}}))
         with pytest.raises(ConfigError) as err:
             load_and_validate(path)
-        assert any("linewidth_mhz" in v for v in err.value.violations)
+        assert any("finesse" in v for v in err.value.violations)
 
     def test_negative_trials_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -109,6 +112,13 @@ class TestConfig:
         assert rc == 2
         assert "probe: 5 is not of type 'object'" in capsys.readouterr().err
 
+    def test_each_setting_changed_alone_builds(self):
+        # no setting is checked against another: any one number of the
+        # defaults moved by 10 % still builds
+        for path, _, default in _numeric_leaves(default_config()):
+            if type(default) is float:
+                load_and_validate(overrides=_nested({path: 1.1 * default}))
+
     def test_b1_target_applied(self, cfg):
         from qndspin.scattering import raman_noise_coefficient
 
@@ -150,7 +160,7 @@ class TestConfig:
          None),
         ({"scenarios": {"fig2": {"preparation": {"prep_noise_factor": 0}}}},
          "scenarios/fig2/preparation/prep_noise_factor"),
-        ({"resonator": {"linewidth_mhz": 0}}, "resonator/linewidth_mhz"),
+        ({"resonator": {"mode_waist_um": 0}}, "resonator/mode_waist_um"),
         ({"ensemble": {"physical_atom_number": 0}}, None),
         ({"probe": {"quantum_efficiency": 1}}, None),
         ({"probe": {"quantum_efficiency": 1.0000001}},
@@ -202,7 +212,7 @@ class TestConfig:
 
 class TestParamsReport:
     def test_report_keys_match_chain(self, cfg):
-        rep = scenario_params_report(cfg)
+        rep = scenario_params_report(cfg, 0, 0)["params_report.json"]
         assert rep["antinode_cooperativity_probe"] == pytest.approx(0.203, abs=0.007)
         assert rep["domega_dn_kappa"] == pytest.approx(4.5e-5, abs=0.2e-5)
         assert rep["phase_per_photon_max_urad"] == pytest.approx(253.0, abs=8.0)
@@ -564,7 +574,7 @@ class TestCli:
         assert not (tmp_path / "o2").exists()
 
     @pytest.mark.parametrize("constants, named", [
-        ({"version": "x"}, "no 'speed_of_light_m_s' entry"),
+        ({"version": "x"}, "no 'gamma_hz' entry"),
         ({**PACKAGED_CONSTANTS, "gamma_hz": "x"}, "'gamma_hz' entry is malformed"),
         ([], "not a JSON object"),
     ], ids=["missing-key", "key-not-a-number", "not-an-object"])
@@ -628,19 +638,44 @@ class TestCli:
         assert rc == 3
         assert "P_Ram" in capsys.readouterr().err
 
+    def test_numpy_overflow_exit_three(self, tmp_path, capsys):
+        # a2 N0^2 overflows in prepare_css: numpy's warning ends the run as
+        # a range error before the inf reaches the record law
+        bad = tmp_path / "a2.json"
+        bad.write_text(json.dumps(
+            {"scenarios": {"fig2": {"preparation": {"quadratic_noise_a2": 1e308}}}}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["run", "--scenario", "fig2", "--trials", "8", "--config",
+                       str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert [w.category for w in caught] == []
+        assert capsys.readouterr().err == (
+            "runtime error: values out of numerical range: overflow encountered "
+            "in scalar multiply\n")
+
     def test_non_finite_artifact_exit_three(self, tmp_path, capsys):
-        # C(p) = C0 exp(-alpha p) underflows at the two highest photon
-        # numbers, so zeta_m is infinite there: refused, not written
+        # C(p) = C0 exp(-alpha p) is 1e-152 at p = 6.4e5, where zeta_m over
+        # C^2 overflows, and underflows at 9e5: the contrast is named at
+        # the first such point, nothing is written and numpy warns nothing
         bad = tmp_path / "alpha.json"
         bad.write_text(json.dumps({"contrast_model": {"alpha": 5.46e-4}}))
-        with warnings.catch_warnings():  # the CLI's own: warned, not raised
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main(["run", "--scenario", "fig3", "--config", str(bad),
                        "--out", str(tmp_path / "o")])
         assert rc == 3
+        assert [w.category for w in caught] == []
         err = capsys.readouterr().err
-        assert err == "runtime error: fig3.csv: column zeta_m_db is inf in row 5\n"
+        assert err == (
+            "runtime error: fig3 at p=640000: zeta_m is not finite, since "
+            "contrast_model with alpha = 0.000546 and beta = 9e-13 gives "
+            "C_meas = 9.976e-153\n")
         assert not list((tmp_path / "o").iterdir())
+
+    def test_writer_refuses_non_finite_csv(self):
+        with pytest.raises(ValueError, match="f.csv: column b is inf in row 2"):
+            _text("f.csv", (["a", "b"], [[1.0, 2.0], [3.0, float("inf")]]))
 
     def test_writer_refuses_non_finite_json(self):
         with pytest.raises(ValueError, match="fits.json: Out of range float"):
@@ -748,38 +783,25 @@ class TestCli:
         assert rc == 2
         assert "b1_target_per_atom" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scenario", ["fig2", "fig3", "rotation", "ramsey"])
-    def test_composite_pulse_mu_above_one_exit_two(self, scenario, tmp_path,
-                                                   capsys):
-        # each setting is in range, but mu = 0.02 + 2 is no failure fraction:
-        # the engine's sqrt(mu (1 - mu)) would fail at runtime
-        bad = tmp_path / "mu.json"
-        bad.write_text(json.dumps({"pulses": {"lock_light_mu": 2}}))
-        rc = main([
-            "run", "--scenario", scenario, "--trials", "8", "--config", str(bad),
-            "--out", str(tmp_path / "o"),
-        ])
-        assert rc == 2
-        assert "composite-pulse mu" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
     def test_fig3_epsilon_at_one_half_rejected_before_trials(
             self, tmp_path, capsys, monkeypatch):
-        # mu = 0.62 is a valid failure fraction, but fig3's epsilon_p =
-        # p P_dF + mu must stay below 1/2 at every photon number
+        # fig3's epsilon_p = p P_dF + mu must stay below 1/2 at every photon
+        # number; P_dF = 2.6e-8, so p = 2e7 gives 0.52 + 0.02
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr("qndspin.montecarlo.run_scan", no_trials)
-        bad = tmp_path / "mu.json"
-        bad.write_text(json.dumps({"pulses": {"lock_light_mu": 0.6}}))
+        bad = tmp_path / "eps.json"
+        bad.write_text(json.dumps(
+            {"scenarios": {"fig3": {"photon_grid": [1e5, 2e7]}}}))
         rc = main([
             "run", "--scenario", "fig3", "--trials", "2000", "--config", str(bad),
             "--out", str(tmp_path / "o"),
         ])
         assert rc == 3
         err = capsys.readouterr().err
-        assert "epsilon_p" in err and "lock_light_mu" in err
+        assert "fig3 at p=2e+07: epsilon_p" in err
+        assert "composite_pi_infidelity" in err
 
     def test_out_of_memory_exit_three(self, tmp_path, capsys, monkeypatch):
         # a trial count too large to allocate ends in one line and exit 3;
@@ -967,7 +989,11 @@ def _numeric_leaves(tree, path=(), key=""):
 
 
 def _leaf_values(key, default):
-    """Every finite value the config accepts for one numeric setting."""
+    """Every finite value the config accepts for one numeric setting.
+
+    A setting with no maximum and a nonzero default also draws within
+    10^+-3 of its default, where most configs build and reach the engine.
+    """
     low, high, exclusive = BOUNDS.get(key, (None, None, False))
     if type(default) is int:
         return st.integers(min_value=low, max_value=2**63 - 1)
@@ -975,6 +1001,9 @@ def _leaf_values(key, default):
         min_value=low, max_value=high, exclude_min=exclusive,
         allow_nan=False, allow_infinity=False,
     )
+    if high is None and default:
+        least = math.log10(low / default) if low else -3.0
+        values |= st.floats(max(least, -3.0), 3.0).map(lambda e: default * 10.0**e)
     return st.none() | values if key in NULLABLE else values
 
 
@@ -994,14 +1023,41 @@ NUMERIC_OVERRIDES = st.fixed_dictionaries({}, optional={
 }).map(_nested)
 
 
+def _numbers(path: Path):
+    """Every number in a written artifact: CSV cells that parse, JSON numbers."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        for cell in text.replace("\n", ",").split(","):
+            try:
+                yield float(cell)
+            except ValueError:  # a header or a label
+                pass
+        return
+    stack = [json.loads(text)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+        elif type(node) in (int, float):
+            yield node
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(overrides=NUMERIC_OVERRIDES)
-@example(overrides={"probe": {"compensation_detuning_f2_f3_ghz": 3.57}})
-@example(overrides={"scattering": {"b1_target_per_atom": 0}})
-@example(overrides={"resonator": {"wavelength_nm": 1e200}})  # 1/0 in _build
-@example(overrides={"resonator": {"mode_waist_um": 6.5e76}})  # overflow at run
-def test_schema_valid_overrides_never_crash(overrides):
-    """A numeric override builds a config or is a ConfigError, never a crash."""
+@given(overrides=NUMERIC_OVERRIDES, named=st.just({}))
+@example(overrides={"probe": {"compensation_detuning_f2_f3_ghz": 3.57}}, named={})
+@example(overrides={"scattering": {"b1_target_per_atom": 0}}, named={})
+@example(overrides={"resonator": {"wavelength_nm": 1e200}}, named={})  # 1/0 in _build
+@example(overrides={"resonator": {"mode_waist_um": 6.5e76}}, named={})  # overflow at run
+@example(overrides={"contrast_model": {"alpha": 5.46e-4}},
+         named={"fig3": "contrast_model"})  # zeta_m infinite from p = 6.4e5 on
+def test_schema_valid_overrides_never_crash(overrides, named):
+    """A numeric override runs every scenario or exits 2 or 3, never a crash.
+
+    On exit 0 every number written is finite; a scenario in named exits 3
+    with a message that names the cause.
+    """
     try:
         load_and_validate(overrides=overrides)
     except ConfigError:
@@ -1009,9 +1065,14 @@ def test_schema_valid_overrides_never_crash(overrides):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "override.json"
         path.write_text(json.dumps(overrides))
-        for scenario in ("params-report", "limits"):
-            rc = main([
-                "run", "--scenario", scenario, "--config", str(path),
-                "--out", str(Path(tmp) / scenario),
-            ])
-            assert rc in (0, 2, 3)
+        for scenario in SCENARIO_NAMES:
+            out = Path(tmp) / scenario
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                rc = main(["run", "--scenario", scenario, "--config", str(path),
+                           "--trials", "16", "--out", str(out)])
+            assert rc in (0, 2, 3), err.getvalue()
+            if scenario in named:
+                assert rc == 3 and named[scenario] in err.getvalue()
+            if rc == 0:
+                for artifact in out.iterdir():
+                    assert all(map(math.isfinite, _numbers(artifact))), artifact.name

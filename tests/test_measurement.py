@@ -14,10 +14,11 @@ from qndspin.measurement import (
     run_scan,
     SequencePlan,
     simulate_probe_pulse,
-    spinflip_covariance_exact,
 )
 from qndspin.scattering import ScatteringRates
 from qndspin.spinstate import prepare_css, PreparationModel, PulseModel
+
+from flip_oracle import spinflip_covariance_exact
 
 N0 = 3.3e4
 
@@ -29,8 +30,8 @@ RATES = ScatteringRates(
     p_rayleigh_f1=1.4e-7,
     p_rayleigh_f2=8.6e-8,
 )
-NO_PULSE_ERRORS = PulseModel(composite_pi_infidelity=0.0, lock_light_mu=0.0)
-MU_PULSES = PulseModel(composite_pi_infidelity=0.02, lock_light_mu=0.0)
+NO_PULSE_ERRORS = PulseModel(composite_pi_infidelity=0.0)
+MU_PULSES = PulseModel(composite_pi_infidelity=0.02)
 
 
 def probe_config(switches, tech=0.04):
@@ -421,7 +422,7 @@ class TestSpinFlipCovariance:
         n = 50_000
         ts = run_scan([("squeeze-readout", css_state(), p, 78)], n,
                       probe_config(NoiseSwitches.only("microwave")), RATES,
-                      PulseModel(composite_pi_infidelity=0.02, lock_light_mu=0.0),
+                      PulseModel(composite_pi_infidelity=0.02),
                       couplings)
         cov = spinflip_covariance_exact(0, 0, 0, 0.02, p, N0)
         sample_cov = np.cov(ts.pulses[0].T, ddof=1)
@@ -529,7 +530,7 @@ class TestRunTrials:
         for n0 in (20, 200):
             exact = spinflip_covariance_exact(
                 hot.p_delta_f, hot.p_delta_mf, hot.p_delta_f_delta_mf,
-                MU_PULSES.mu_total, p, n0,
+                MU_PULSES.composite_pi_infidelity, p, n0,
             )
             args = (probe_config(FLIPS_ONLY), hot, MU_PULSES, couplings)
             ts = run_scan([("squeeze-readout", css_state(n0), p, 84)], n, *args)
@@ -554,7 +555,7 @@ class TestRunTrials:
                       probe_config(FLIPS_ONLY), hot, MU_PULSES, couplings)
         exact = spinflip_covariance_exact(
             hot.p_delta_f, hot.p_delta_mf, hot.p_delta_f_delta_mf,
-            MU_PULSES.mu_total, p, n0,
+            MU_PULSES.composite_pi_infidelity, p, n0,
         )
         assert sample_cov_z(ts.pulses[0], exact, n0) <= 4.0
         y2 = 2 * np.var(ts.m1 - ts.m2, ddof=1)
@@ -717,7 +718,7 @@ class TestFlipBackReaction:
         # y2 reads two independent M1-like measurements
         cov = spinflip_covariance_exact(
             RATES.p_delta_f, RATES.p_delta_mf, RATES.p_delta_f_delta_mf,
-            MU_PULSES.mu_total, 6.4e5, N0,
+            MU_PULSES.composite_pi_infidelity, 6.4e5, N0,
         )
         y2 = 2 * np.var(ts.m1 - ts.m2, ddof=1)
         assert abs(y2 - four_var(cov, M1_WEIGHTS)) <= 3 * var_se(y2, n)

@@ -42,15 +42,12 @@ class TestPrepareCss:
 
 
 class TestCompositePi:
-    """PulseModel: the composite pulse's total failure fraction mu."""
+    """PulseModel: mu is the one setting composite_pi_infidelity."""
 
-    @pytest.mark.parametrize("infidelity, lock", [(0.02, 2.0), (0.1, 0.9 + 1e-9)])
-    def test_total_mu_above_one_rejected(self, infidelity, lock):
-        with pytest.raises(ValueError, match="composite-pulse mu"):
-            PulseModel(composite_pi_infidelity=infidelity, lock_light_mu=lock)
-
-    def test_total_mu_of_one_accepted(self):
-        assert PulseModel(composite_pi_infidelity=0.1, lock_light_mu=0.9).mu_total <= 1.0
+    @pytest.mark.parametrize("mu", [-1e-9, 0.1 + 1e-9])
+    def test_infidelity_outside_range_rejected(self, mu):
+        with pytest.raises(ValueError, match="composite_pi_infidelity"):
+            PulseModel(composite_pi_infidelity=mu)
 
 
 class TestBackactionAndConditioning:
